@@ -16,7 +16,7 @@ from . import diagnostics, report
 from .data import ModelSpec, load_csv, parse_schema
 from .errors import ConfigurationError, CountregError
 from .fitting import FitOptions, compare_models, fit, irr_table
-from .simulate import demo_preset, simulate
+from .simulate import csv_text, demo_preset, simulate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -85,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--preset", choices=sorted(PRESETS), required=True)
     p_sim.add_argument("--seed", type=int, help="seed override")
     p_sim.add_argument("--out", help="CSV path; a .truth.json sidecar is written beside it")
-    p_sim.add_argument(
-        "--format", choices=("text", "json", "csv"), default="csv", dest="fmt"
-    )
 
     p_cmp = sub.add_parser("compare", help="fit poisson, nb, and zinb; rank by AIC")
     add_io(p_cmp)
@@ -238,13 +235,8 @@ def _run_simulate(args) -> int:
     if args.out:
         simulate(config, args.out)
         print(f"wrote {args.out} and its .truth.json sidecar", file=sys.stderr)
-        return EXIT_OK
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "simulated.csv"
-        simulate(config, path)
-        sys.stdout.write(path.read_text())
+    else:
+        sys.stdout.write(csv_text(simulate(config), config))
     return EXIT_OK
 
 

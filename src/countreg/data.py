@@ -7,6 +7,7 @@ dummy column per non-reference level, in vocabulary order.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,9 +137,12 @@ def _parse_count(cell: str, row: int, name: str) -> int:
 
 def _parse_numeric(cell: str, row: int, name: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise RowParseError(row, name, cell) from None
+    if not math.isfinite(value):  # float() accepts "nan" and "inf"
+        raise RowParseError(row, name, cell)
+    return value
 
 
 def load_csv(path, schema: dict[str, str]) -> Dataset:
@@ -146,10 +150,11 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
 
     Rows with a missing value ("" or "NA") in any declared column are dropped;
     the number of dropped rows is recorded on the returned Dataset.  A
-    non-missing cell that does not parse under its declared kind raises a
-    RowParseError naming the 1-based data row.  Level vocabularies for
-    categorical columns are collected over every non-missing cell, so levels
-    seen only in dropped rows still enter the vocabulary.
+    non-missing cell that does not parse under its declared kind, or a
+    non-finite numeric cell, raises a RowParseError naming the 1-based data
+    row.  Level vocabularies for categorical columns are collected over every
+    non-missing cell, so levels seen only in dropped rows still enter the
+    vocabulary.
     """
     for kind in schema.values():
         if kind not in COLUMN_KINDS:

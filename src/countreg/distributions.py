@@ -68,7 +68,12 @@ def poisson_log_pmf(y: int, lam: float) -> float:
 
 
 def nb_log_pmf(y: int, params: NbParams) -> float:
-    """log P(Y = y) for the NB distribution, computed via log-gamma."""
+    """log P(Y = y) for the NB distribution.
+
+    The gamma ratio comes from the kernels' count table, which stays
+    accurate up to the Poisson limit of large ``tau``; time and memory grow
+    with y up to the table's end at y = 4096.
+    """
     _check_count(y)
     out = _kernels.nb_logpmf(
         np.array([float(y)]), np.array([params.lam]), params.tau

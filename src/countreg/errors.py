@@ -12,11 +12,11 @@ class ParameterDomainError(CountregError):
 class EvaluationError(CountregError):
     """Likelihood evaluation produced a non-finite intermediate.
 
-    Carries the index of the first offending observation.
+    Carries the index of the first offending observation when one is known.
     """
 
-    def __init__(self, message: str, row: int):
-        super().__init__(f"{message} (row {row})")
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message if row is None else f"{message} (row {row})")
         self.row = row
 
 

@@ -115,67 +115,58 @@ def _count_predictor(X: DesignMatrix, beta: np.ndarray) -> np.ndarray:
     eta = X.values @ beta
     bad = ~np.isfinite(eta) | (eta > ETA_MAX)
     if np.any(bad):
-        raise EvaluationError("count-part linear predictor overflow", int(np.argmax(bad)))
+        raise EvaluationError(
+            f"count-part linear predictor is not finite or above {ETA_MAX:g}",
+            int(np.argmax(bad)),
+        )
     return eta
 
 def _zero_predictor(Z: DesignMatrix, gamma: np.ndarray) -> np.ndarray:
     s = Z.values @ gamma
     bad = ~np.isfinite(s)
     if np.any(bad):
-        raise EvaluationError("zero-part linear predictor overflow", int(np.argmax(bad)))
+        raise EvaluationError("zero-part linear predictor is not finite", int(np.argmax(bad)))
     return s
 
 
-def log_likelihood(
+def _loglik_score(
     spec: ModelSpec,
     X: DesignMatrix,
     Z: DesignMatrix | None,
     y: np.ndarray,
     params: ParamVector,
-) -> float:
-    """Sum of per-observation log pmfs under the family of ``spec``."""
-    _check_finite_params(params)
-    yf = np.asarray(y, dtype=np.float64)
-    eta = _count_predictor(X, params.beta)
-    lam = np.exp(eta)
-    if spec.family == "poisson":
-        rows = yf * eta - lam - gammaln(yf + 1.0)
-    elif spec.family == "nb":
-        rows = _kernels.nb_logpmf(yf, lam, _tau_of(params))
-    else:
-        p = expit(_zero_predictor(Z, params.gamma))
-        rows = _kernels.zinb_logpmf(yf, lam, p, _tau_of(params))
-    return float(np.sum(rows))
+) -> tuple[float, np.ndarray]:
+    """Log-likelihood and its analytic gradient from one pass over the rows.
 
-
-def gradient(
-    spec: ModelSpec,
-    X: DesignMatrix,
-    Z: DesignMatrix | None,
-    y: np.ndarray,
-    params: ParamVector,
-) -> np.ndarray:
-    """Analytic gradient of the log-likelihood.
-
-    Layout matches the family: [beta] for poisson, [beta, log_tau] for nb,
-    [beta, gamma, log_tau] for zinb.
+    Gradient layout matches the family: [beta] for poisson, [beta, log_tau]
+    for nb, [beta, gamma, log_tau] for zinb.
     """
     _check_finite_params(params)
     yf = np.asarray(y, dtype=np.float64)
     eta = _count_predictor(X, params.beta)
     lam = np.exp(eta)
     if spec.family == "poisson":
-        return X.values.T @ (yf - lam)
-    if spec.family == "nb":
-        tau = _tau_of(params)
-        u, dt = _kernels.nb_grad_rows(yf, lam, tau)
-        return np.concatenate([X.values.T @ u, [tau * float(np.sum(dt))]])
+        rows = yf * eta - lam - gammaln(yf + 1.0)
+        return float(np.sum(rows)), X.values.T @ (yf - lam)
     tau = _tau_of(params)
-    p = expit(_zero_predictor(Z, params.gamma))
-    u, v, dt = _kernels.zinb_grad_rows(yf, lam, p, tau)
-    return np.concatenate(
-        [X.values.T @ u, Z.values.T @ v, [tau * float(np.sum(dt))]]
-    )
+    if spec.family == "nb":
+        rows, u, dt = _kernels.nb_loglik_score(yf, lam, tau)
+        scores = [X.values.T @ u]
+    else:
+        p = expit(_zero_predictor(Z, params.gamma))
+        rows, u, v, dt = _kernels.zinb_loglik_score(yf, lam, p, tau)
+        scores = [X.values.T @ u, Z.values.T @ v]
+    return float(np.sum(rows)), np.concatenate([*scores, [tau * float(np.sum(dt))]])
+
+
+def log_likelihood(spec, X, Z, y, params) -> float:
+    """Sum of per-observation log pmfs under the family of ``spec``."""
+    return _loglik_score(spec, X, Z, y, params)[0]
+
+
+def gradient(spec, X, Z, y, params) -> np.ndarray:
+    """Analytic gradient of the log-likelihood, laid out as in `_loglik_score`."""
+    return _loglik_score(spec, X, Z, y, params)[1]
 
 
 class _Problem:
@@ -185,7 +176,7 @@ class _Problem:
         self.spec = spec
         self.X = X
         self.Z = Z
-        self.y = y
+        self.y = np.asarray(y, dtype=np.float64)
         self.d = X.n_cols
         self.q = Z.n_cols if Z is not None else 0
         self.fix_gamma = None
@@ -233,20 +224,41 @@ class _Problem:
             labels.append("log_tau")
         return labels
 
+    def _loglik_score(self, theta):
+        return _loglik_score(self.spec, self.X, self.Z, self.y, self.to_params(theta))
+
     def objective(self, theta):
         try:
-            params = self.to_params(theta)
-            ll = log_likelihood(self.spec, self.X, self.Z, self.y, params)
-            if not math.isfinite(ll):
-                return -math.inf, np.zeros(int(self.mask.sum()))
-            grad = gradient(self.spec, self.X, self.Z, self.y, params)
+            ll, grad = self._loglik_score(theta)
         except CountregError:
+            ll = -math.inf
+        if not math.isfinite(ll):
             return -math.inf, np.zeros(int(self.mask.sum()))
         return ll, grad[self.mask]
 
     def free_gradient(self, theta):
-        params = self.to_params(theta)
-        return gradient(self.spec, self.X, self.Z, self.y, params)[self.mask]
+        return self._loglik_score(theta)[1][self.mask]
+
+    def maximize(self, x0, options):
+        """BFGS ascent of the objective from ``x0``.
+
+        The objective reads evaluation errors as -inf, so a start point that
+        cannot be evaluated is evaluated again unguarded: the error then names
+        the row or parameter at fault instead of ending in a ValueError.
+        """
+        try:
+            return maximize_bfgs(
+                self.objective,
+                x0,
+                grad_tol=options.grad_tol,
+                rel_tol=options.rel_ll_tol,
+                max_iter=options.max_iter,
+            )
+        except ValueError:
+            ll = self._loglik_score(x0)[0]
+            if math.isfinite(ll):
+                raise
+            raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
 
 
 def _poisson_start(X: DesignMatrix, y: np.ndarray) -> np.ndarray:
@@ -296,6 +308,10 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         raise InsufficientDataError(
             f"{ds.n_rows} observations cannot support {n_free} free parameters"
         )
+    if not np.any(y > 0):
+        raise InsufficientDataError(
+            f"response '{spec.response}' has no positive counts; its mean cannot be estimated"
+        )
 
     # staged initialization: Poisson -> NB/ZINB
     if spec.family == "poisson":
@@ -305,14 +321,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             "poisson", spec.response, spec.count_covariates, [], spec.reference_levels
         )
         pois_problem = _Problem(pois_spec, X, None, y, FitOptions())
-        pois_res = maximize_bfgs(
-            pois_problem.objective,
-            _poisson_start(X, y),
-            grad_tol=options.grad_tol,
-            rel_tol=options.rel_ll_tol,
-            max_iter=options.max_iter,
-        )
-        beta_start = pois_res.x
+        beta_start = pois_problem.maximize(_poisson_start(X, y), options).x
         pieces = [beta_start]
         tau_start = math.exp(options.fix_log_tau) if options.fix_log_tau is not None else 1.0
         if problem.gamma_free:
@@ -321,13 +330,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             pieces.append(np.array([0.0]))
         x0 = np.concatenate(pieces)
 
-    res = maximize_bfgs(
-        problem.objective,
-        x0,
-        grad_tol=options.grad_tol,
-        rel_tol=options.rel_ll_tol,
-        max_iter=options.max_iter,
-    )
+    res = problem.maximize(x0, options)
     estimates = problem.to_params(res.x)
 
     covariance = None

@@ -158,7 +158,9 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
     return out
 
 
-def _write_csv(ds: Dataset, config: SimConfig, path: Path):
+def csv_text(ds: Dataset, config: SimConfig) -> str:
+    """A simulated dataset as CSV: covariates in declaration order, then the
+    response; numbers in full precision."""
     names = [c.name for c in config.covariates] + [config.response_name]
     lines = [",".join(names)]
     decoded = {}
@@ -172,7 +174,11 @@ def _write_csv(ds: Dataset, config: SimConfig, path: Path):
             decoded[name] = [str(int(v)) for v in col.values]
     for i in range(ds.n_rows):
         lines.append(",".join(decoded[name][i] for name in names))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(ds: Dataset, config: SimConfig, path: Path):
+    path.write_text(csv_text(ds, config))
     truth = {
         "family": config.family,
         "n_rows": config.n_rows,

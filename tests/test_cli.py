@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -11,12 +13,13 @@ from countreg import CovariateSpec, SimConfig, simulate
 from countreg.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "countreg", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -188,6 +191,22 @@ class TestFit:
         assert payload["converged"] is True
         assert payload["tau"] > 0
 
+    def test_preset_nb_fit_does_not_depend_on_blas_threads(self):
+        # a likelihood that cancels at large tau let a single-threaded fit
+        # stop there, far from the MLE
+        logls = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            res = run_cli(
+                "fit", "--preset", "paper-like", "--family", "nb", "--format", "json",
+                env=env,
+            )
+            assert res.returncode == EXIT_OK, res.stderr
+            logls.append(json.loads(res.stdout)["log_likelihood"])
+        assert logls[0] == pytest.approx(logls[1], rel=1e-10)
+
 
 class TestScreen:
     def test_text(self, data_csv):
@@ -276,12 +295,20 @@ class TestSimulateCommand:
         assert truth["family"] == "nb"
         assert res.stdout == ""
 
-    def test_stdout_csv_without_out(self):
-        res = run_cli("simulate", "--preset", "paper-like", "--seed", "3")
+    def test_stdout_csv_without_out(self, tmp_path):
+        argv = [sys.executable, "-m", "countreg", "simulate", "--preset", "paper-like"]
+        res = subprocess.run([*argv, "--seed", "3"], capture_output=True)
         assert res.returncode == EXIT_OK
-        lines = res.stdout.splitlines()
+        lines = res.stdout.decode().splitlines()
         assert lines[0] == "y"
         assert len(lines) == 100_001
+        out = tmp_path / "sim.csv"
+        subprocess.run([*argv, "--seed", "3", "--out", str(out)], check=True)
+        assert res.stdout == out.read_bytes()
+
+    def test_format_is_not_an_option(self):
+        res = run_cli("simulate", "--preset", "paper-like", "--format", "json")
+        assert res.returncode == 2
 
 
 class TestCompare:
@@ -356,6 +383,83 @@ class TestErrors:
             "--family", "nb",
         )
         assert res.returncode == 1
+
+
+class TestUnfittableInput:
+    """Input that cannot be fitted ends as `error: ...` with exit 1."""
+
+    @staticmethod
+    def _fit(path, *extra):
+        return run_cli(
+            "fit",
+            "--input", str(path),
+            "--schema", "y=count,x=numeric",
+            "--response", "y",
+            "--covariates", "x",
+            "--family", "nb",
+            *extra,
+        )
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_numeric_cell(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y,x\n1,0.5\n2,{cell}\n0,0.1\n3,0.2\n")
+        res = self._fit(path)
+        assert res.returncode == 1
+        assert "error: row 2, column 'x'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_start_point_failure_is_an_evaluation_error(
+        self, data_csv, capsys, monkeypatch
+    ):
+        # a Dataset built in code can still hold a non-finite covariate
+        import countreg.cli as cli_mod
+
+        load_csv = cli_mod.load_csv
+
+        def with_nan(path, schema):
+            ds = load_csv(path, schema)
+            ds.columns["x"].values[3] = math.nan
+            return ds
+
+        monkeypatch.setattr(cli_mod, "load_csv", with_nan)
+        code = main(
+            [
+                "fit",
+                "--input", str(data_csv),
+                "--schema", SCHEMA,
+                "--response", "y",
+                "--covariates", "x",
+                "--family", "nb",
+            ]
+        )
+        assert code == 1
+        assert "(row 3)" in capsys.readouterr().err
+
+    @pytest.fixture
+    def all_zero_csv(self, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text("y,x\n0,0.1\n0,0.2\n0,-0.3\n0,0.4\n0,0.5\n")
+        return path
+
+    def test_all_zero_response(self, all_zero_csv):
+        res = self._fit(all_zero_csv)
+        assert res.returncode == 1
+        assert "error: response 'y' has no positive counts" in res.stderr
+        assert res.stdout == ""
+
+    def test_diagnose_without_family_summarises_all_zero_response(self, all_zero_csv):
+        res = run_cli(
+            "diagnose",
+            "--input", str(all_zero_csv),
+            "--schema", "y=count,x=numeric",
+            "--response", "y",
+            "--format", "json",
+        )
+        assert res.returncode == EXIT_OK
+        zeros = json.loads(res.stdout)["zeros"]
+        assert zeros["observed_zero_fraction"] == 1.0
+        assert zeros["histogram"] == [[0, 5]]
 
 
 class TestNonConvergenceExit:

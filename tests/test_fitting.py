@@ -24,6 +24,8 @@ from countreg import (
     log_likelihood,
     simulate,
 )
+from countreg import _kernels
+from countreg.fitting import _Problem
 
 import _oracles
 
@@ -176,6 +178,33 @@ class TestPoissonClosedForm:
         ybar = float(ds.response_vector("y").mean())
         assert res.estimates.beta[0] == pytest.approx(math.log(ybar), abs=1e-8)
         assert res.gradient_norm < 1e-5
+
+
+class TestFusedObjective:
+    @pytest.mark.parametrize(
+        "family,oracle", [("nb", _oracles.LL6_NB), ("zinb", _oracles.LL6_ZINB)]
+    )
+    def test_objective_runs_the_family_kernel_once(self, family, oracle, monkeypatch):
+        name = f"{family}_loglik_score"
+        kernel = getattr(_kernels, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+        X, Z, y = _ll6_pieces()
+        zinb = family == "zinb"
+        problem = _Problem(
+            ModelSpec(family, "y", ["x"]), X, Z if zinb else None, y, FitOptions()
+        )
+        theta = [*_oracles.LL6_BETA, *([_oracles.LL6_GAMMA0] if zinb else [])]
+        theta.append(math.log(_oracles.LL6_TAU))
+        ll, grad = problem.objective(np.asarray(theta))
+        assert len(calls) == 1
+        assert ll == pytest.approx(oracle, abs=1e-10)
+        assert grad.shape == (len(theta),)
 
 
 def _nb_sim(n=4000, seed=21):
