@@ -37,7 +37,8 @@ class RowParseError(SchemaError):
 
 
 class DegenerateCovariateError(CountregError):
-    """A categorical covariate has fewer than two levels."""
+    """A categorical covariate has fewer than two levels, or a design column
+    is zero in every row."""
 
 
 class DegenerateTableError(CountregError):

@@ -5,7 +5,8 @@ The shape parameter is optimized as log_tau so positivity needs no constraint.
 ZINB likelihood terms go through the same pmf kernels as the distributions
 module, so likelihood and pmf cannot drift apart.
 
-Per-observation sums are reduced in fixed index order on a single thread, so
+Per-observation sums go through numpy reductions and BLAS products, whose
+summation order depends on the BLAS thread count; at a fixed thread count,
 repeated fits on identical input are bit-identical.
 """
 
@@ -21,6 +22,7 @@ from .distributions import TAU_MIN
 from .errors import (
     ComparisonError,
     CountregError,
+    DegenerateCovariateError,
     EvaluationError,
     InsufficientDataError,
     ParameterDomainError,
@@ -49,9 +51,6 @@ class ParamVector:
 
 @dataclass
 class FitOptions:
-    grad_tol: float = 1e-6
-    rel_ll_tol: float = 1e-10
-    max_iter: int = 500
     # pin parts of the parameter vector (profile fits, nesting checks)
     fix_log_tau: float | None = None
     fix_gamma: np.ndarray | None = None
@@ -239,7 +238,7 @@ class _Problem:
     def free_gradient(self, theta):
         return self._loglik_score(theta)[1][self.mask]
 
-    def maximize(self, x0, options):
+    def maximize(self, x0):
         """BFGS ascent of the objective from ``x0``.
 
         The objective reads evaluation errors as -inf, so a start point that
@@ -247,52 +246,45 @@ class _Problem:
         the row or parameter at fault instead of ending in a ValueError.
         """
         try:
-            return maximize_bfgs(
-                self.objective,
-                x0,
-                grad_tol=options.grad_tol,
-                rel_tol=options.rel_ll_tol,
-                max_iter=options.max_iter,
-            )
+            return maximize_bfgs(self.objective, x0)
         except ValueError:
             ll = self._loglik_score(x0)[0]
             if math.isfinite(ll):
                 raise
             raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
 
+    def start(self) -> np.ndarray:
+        """Free vector of the single BFGS start point, shared by every family.
 
-def _poisson_start(X: DesignMatrix, y: np.ndarray) -> np.ndarray:
-    x0 = np.zeros(X.n_cols)
-    x0[0] = math.log(float(np.mean(y)) + 0.1)
-    return x0
-
-
-def _logit(x: float) -> float:
-    return math.log(x) - math.log1p(-x)
-
-
-def _zero_part_start(q, X, y, beta_start, tau_start) -> np.ndarray:
-    """All zeros except the intercept, anchored at the empirical excess-zero
-    fraction over what the NB count part already explains at the start."""
-    observed = float(np.mean(y == 0))
-    lam = np.exp(np.clip(X.values @ beta_start, None, ETA_MAX))
-    implied = float(np.mean(np.exp(tau_start * -np.log1p(lam / tau_start))))
-    excess = max(0.0, observed - implied)
-    gamma = np.zeros(q)
-    gamma[0] = _logit(max(excess, 0.01))
-    return gamma
+        beta is zero but for the intercept at log(mean(y) + 0.1), log_tau is
+        0, and the zero-part intercept is the logit of the empirical
+        excess-zero fraction over what the NB count part explains there.
+        """
+        beta = np.zeros(self.d)
+        beta[0] = math.log(float(np.mean(self.y)) + 0.1)
+        pieces = [beta]
+        if self.gamma_free:
+            tau = 1.0 if self.fix_log_tau is None else math.exp(self.fix_log_tau)
+            implied = math.exp(-tau * math.log1p(math.exp(beta[0]) / tau))
+            excess = max(float(np.mean(self.y == 0)) - implied, 0.01)
+            gamma = np.zeros(self.q)
+            gamma[0] = math.log(excess) - math.log1p(-excess)
+            pieces.append(gamma)
+        if self.tau_free:
+            pieces.append(np.zeros(1))
+        return np.concatenate(pieces)
 
 
 def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitResult:
-    """Maximize the likelihood by BFGS ascent with staged initialization.
+    """Maximize the likelihood by one BFGS ascent.
 
-    beta starts from a Poisson fit (itself started at zero with the intercept
-    at log(mean(y) + 0.1)); log_tau starts at 0; the zero-part intercept
-    starts at the logit of the empirical excess-zero fraction.  The
+    Every family starts from the same point (`_Problem.start`).  The
     covariance is the inverse negative Hessian, obtained by central
-    differences of the analytic gradient at the optimum; when that matrix is
-    not positive definite the estimates are still returned with the
-    covariance flagged unavailable.
+    differences of the analytic gradient at the optimum.  When that matrix's
+    smallest eigenvalue is not above ``size * eps`` times its largest (numpy's
+    ``matrix_rank`` tolerance), the estimates are still returned with the
+    covariance flagged unavailable.  A design column that is zero in every
+    row raises `DegenerateCovariateError` before fitting.
     """
     options = options or FitOptions()
     y = ds.response_vector(spec.response)
@@ -302,6 +294,17 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         if spec.family == "zinb"
         else None
     )
+    dead = [
+        prefix + label
+        for prefix, D in (("", X), ("zero:", Z))
+        if D is not None
+        for label, column in zip(D.labels, D.values.T)
+        if not np.any(column)
+    ]
+    if dead:
+        raise DegenerateCovariateError(
+            f"design column(s) {', '.join(dead)} are zero in every row"
+        )
     problem = _Problem(spec, X, Z, y, options)
     n_free = int(problem.mask.sum())
     if ds.n_rows <= n_free:
@@ -313,35 +316,23 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             f"response '{spec.response}' has no positive counts; its mean cannot be estimated"
         )
 
-    # staged initialization: Poisson -> NB/ZINB
-    if spec.family == "poisson":
-        x0 = _poisson_start(X, y)
-    else:
-        pois_spec = ModelSpec(
-            "poisson", spec.response, spec.count_covariates, [], spec.reference_levels
-        )
-        pois_problem = _Problem(pois_spec, X, None, y, FitOptions())
-        beta_start = pois_problem.maximize(_poisson_start(X, y), options).x
-        pieces = [beta_start]
-        tau_start = math.exp(options.fix_log_tau) if options.fix_log_tau is not None else 1.0
-        if problem.gamma_free:
-            pieces.append(_zero_part_start(problem.q, X, y, beta_start, tau_start))
-        if problem.tau_free:
-            pieces.append(np.array([0.0]))
-        x0 = np.concatenate(pieces)
-
-    res = problem.maximize(x0, options)
+    res = problem.maximize(problem.start())
     estimates = problem.to_params(res.x)
 
     covariance = None
     covariance_error = None
     try:
-        hess = hessian_fd(problem.free_gradient, res.x)
-        np.linalg.cholesky(-hess)  # fails unless negative definite at the optimum
-        covariance = np.linalg.inv(-hess)
-        covariance = 0.5 * (covariance + covariance.T)
+        w, V = np.linalg.eigh(-hessian_fd(problem.free_gradient, res.x))
     except (np.linalg.LinAlgError, CountregError) as exc:
         covariance_error = f"covariance unavailable: {exc}"
+    else:
+        if w[0] > w.size * np.finfo(float).eps * w[-1]:
+            covariance = (V / w) @ V.T
+        else:
+            covariance_error = (
+                "covariance unavailable: negative Hessian is singular or indefinite "
+                f"(eigenvalues {w[0]:.3g} to {w[-1]:.3g})"
+            )
 
     lam = np.exp(np.clip(X.values @ estimates.beta, None, ETA_MAX))
     yzero = np.zeros(ds.n_rows)

@@ -2,15 +2,20 @@
 
 The fitter needs tighter control over convergence reporting than generic
 optimizers expose: convergence is declared only when the gradient inf-norm
-falls below ``grad_tol`` AND the relative objective change over the last
-accepted step falls below ``rel_tol``.  Accepted iterates are recorded so
-callers can verify monotone ascent.  Objective evaluations that return a
-non-finite value are treated as "step too far" by the line search.
+falls below ``GRAD_TOL`` AND the relative objective change over the last
+accepted step falls below ``REL_TOL``, within ``MAX_ITER`` iterations; the
+paper fixes all three.  Accepted iterates are recorded so callers can verify
+monotone ascent.  Objective evaluations that return a non-finite value are
+treated as "step too far" by the line search.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+GRAD_TOL = 1e-6
+REL_TOL = 1e-10
+MAX_ITER = 500
 
 
 @dataclass
@@ -28,13 +33,16 @@ class MaximizeResult:
         return float(np.max(np.abs(self.grad))) if self.grad.size else 0.0
 
 
-def _wolfe_search(fg, x, d, f0, g0, c1=1e-4, c2=0.9, max_bisect=60):
+def _wolfe_search(fg, x, d, f0, g0, band=None, c1=1e-4, c2=0.9, max_bisect=60):
     """Weak-Wolfe step for minimization along d (a descent direction).
 
-    Bracketing bisection: Armijo failures shrink the upper end, curvature
-    failures grow the lower end.  Returns (alpha, f1, g1, clean) where clean
-    marks a full Wolfe exit; on budget exhaustion the best Armijo point seen
-    is returned with clean=False; None when no decrease is attainable.
+    Bracketing bisection: too-far failures shrink the upper end, curvature
+    failures grow the lower end.  Too far means failed sufficient decrease;
+    with ``band`` set (the objective is flat to its rounding there, so
+    decrease cannot be resolved) it means f above ``band`` or the slope
+    along d turned up past c2 of its start.  Returns (alpha, f1, g1, clean);
+    on budget exhaustion the best short point is returned with clean=False;
+    None when no step qualifies.
     """
     dg0 = float(g0 @ d)
     lo, hi = 0.0, np.inf
@@ -42,9 +50,14 @@ def _wolfe_search(fg, x, d, f0, g0, c1=1e-4, c2=0.9, max_bisect=60):
     best = None
     for _ in range(max_bisect):
         f1, g1 = fg(x + alpha * d)
-        if not np.isfinite(f1) or f1 > f0 + c1 * alpha * dg0 or not np.all(np.isfinite(g1)):
+        dg1 = float(g1 @ d)
+        if band is None:
+            too_far = not f1 <= f0 + c1 * alpha * dg0
+        else:
+            too_far = not (f1 <= band and dg1 <= -c2 * dg0)
+        if too_far or not np.all(np.isfinite(g1)):
             hi = alpha
-        elif float(g1 @ d) < c2 * dg0:
+        elif dg1 < c2 * dg0:
             best = (alpha, f1, g1)
             lo = alpha
         else:
@@ -53,31 +66,7 @@ def _wolfe_search(fg, x, d, f0, g0, c1=1e-4, c2=0.9, max_bisect=60):
     return None if best is None else (*best, False)
 
 
-def _polish_step(fg, x, d, f_band, g0, max_halve=45):
-    """Damped Newton step accepted on gradient-norm descent.
-
-    Near the optimum of a large-n likelihood the true objective improvement
-    falls below one float ulp of f, so Armijo acceptance cannot certify the
-    final gradient decrease; the gradient itself is still accurate there.
-    ``f_band`` caps the objective so iterates stay on the optimum's rounding
-    plateau.
-    """
-    gnorm0 = float(np.max(np.abs(g0)))
-    alpha = 1.0
-    for _ in range(max_halve):
-        f1, g1 = fg(x + alpha * d)
-        if (
-            np.isfinite(f1)
-            and np.all(np.isfinite(g1))
-            and f1 <= f_band
-            and float(np.max(np.abs(g1))) < gnorm0
-        ):
-            return alpha, f1, g1
-        alpha *= 0.5
-    return None
-
-
-def minimize_bfgs(fun_and_grad, x0, grad_tol=1e-6, rel_tol=1e-10, max_iter=500):
+def minimize_bfgs(fun_and_grad, x0):
     """BFGS minimization; see `maximize_bfgs` for the convergence contract."""
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun_and_grad(x)
@@ -86,23 +75,23 @@ def minimize_bfgs(fun_and_grad, x0, grad_tol=1e-6, rel_tol=1e-10, max_iter=500):
     n = x.size
     h_inv = np.eye(n)
     path = [f]
-    converged = bool(np.max(np.abs(g)) < grad_tol) if n else True
+    converged = bool(np.max(np.abs(g)) < GRAD_TOL) if n else True
     message = "gradient below tolerance at start" if converged else ""
     n_iter = 0
     polish_anchor = None  # objective at entry to the terminal gradient phase
-    while not converged and n_iter < max_iter:
+    while not converged and n_iter < MAX_ITER:
         d = -h_inv @ g
         if float(d @ g) >= 0.0:  # numerical loss of descent: reset curvature memory
             h_inv = np.eye(n)
             d = -g
         if polish_anchor is not None:
-            band = polish_anchor + 4.0 * np.spacing(abs(polish_anchor))
-            step = _polish_step(fun_and_grad, x, d, band, g)
-            if step is None:
+            band = polish_anchor + REL_TOL * max(1.0, abs(polish_anchor))
+            step = _wolfe_search(fun_and_grad, x, d, f, g, band)
+            if step is None or not step[3]:
                 message = "stopped at the objective's float resolution"
-                converged = bool(np.max(np.abs(g)) < grad_tol)
+                converged = bool(np.max(np.abs(g)) < GRAD_TOL)
                 break
-            alpha, f1, g1 = step
+            alpha, f1, g1, _clean = step
         else:
             step = _wolfe_search(fun_and_grad, x, d, f, g)
             if step is None:
@@ -121,24 +110,24 @@ def minimize_bfgs(fun_and_grad, x0, grad_tol=1e-6, rel_tol=1e-10, max_iter=500):
             h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
         rel_change = abs(f1 - f) / max(1.0, abs(f1))
         x, f, g = x + s, f1, g1
-        if f <= path[-1]:  # polish may wander a few ulps up; keep the path monotone
+        if f <= path[-1]:  # polish may wander up inside its band; keep the path monotone
             path.append(f)
         n_iter += 1
-        if np.max(np.abs(g)) < grad_tol and rel_change < rel_tol:
+        if np.max(np.abs(g)) < GRAD_TOL and rel_change < REL_TOL:
             converged = True
             message = "gradient and objective-change tolerances met"
     if not converged and not message:
-        message = f"iteration cap {max_iter} reached"
+        message = f"iteration cap {MAX_ITER} reached"
     return MaximizeResult(x, f, g, n_iter, converged, message, path)
 
 
-def maximize_bfgs(fun_and_grad, x0, grad_tol=1e-6, rel_tol=1e-10, max_iter=500):
+def maximize_bfgs(fun_and_grad, x0):
     """Maximize fun via BFGS with a weak-Wolfe line search.
 
     ``fun_and_grad(x)`` returns the objective and its gradient; a return of
     ``-inf`` marks an inadmissible point.  Converged means: gradient inf-norm
-    below ``grad_tol`` and the last accepted step changed the objective by
-    less than ``rel_tol`` relative.  ``path`` holds the accepted objective
+    below ``GRAD_TOL`` and the last accepted step changed the objective by
+    less than ``REL_TOL`` relative.  ``path`` holds the accepted objective
     values, which are non-decreasing by construction.
     """
 
@@ -146,9 +135,7 @@ def maximize_bfgs(fun_and_grad, x0, grad_tol=1e-6, rel_tol=1e-10, max_iter=500):
         f, g = fun_and_grad(x)
         return -f, -g
 
-    res = minimize_bfgs(
-        negated, x0, grad_tol=grad_tol, rel_tol=rel_tol, max_iter=max_iter
-    )
+    res = minimize_bfgs(negated, x0)
     res.fun = -res.fun
     res.grad = -res.grad
     res.path = [-v for v in res.path]

@@ -436,6 +436,23 @@ class TestUnfittableInput:
         assert code == 1
         assert "(row 3)" in capsys.readouterr().err
 
+    def test_level_seen_only_in_a_dropped_row(self, tmp_path):
+        # level c stays in the vocabulary, so its dummy column is all zero
+        path = tmp_path / "dead.csv"
+        path.write_text("y,g\n1,a\n2,b\n0,a\nNA,c\n3,b\n1,a\n4,b\n")
+        res = run_cli(
+            "fit",
+            "--input", str(path),
+            "--schema", "y=count,g=categorical",
+            "--response", "y",
+            "--covariates", "g",
+            "--family", "nb",
+        )
+        assert res.returncode == 1
+        assert res.stderr.splitlines()[-1].startswith("error: ")
+        assert "g=c" in res.stderr
+        assert res.stdout == ""
+
     @pytest.fixture
     def all_zero_csv(self, tmp_path):
         path = tmp_path / "zeros.csv"
