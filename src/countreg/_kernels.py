@@ -20,7 +20,8 @@ built in numpy and gathered at y before either backend runs:
 Neither sum suffers the cancellation of a (di)gamma difference at large tau.
 The table stops at k = 4096 (``_TABLE_MAX``); a row with a larger count takes
 a closed form instead.  A kernel call therefore costs O(n + min(max y, 4096))
-time and a few arrays of that size in memory.
+time and a few arrays of that size in memory.  ``log_factorial`` gathers
+lgamma(y + 1) for the Poisson family from the same kind of table.
 
 Each kernel exists twice: a vectorized numpy version and a scalar loop
 written as plain Python, compiled with ``numba.njit`` when numba is
@@ -49,11 +50,30 @@ __all__ = [
     "zinb_loglik_score",
     "nb_logpmf",
     "zinb_logpmf",
+    "log_factorial",
     "warm_up",
 ]
 
 
 _TABLE_MAX = 4096  # largest count whose terms come from the per-call table
+
+
+def _table_index(y):
+    """(k, big, k_all): each row's index into a per-call table over the
+    counts k_all = 0..min(max y, _TABLE_MAX), and the mask of the rows past
+    the table (index 0), whose terms take closed forms instead."""
+    big = y > _TABLE_MAX
+    k = np.where(big, 0.0, y).astype(np.intp)
+    return k, big, np.arange(k.max(initial=0) + 1.0)
+
+
+def log_factorial(y):
+    """lgamma(y + 1) per row, gathered from one table over the counts."""
+    k, big, k_all = _table_index(y)
+    out = gammaln(k_all + 1.0)[k]
+    if big.any():
+        out[big] = gammaln(y[big] + 1.0)
+    return out
 
 
 def _count_terms(y, tau):
@@ -64,11 +84,10 @@ def _count_terms(y, tau):
     near the Poisson limit (tau >> k), the lgamma difference at large counts.
     Rows past the table take the (di)gamma differences below tau = 1e3, where
     y > 4096 makes them accurate, and their Stirling series above it, where
-    the series' truncation error is below 1e-14.
+    the series' truncation error is below 1e-14.  The series is written in
+    reciprocals, so no power of tau can overflow.
     """
-    big = y > _TABLE_MAX
-    k = np.where(big, 0.0, y).astype(np.intp)
-    k_all = np.arange(k.max(initial=0) + 1.0)
+    k, big, k_all = _table_index(y)
     L = np.zeros(k_all.size)
     D = np.zeros(k_all.size)
     np.cumsum(np.log1p(k_all[:-1] / tau), out=L[1:])
@@ -86,9 +105,10 @@ def _count_terms(y, tau):
             Db = digamma(yb + tau) - digamma(tau)
         else:  # free of the large-tau cancellation of the differences
             x, l1p = yb + tau, np.log1p(yb / tau)
-            Lb = (x - 0.5) * l1p - yb + (1 / (12 * x) - 1 / (360 * x**3))
-            Lb -= 1 / (12 * tau) - 1 / (360 * tau**3)
-            Db = l1p + yb / (2 * tau * x) + (1 / (12 * tau**2) - 1 / (12 * x**2))
+            rx, rt = 1 / x, 1 / tau
+            Lb = (x - 0.5) * l1p - yb + (rx / 12 - rx**3 / 360)
+            Lb -= rt / 12 - rt**3 / 360
+            Db = l1p + yb * rt * rx / 2 + (rt**2 / 12 - rx**2 / 12)
         Ly[big] = Lb - gammaln(yb + 1.0)
         Dy[big] = Db
     return Ly, Dy

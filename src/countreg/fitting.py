@@ -5,6 +5,12 @@ The shape parameter is optimized as log_tau so positivity needs no constraint.
 ZINB likelihood terms go through the same pmf kernels as the distributions
 module, so likelihood and pmf cannot drift apart.
 
+A fit runs on the distinct (y, x, z) row patterns, each weighted by its
+count: with categorical or count covariates the likelihood depends on the
+rows only through those patterns, so the weighted sums are the full-data
+likelihood and score, exact to rounding.  Where every row is distinct, the
+patterns are the rows in their given order with unit weights.
+
 Per-observation sums go through numpy reductions and BLAS products, whose
 summation order depends on the BLAS thread count; at a fixed thread count,
 repeated fits on identical input are bit-identical.
@@ -14,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import expit
 
 from . import _kernels
 from .data import Dataset, DesignMatrix, ModelSpec, build_design
@@ -134,28 +140,32 @@ def _loglik_score(
     Z: DesignMatrix | None,
     y: np.ndarray,
     params: ParamVector,
+    w: np.ndarray | float = 1.0,
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood and its analytic gradient from one pass over the rows.
 
-    Gradient layout matches the family: [beta] for poisson, [beta, log_tau]
-    for nb, [beta, gamma, log_tau] for zinb.
+    Row ``i`` counts ``w[i]`` times: the number of observations that share
+    its (y, x, z) pattern, or 1 for every row.  Gradient layout matches the
+    family: [beta] for poisson, [beta, log_tau] for nb, [beta, gamma,
+    log_tau] for zinb.
     """
     _check_finite_params(params)
     yf = np.asarray(y, dtype=np.float64)
     eta = _count_predictor(X, params.beta)
     lam = np.exp(eta)
     if spec.family == "poisson":
-        rows = yf * eta - lam - gammaln(yf + 1.0)
-        return float(np.sum(rows)), X.values.T @ (yf - lam)
+        rows = yf * eta - lam - _kernels.log_factorial(yf)
+        return float(np.sum(w * rows)), X.values.T @ (w * (yf - lam))
     tau = _tau_of(params)
     if spec.family == "nb":
         rows, u, dt = _kernels.nb_loglik_score(yf, lam, tau)
-        scores = [X.values.T @ u]
+        scores = [X.values.T @ (w * u)]
     else:
         p = expit(_zero_predictor(Z, params.gamma))
         rows, u, v, dt = _kernels.zinb_loglik_score(yf, lam, p, tau)
-        scores = [X.values.T @ u, Z.values.T @ v]
-    return float(np.sum(rows)), np.concatenate([*scores, [tau * float(np.sum(dt))]])
+        scores = [X.values.T @ (w * u), Z.values.T @ (w * v)]
+    ll = float(np.sum(w * rows))
+    return ll, np.concatenate([*scores, [tau * float(np.sum(w * dt))]])
 
 
 def log_likelihood(spec, X, Z, y, params) -> float:
@@ -168,14 +178,59 @@ def gradient(spec, X, Z, y, params) -> np.ndarray:
     return _loglik_score(spec, X, Z, y, params)[1]
 
 
+def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct rows of equal-length ``columns``: the index of each
+    pattern's first row and the pattern's count, or None if every row is
+    distinct.
+
+    Each non-constant column adds the codes of a 1-D ``np.unique`` to one
+    mixed-radix int64 key, which is re-coded whenever its range passes the
+    row count; a column or key with a distinct value per row ends the scan.
+    Patterns come in key order, which does not depend on the row order.
+    """
+    n = columns[0].size
+    key, size = np.zeros(n, dtype=np.int64), 1
+    for column in columns:
+        values, codes = np.unique(column, return_inverse=True)
+        if values.size == n:
+            return None
+        if values.size == 1:
+            continue
+        key = key * values.size + codes
+        size *= values.size
+        if size > n:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = distinct.size
+            if size == n:
+                return None
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return None if first.size == n else (first, counts)
+
+
 class _Problem:
-    """Maps the optimizer's free vector onto a full ParamVector and back."""
+    """Maps the optimizer's free vector onto a full ParamVector and back.
+
+    The objective runs over the distinct (y, x, z) rows, each weighted by
+    how often it occurs, which is the full-data likelihood exactly.  Where
+    every row is distinct the rows are used as given, with unit weights.
+    """
 
     def __init__(self, spec, X, Z, y, options):
         self.spec = spec
-        self.X = X
-        self.Z = Z
-        self.y = np.asarray(y, dtype=np.float64)
+        self.full_rows = (X, Z, y)
+        y = np.asarray(y, dtype=np.float64)
+        self.n_obs = y.size
+        designs = [X, Z] if spec.family == "zinb" else [X]
+        table = _row_patterns([*(c for D in designs for c in D.values.T), y])
+        if table is None:
+            self.w = np.ones(y.size)
+        else:
+            first, counts = table
+            X, y = DesignMatrix(X.values[first], X.labels), y[first]
+            if Z is not None:
+                Z = DesignMatrix(Z.values[first], Z.labels)
+            self.w = counts.astype(np.float64)
+        self.X, self.Z, self.y = X, Z, y
         self.d = X.n_cols
         self.q = Z.n_cols if Z is not None else 0
         self.fix_gamma = None
@@ -195,6 +250,11 @@ class _Problem:
         if spec.family != "poisson":
             mask += [self.tau_free]
         self.mask = np.asarray(mask)
+        # FD-Hessian step floors: 1 / max(1, max |column|), 1 for log_tau
+        scales = [np.abs(D.values).max(axis=0) for D in designs]
+        if spec.family != "poisson":
+            scales.append(np.ones(1))
+        self.fd_floor = (1.0 / np.maximum(1.0, np.concatenate(scales)))[self.mask]
 
     def to_params(self, theta: np.ndarray) -> ParamVector:
         beta = theta[: self.d]
@@ -224,7 +284,8 @@ class _Problem:
         return labels
 
     def _loglik_score(self, theta):
-        return _loglik_score(self.spec, self.X, self.Z, self.y, self.to_params(theta))
+        params = self.to_params(theta)
+        return _loglik_score(self.spec, self.X, self.Z, self.y, params, self.w)
 
     def objective(self, theta):
         try:
@@ -242,13 +303,14 @@ class _Problem:
         """BFGS ascent of the objective from ``x0``.
 
         The objective reads evaluation errors as -inf, so a start point that
-        cannot be evaluated is evaluated again unguarded: the error then names
-        the row or parameter at fault instead of ending in a ValueError.
+        cannot be evaluated is evaluated again unguarded on the full rows: the
+        error then names the row or parameter at fault instead of ending in a
+        ValueError.
         """
         try:
             return maximize_bfgs(self.objective, x0)
         except ValueError:
-            ll = self._loglik_score(x0)[0]
+            ll = _loglik_score(self.spec, *self.full_rows, self.to_params(x0))[0]
             if math.isfinite(ll):
                 raise
             raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
@@ -261,12 +323,12 @@ class _Problem:
         excess-zero fraction over what the NB count part explains there.
         """
         beta = np.zeros(self.d)
-        beta[0] = math.log(float(np.mean(self.y)) + 0.1)
+        beta[0] = math.log(float(self.w @ self.y) / self.n_obs + 0.1)
         pieces = [beta]
         if self.gamma_free:
             tau = 1.0 if self.fix_log_tau is None else math.exp(self.fix_log_tau)
             implied = math.exp(-tau * math.log1p(math.exp(beta[0]) / tau))
-            excess = max(float(np.mean(self.y == 0)) - implied, 0.01)
+            excess = max(float(self.w @ (self.y == 0)) / self.n_obs - implied, 0.01)
             gamma = np.zeros(self.q)
             gamma[0] = math.log(excess) - math.log1p(-excess)
             pieces.append(gamma)
@@ -276,11 +338,12 @@ class _Problem:
 
 
 def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitResult:
-    """Maximize the likelihood by one BFGS ascent.
+    """Maximize the likelihood by one BFGS ascent over the row patterns.
 
     Every family starts from the same point (`_Problem.start`).  The
     covariance is the inverse negative Hessian, obtained by central
-    differences of the analytic gradient at the optimum.  When that matrix's
+    differences of the analytic gradient at the optimum, with steps that
+    move each linear predictor alike whatever its columns' units.  When that matrix's
     smallest eigenvalue is not above ``size * eps`` times its largest (numpy's
     ``matrix_rank`` tolerance), the estimates are still returned with the
     covariance flagged unavailable.  A design column that is zero in every
@@ -322,7 +385,8 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
     covariance = None
     covariance_error = None
     try:
-        w, V = np.linalg.eigh(-hessian_fd(problem.free_gradient, res.x))
+        H = hessian_fd(problem.free_gradient, res.x, problem.fd_floor)
+        w, V = np.linalg.eigh(-H)
     except (np.linalg.LinAlgError, CountregError) as exc:
         covariance_error = f"covariance unavailable: {exc}"
     else:

@@ -142,16 +142,18 @@ def maximize_bfgs(fun_and_grad, x0):
     return res
 
 
-def hessian_fd(grad_fn, x, rel_step=1e-5):
+def hessian_fd(grad_fn, x, floor, rel_step=1e-5):
     """Symmetrized central-difference Hessian from a gradient callable.
 
-    Per-coordinate step: max(rel_step, rel_step * |x_j|).
+    Per-coordinate step: rel_step * max(floor_j, |x_j|).  For a coefficient
+    whose design column reaches |c| > 1 a floor of 1/|c| keeps the step's
+    move of the linear predictor near rel_step, whatever the column's units.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     hess = np.empty((n, n))
     for j in range(n):
-        h = max(rel_step, rel_step * abs(x[j]))
+        h = rel_step * max(floor[j], abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h

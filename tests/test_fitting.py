@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from countreg import (
     Column,
@@ -19,6 +20,7 @@ from countreg import (
     SimConfig,
     build_design,
     compare_models,
+    demo_preset,
     fit,
     gradient,
     irr_table,
@@ -323,6 +325,119 @@ class TestFits:
             fit(ModelSpec("nb", "y", ["x"]), ds)  # 3 free params, 3 rows
 
 
+def _grouped_sim(n=20_000, seed=91):
+    """ZINB counts on two categoricals: n rows, at most 6 * (max y + 1) patterns."""
+    config = SimConfig(
+        n_rows=n,
+        family="zinb",
+        covariates=[
+            CovariateSpec(
+                "g", "categorical", levels=("a", "b", "c"), probabilities=(0.5, 0.3, 0.2)
+            ),
+            CovariateSpec("h", "categorical", levels=("p", "q"), probabilities=(0.6, 0.4)),
+        ],
+        true_beta={"(intercept)": 0.4, "g=b": 0.3, "g=c": -0.2, "h=q": 0.25},
+        true_gamma={"(intercept)": -1.0, "g=b": 0.5, "g=c": -0.5},
+        zero_covariates=["g"],
+        true_tau=1.5,
+        seed=seed,
+    )
+    return simulate(config)
+
+
+GROUPED_SPECS = {
+    "nb": ModelSpec("nb", "y", ["g", "h"]),
+    "zinb": ModelSpec("zinb", "y", ["g", "h"], ["g"]),
+}
+
+
+class TestRowPatterns:
+    """Fits run once per distinct (y, x, z) row, weighted by its count."""
+
+    @staticmethod
+    def _rows_per_call(monkeypatch, family):
+        # zero probabilities are per row by design: keep them out of the count
+        name = f"{family}_loglik_score"
+        kernel = getattr(_kernels, name)
+        sizes = []
+
+        def counted(y, *args):
+            sizes.append(y.size)
+            return kernel(y, *args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+        monkeypatch.setattr(
+            _kernels, f"{family}_logpmf", lambda *args: kernel(*args)[0]
+        )
+        return sizes
+
+    def test_paper_like_fit_runs_on_patterns(self, monkeypatch):
+        sizes = self._rows_per_call(monkeypatch, "nb")
+        ds = simulate(demo_preset())
+        res = fit(ModelSpec("nb", "y"), ds)
+        assert res.converged
+        assert res.n_obs == ds.n_rows == 100_000
+        assert res.zero_probabilities.shape == (ds.n_rows,)
+        assert sizes and max(sizes) <= 12
+
+    def test_distinct_rows_are_fitted_as_given(self, monkeypatch):
+        sizes = self._rows_per_call(monkeypatch, "zinb")
+        ds = _zinb_sim(n=2000, seed=92)
+        assert fit(ModelSpec("zinb", "y", ["x"]), ds).converged
+        assert sizes and set(sizes) == {2000}
+
+    def test_start_point_error_names_the_row(self):
+        # the failing pattern is not pattern 7; the error must name row 7
+        y = np.tile([0, 1, 2, 3], 5).astype(np.int64)
+        x = np.tile([0.0, 1.0], 10)
+        x[7] = math.nan
+        ds = Dataset(
+            {"y": Column("y", "count", y), "x": Column("x", "numeric", x)}, n_rows=20
+        )
+        with pytest.raises(EvaluationError) as err:
+            fit(ModelSpec("nb", "y", ["x"]), ds)
+        assert err.value.row == 7
+
+    @pytest.mark.parametrize("family", ["nb", "zinb"])
+    def test_full_rows_meet_the_criterion(self, family):
+        ds = _grouped_sim()
+        spec = GROUPED_SPECS[family]
+        res = fit(spec, ds)
+        X = build_design(ds, spec.count_covariates)
+        Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
+        y = ds.response_vector("y")
+        assert _Problem(spec, X, Z, y, FitOptions()).y.size < 100
+        assert res.converged, res.message
+        ll = log_likelihood(spec, X, Z, y, res.estimates)
+        assert ll == pytest.approx(res.log_likelihood, rel=1e-12)
+        g = gradient(spec, X, Z, y, res.estimates)
+        assert float(np.max(np.abs(g))) < 1e-6
+
+    @pytest.mark.parametrize("family", ["nb", "zinb"])
+    def test_row_order_does_not_matter(self, family):
+        ds = _grouped_sim(n=5000, seed=93)
+        perm = np.random.default_rng(94).permutation(ds.n_rows)
+        shuffled = Dataset(
+            {
+                name: Column(name, col.kind, col.values[perm], col.levels)
+                for name, col in ds.columns.items()
+            },
+            n_rows=ds.n_rows,
+        )
+        a = fit(GROUPED_SPECS[family], ds)
+        b = fit(GROUPED_SPECS[family], shuffled)
+        assert a.converged and b.converged
+        for got, want in (
+            (b.estimates.beta, a.estimates.beta),
+            (b.estimates.gamma, a.estimates.gamma),
+            ([b.estimates.log_tau], [a.estimates.log_tau]),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(
+            b.zero_probabilities, a.zero_probabilities[perm], rtol=1e-12, atol=0
+        )
+
+
 class TestReferenceLevelInvariance:
     """Recoding the dummy reference must not change the fitted model."""
 
@@ -371,9 +486,11 @@ class TestReferenceLevelInvariance:
 class TestAffineRescaling:
     """A covariate in raw units (x * 1e4 + 5e4) spans the same model."""
 
-    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
-    def test_raw_units_covariate_fits_the_same_model(self, family):
-        spec = ModelSpec(family, "y", ["g", "x"])
+    @pytest.fixture(scope="class", params=["poisson", "nb", "zinb"])
+    def unit_and_raw_fits(self, request):
+        """(seed, unit-scale fit, raw-units fit) for seeds 81-90."""
+        spec = ModelSpec(request.param, "y", ["g", "x"])
+        fits = []
         for seed in range(81, 91):
             config = SimConfig(
                 n_rows=2000,
@@ -397,13 +514,24 @@ class TestAffineRescaling:
             ds = simulate(config)
             unit = fit(spec, ds)
             ds.columns["x"].values[:] = ds.columns["x"].values * 1e4 + 5e4
-            raw = fit(spec, ds)
+            fits.append((seed, unit, fit(spec, ds)))
+        return fits
+
+    def test_raw_units_covariate_fits_the_same_model(self, unit_and_raw_fits):
+        for seed, unit, raw in unit_and_raw_fits:
             assert unit.converged and raw.converged, (seed, raw.message)
             assert raw.log_likelihood == pytest.approx(unit.log_likelihood, rel=1e-10)
             assert raw.estimates.beta[-1] * 1e4 == pytest.approx(
                 unit.estimates.beta[-1], rel=1e-6
             )
             assert raw.covariance_error is None
+
+    def test_raw_units_covariate_has_the_same_standard_error(self, unit_and_raw_fits):
+        # the FD-Hessian step must move eta alike in either unit
+        for seed, unit, raw in unit_and_raw_fits:
+            assert raw.std_error("x") * 1e4 == pytest.approx(
+                unit.std_error("x"), rel=1e-3
+            ), seed
 
 
 class TestNesting:
@@ -418,6 +546,29 @@ class TestNesting:
         assert pois.converged and nb.converged
         np.testing.assert_allclose(nb.estimates.beta, pois.estimates.beta, atol=1e-4)
         assert nb.free_labels == ["(intercept)", "x"]
+
+    def test_nb_at_log_tau_240_is_poisson(self):
+        # rows past the count table take a Stirling series in tau; at
+        # tau ~ 1e104 no power of tau may overflow
+        y = np.array([0, 3, 5000, 100_000], dtype=np.int64)
+        x = np.log([0.5, 2.0, 4900.0, 1.01e5])
+        ds = Dataset(
+            {"y": Column("y", "count", y), "x": Column("x", "numeric", x)}, n_rows=4
+        )
+        X = build_design(ds, ["x"])
+        beta = np.array([0.0, 1.0])
+        yf, lam = y.astype(float), np.exp(x)
+        rows = _kernels.nb_logpmf(yf, lam, math.exp(240.0))
+        np.testing.assert_allclose(
+            rows, yf * x - lam - gammaln(yf + 1.0), rtol=1e-12, atol=0
+        )
+        nb = ParamVector(beta, np.empty(0), 240.0)
+        pois = ParamVector(beta, np.empty(0), None)
+        ll = log_likelihood(ModelSpec("nb", "y", ["x"]), X, None, y, nb)
+        assert ll == pytest.approx(
+            log_likelihood(ModelSpec("poisson", "y", ["x"]), X, None, y, pois), rel=1e-12
+        )
+        assert np.all(np.isfinite(gradient(ModelSpec("nb", "y", ["x"]), X, None, y, nb)))
 
     def test_zinb_with_pinned_zero_part_matches_nb(self):
         ds = _nb_sim(n=600, seed=42)

@@ -59,6 +59,12 @@ class TestNumpyKernels:
         want = np.array([0.0, 1e-8, sum(1.0 / (1e8 + k) for k in range(7))])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_log_factorial_matches_gammaln(self):
+        # table rows and rows past the table take the same lgamma arguments
+        y = np.array([0.0, 1.0, 7.0, 4096.0, 4097.0, 1e6, 3.0, 0.0])
+        assert np.array_equal(_kernels.log_factorial(y), gammaln(y + 1.0))
+        assert _kernels.log_factorial(np.empty(0)).shape == (0,)
+
     def test_nb_logpmf_matches_oracle(self):
         y, lam, _, grid_tau = _random_grid(2, n=16)
         cases = [(y, lam, tau) for tau in (grid_tau, *LARGE_TAUS)]
