@@ -9,6 +9,8 @@ dummy column per non-reference level, in vocabulary order.
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import compress, filterfalse
+from operator import itemgetter
 
 import numpy as np
 
@@ -125,40 +127,40 @@ def parse_schema(text: str) -> dict[str, str]:
     return schema
 
 
-def _parse_count(cell: str, row: int, name: str) -> int:
+INT64_MAX = 2**63 - 1
+_CONVERSIONS = {"count": (int, np.int64), "numeric": (float, np.float64)}
+
+
+def _cell_ok(cell: str, kind: str) -> bool:
+    """Whether a present cell parses under its kind: an int64 count that is
+    not negative, or a finite number (float() accepts "nan" and "inf")."""
     try:
-        value = int(cell)
+        if kind == "count":
+            return 0 <= int(cell) <= INT64_MAX
+        return math.isfinite(float(cell))
     except ValueError:
-        raise RowParseError(row, name, cell) from None
-    if value < 0:
-        raise RowParseError(row, name, cell)
-    return value
+        return False
 
 
-def _parse_numeric(cell: str, row: int, name: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise RowParseError(row, name, cell) from None
-    if not math.isfinite(value):  # float() accepts "nan" and "inf"
-        raise RowParseError(row, name, cell)
-    return value
+def _convert(cells: list[str], kind: str) -> tuple[np.ndarray | None, int | None]:
+    """The values of a count or numeric column's present cells, or the index
+    of its first bad cell.
 
-
-def load_csv(path, schema: dict[str, str]) -> Dataset:
-    """Load declared columns from a UTF-8, header-first CSV file.
-
-    Rows with a missing value ("" or "NA") in any declared column are dropped;
-    the number of dropped rows is recorded on the returned Dataset.  A
-    non-missing cell that does not parse under its declared kind, or a
-    non-finite numeric cell, raises a RowParseError naming the 1-based data
-    row.  Level vocabularies for categorical columns are collected over every
-    non-missing cell, so levels seen only in dropped rows still enter the
-    vocabulary.
+    One C-level conversion over the column and one vectorised range check;
+    only a column whose conversion raises is scanned cell by cell.
     """
-    for kind in schema.values():
-        if kind not in COLUMN_KINDS:
-            raise SchemaError(f"unknown column kind {kind!r}")
+    parse, dtype = _CONVERSIONS[kind]
+    try:
+        values = np.fromiter(map(parse, cells), dtype, count=len(cells))
+    except (ValueError, OverflowError):  # unparsable, or a count past int64
+        return None, next(i for i, cell in enumerate(cells) if not _cell_ok(cell, kind))
+    bad = values < 0 if kind == "count" else ~np.isfinite(values)
+    return (None, int(np.argmax(bad))) if bad.any() else (values, None)
+
+
+def _read_columns(path, schema: dict[str, str]) -> tuple[dict[str, list[str]], int]:
+    """The stripped cells of each declared column in row order, and the
+    number of data rows.  A row too short to hold a column reads "" there."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -169,51 +171,69 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
         missing_cols = [name for name in schema if name not in header]
         if missing_cols:
             raise SchemaError(f"{path}: declared columns absent from header: {missing_cols}")
-        positions = {name: header.index(name) for name in schema}
+        positions = [header.index(name) for name in schema]
+        rows = list(reader)
+    width = max(positions, default=-1) + 1
+    if rows and min(map(len, rows)) < width:
+        rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
+    cells = {
+        name: list(map(str.strip, map(itemgetter(pos), rows)))
+        for name, pos in zip(schema, positions)
+    }
+    return cells, len(rows)
 
-        raw: dict[str, list] = {name: [] for name in schema}
-        level_sets: dict[str, set] = {
-            name: set() for name, kind in schema.items() if kind == "categorical"
-        }
-        keep: list[bool] = []
-        for row_idx, row in enumerate(reader, start=1):
-            parsed = {}
-            complete = True
-            for name, kind in schema.items():
-                pos = positions[name]
-                cell = row[pos].strip() if pos < len(row) else ""
-                if cell in MISSING_TOKENS:
-                    complete = False
-                    parsed[name] = None
-                    continue
-                if kind == "count":
-                    parsed[name] = _parse_count(cell, row_idx, name)
-                elif kind == "numeric":
-                    parsed[name] = _parse_numeric(cell, row_idx, name)
-                else:
-                    parsed[name] = cell
-                    level_sets[name].add(cell)
-            keep.append(complete)
-            if complete:
-                for name in schema:
-                    raw[name].append(parsed[name])
 
-    dropped = keep.count(False)
-    n_rows = keep.count(True)
+def load_csv(path, schema: dict[str, str]) -> Dataset:
+    """Load declared columns from a UTF-8, header-first CSV file.
+
+    Rows with a missing value ("" or "NA") in any declared column are dropped;
+    the number of dropped rows is recorded on the returned Dataset.  A
+    non-missing cell that does not parse under its declared kind (a count
+    must be a nonnegative integer that fits in int64; a numeric cell must be
+    finite) raises a RowParseError naming the 1-based data row: the first
+    such cell in row order, then declaration order, even in a row that is
+    dropped.  Level vocabularies for categorical columns are collected over
+    every non-missing cell, so levels seen only in dropped rows still enter
+    the vocabulary.
+
+    The file is parsed once by `csv.reader`; each declared column is then
+    converted as a whole.
+    """
+    for kind in schema.values():
+        if kind not in COLUMN_KINDS:
+            raise SchemaError(f"unknown column kind {kind!r}")
+    cells, n = _read_columns(path, schema)
+    missing = {
+        name: np.fromiter(map(MISSING_TOKENS.__contains__, col), bool, count=n)
+        for name, col in cells.items()
+        if not MISSING_TOKENS.isdisjoint(col)
+    }
+    keep = ~np.logical_or.reduce(list(missing.values())) if missing else None
+    n_rows = n if keep is None else int(np.count_nonzero(keep))
     columns: dict[str, Column] = {}
-    for name, kind in schema.items():
-        if kind == "count":
-            values = np.asarray(raw[name], dtype=np.int64)
-            columns[name] = Column(name, kind, values)
-        elif kind == "numeric":
-            values = np.asarray(raw[name], dtype=np.float64)
+    bad = []  # (row, declaration position, column, cell) of each column's first bad cell
+    for position, (name, kind) in enumerate(schema.items()):
+        col, gaps = cells[name], missing.get(name)
+        if kind == "categorical":
+            levels = tuple(sorted(set(col).difference(MISSING_TOKENS)))
+            index = {lvl: i for i, lvl in enumerate(levels)}
+            kept = col if keep is None else compress(col, keep.tolist())
+            codes = np.fromiter(map(index.__getitem__, kept), np.int64, count=n_rows)
+            columns[name] = Column(name, kind, codes, levels)
+            continue
+        present = col if gaps is None else list(filterfalse(MISSING_TOKENS.__contains__, col))
+        values, first = _convert(present, kind)
+        if first is not None:
+            row = first if gaps is None else int(np.flatnonzero(~gaps)[first])
+            bad.append((row + 1, position, name, present[first]))
+        elif keep is None:
             columns[name] = Column(name, kind, values)
         else:
-            levels = tuple(sorted(level_sets[name]))
-            index = {lvl: i for i, lvl in enumerate(levels)}
-            codes = np.asarray([index[cell] for cell in raw[name]], dtype=np.int64)
-            columns[name] = Column(name, kind, codes, levels)
-    return Dataset(columns, n_rows, dropped_rows=dropped)
+            columns[name] = Column(name, kind, values[keep if gaps is None else keep[~gaps]])
+    if bad:
+        row, _, name, cell = min(bad)
+        raise RowParseError(row, name, cell)
+    return Dataset(columns, n_rows, dropped_rows=n - n_rows)
 
 
 def build_design(

@@ -141,20 +141,24 @@ def _loglik_score(
     y: np.ndarray,
     params: ParamVector,
     w: np.ndarray | float = 1.0,
+    log_y_factorial: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood and its analytic gradient from one pass over the rows.
 
     Row ``i`` counts ``w[i]`` times: the number of observations that share
-    its (y, x, z) pattern, or 1 for every row.  Gradient layout matches the
-    family: [beta] for poisson, [beta, log_tau] for nb, [beta, gamma,
-    log_tau] for zinb.
+    its (y, x, z) pattern, or 1 for every row.  ``log_y_factorial`` is
+    log(y!) for the Poisson family, computed here when not given.  Gradient
+    layout matches the family: [beta] for poisson, [beta, log_tau] for nb,
+    [beta, gamma, log_tau] for zinb.
     """
     _check_finite_params(params)
     yf = np.asarray(y, dtype=np.float64)
     eta = _count_predictor(X, params.beta)
     lam = np.exp(eta)
     if spec.family == "poisson":
-        rows = yf * eta - lam - _kernels.log_factorial(yf)
+        if log_y_factorial is None:
+            log_y_factorial = _kernels.log_factorial(yf)
+        rows = yf * eta - lam - log_y_factorial
         return float(np.sum(w * rows)), X.values.T @ (w * (yf - lam))
     tau = _tau_of(params)
     if spec.family == "nb":
@@ -231,6 +235,8 @@ class _Problem:
                 Z = DesignMatrix(Z.values[first], Z.labels)
             self.w = counts.astype(np.float64)
         self.X, self.Z, self.y = X, Z, y
+        # parameter-free, so gathered once rather than on every evaluation
+        self.log_y_factorial = _kernels.log_factorial(y) if spec.family == "poisson" else None
         self.d = X.n_cols
         self.q = Z.n_cols if Z is not None else 0
         self.fix_gamma = None
@@ -285,16 +291,25 @@ class _Problem:
 
     def _loglik_score(self, theta):
         params = self.to_params(theta)
-        return _loglik_score(self.spec, self.X, self.Z, self.y, params, self.w)
+        # a trial point far out (tau or lam near overflow, p -> 1) may produce
+        # inf or nan; `objective` reads such a point as inadmissible
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _loglik_score(
+                self.spec, self.X, self.Z, self.y, params, self.w, self.log_y_factorial
+            )
 
     def objective(self, theta):
+        """Log-likelihood and free gradient, or -inf (with a zero gradient)
+        where either is not finite or cannot be evaluated."""
         try:
             ll, grad = self._loglik_score(theta)
         except CountregError:
-            ll = -math.inf
-        if not math.isfinite(ll):
-            return -math.inf, np.zeros(int(self.mask.sum()))
-        return ll, grad[self.mask]
+            pass
+        else:
+            grad = grad[self.mask]
+            if math.isfinite(ll) and np.all(np.isfinite(grad)):
+                return ll, grad
+        return -math.inf, np.zeros(int(self.mask.sum()))
 
     def free_gradient(self, theta):
         return self._loglik_score(theta)[1][self.mask]

@@ -162,19 +162,16 @@ def csv_text(ds: Dataset, config: SimConfig) -> str:
     """A simulated dataset as CSV: covariates in declaration order, then the
     response; numbers in full precision."""
     names = [c.name for c in config.covariates] + [config.response_name]
-    lines = [",".join(names)]
-    decoded = {}
+    cols = []
     for name in names:
         col = ds.column(name)
         if col.kind == "categorical":
-            decoded[name] = col.labels()
+            cols.append(col.labels().tolist())
         elif col.kind == "numeric":
-            decoded[name] = [repr(float(v)) for v in col.values]
+            cols.append(map(repr, col.values.tolist()))
         else:
-            decoded[name] = [str(int(v)) for v in col.values]
-    for i in range(ds.n_rows):
-        lines.append(",".join(decoded[name][i] for name in names))
-    return "\n".join(lines) + "\n"
+            cols.append(map(str, col.values.tolist()))
+    return "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
 
 
 def _write_csv(ds: Dataset, config: SimConfig, path: Path):

@@ -409,6 +409,14 @@ class TestUnfittableInput:
         assert "error: row 2, column 'x'" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_count_past_int64(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("y,x\n1,0.5\n99999999999999999999,0.3\n0,0.1\n3,0.2\n")
+        res = self._fit(path)
+        assert res.returncode == 1
+        assert "error: row 2, column 'y'" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_start_point_failure_is_an_evaluation_error(
         self, data_csv, capsys, monkeypatch
     ):

@@ -1,5 +1,8 @@
 """CSV ingestion, typed columns, and design-matrix construction."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from countreg import (
     load_csv,
     parse_schema,
 )
+from countreg.data import MISSING_TOKENS
 
 SCHEMA = {"y": "count", "grp": "categorical", "age": "numeric"}
 
@@ -93,6 +97,29 @@ class TestLoadCsv:
         with pytest.raises(RowParseError) as err:
             load_csv(path, SCHEMA)
         assert err.value.column == "age"
+
+    def test_count_past_int64_names_the_row(self, tmp_path):
+        path = _write(
+            tmp_path, "y,grp,age\n9223372036854775807,a,1.5\n99999999999999999999,b,2.0\n"
+        )
+        with pytest.raises(RowParseError) as err:
+            load_csv(path, SCHEMA)
+        assert (err.value.row, err.value.column, err.value.value) == (
+            2, "y", "99999999999999999999"
+        )
+
+    def test_largest_int64_count_loads(self, tmp_path):
+        path = _write(tmp_path, "y,grp,age\n9223372036854775807,a,1.5\n")
+        ds = load_csv(path, SCHEMA)
+        assert ds.column("y").values.tolist() == [2**63 - 1]
+
+    def test_first_bad_cell_in_row_order_even_in_a_dropped_row(self, tmp_path):
+        # row 2 is dropped for its missing grp, but its bad age still comes
+        # before the bad count of row 3
+        path = _write(tmp_path, "y,grp,age\n0,a,1.5\n1,NA,oops\nx,b,2.0\n")
+        with pytest.raises(RowParseError) as err:
+            load_csv(path, SCHEMA)
+        assert (err.value.row, err.value.column, err.value.value) == (2, "age", "oops")
 
     def test_undeclared_columns_ignored(self, tmp_path):
         path = _write(tmp_path, "y,extra,grp,age\n0,junk,a,1.5\n")
@@ -224,3 +251,176 @@ class TestBuildDesign:
         design = build_design(ds, ["n_prior"])
         assert design.labels == ["(intercept)", "n_prior"]
         np.testing.assert_allclose(design.values[:, 1], [2.0, 5.0])
+
+
+INT64_MAX = 2**63 - 1
+
+
+def _row_loop_load_csv(path, schema):
+    """Reference loader: a dict of parsed cells per row, one Python call per
+    cell, raising on the first bad cell in row order; a count must fit in
+    int64.  `load_csv` converts column by column and must agree with it
+    exactly."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader)]
+        positions = {name: header.index(name) for name in schema}
+        raw = {name: [] for name in schema}
+        level_sets = {name: set() for name, kind in schema.items() if kind == "categorical"}
+        keep = []
+        for row_idx, row in enumerate(reader, start=1):
+            parsed = {}
+            complete = True
+            for name, kind in schema.items():
+                pos = positions[name]
+                cell = row[pos].strip() if pos < len(row) else ""
+                if cell in MISSING_TOKENS:
+                    complete = False
+                    continue
+                if kind == "categorical":
+                    parsed[name] = cell
+                    level_sets[name].add(cell)
+                    continue
+                try:
+                    value = int(cell) if kind == "count" else float(cell)
+                except ValueError:
+                    raise RowParseError(row_idx, name, cell) from None
+                ok = 0 <= value <= INT64_MAX if kind == "count" else math.isfinite(value)
+                if not ok:
+                    raise RowParseError(row_idx, name, cell)
+                parsed[name] = value
+            keep.append(complete)
+            if complete:
+                for name in schema:
+                    raw[name].append(parsed[name])
+    n_rows = keep.count(True)
+    columns = {}
+    for name, kind in schema.items():
+        if kind == "count":
+            columns[name] = Column(name, kind, np.asarray(raw[name], dtype=np.int64))
+        elif kind == "numeric":
+            columns[name] = Column(name, kind, np.asarray(raw[name], dtype=np.float64))
+        else:
+            levels = tuple(sorted(level_sets[name]))
+            index = {lvl: i for i, lvl in enumerate(levels)}
+            codes = np.asarray([index[cell] for cell in raw[name]], dtype=np.int64)
+            columns[name] = Column(name, kind, codes, levels)
+    return Dataset(columns, n_rows, dropped_rows=keep.count(False))
+
+
+# raw CSV fields, some quoted with a comma inside
+GOOD_CELLS = {
+    "count": ["0", "3", "12", " 7 ", "+4", "1_000", "007", '"5"', "9223372036854775807"],
+    "numeric": ["1.5", " -0.25 ", "1e3", "+4", "1_000.5", "-0", ".5", '"2.75"', "7"],
+    "categorical": ["a", "b", " c ", '"x,y"', '" q "', "B", "1"],
+}
+BAD_CELLS = {
+    "count": ["2.5", "-1", "1e3", "x", "99999999999999999999", "1__0", '"3,4"', "nan"],
+    "numeric": ["oops", "nan", "inf", "-inf", "1e400", '"1,5"', "1.2.3", "0x1p3"],
+}
+MISSING_CELLS = ["", "NA", " NA ", "  ", '""']
+UNDECLARED_CELLS = ["junk", '"u,v,w"', "", "NA", "-1", "oops"]
+KINDS = {
+    "y": "count", "k": "count", "g": "categorical", "h": "categorical", "x": "numeric",
+    "z": "numeric",
+}
+
+
+def _random_csv(rng, path):
+    """Write a random CSV; return a schema over some of its columns and the
+    planted row, if any: ("two bad", row) holds bad cells in two declared
+    columns, ("bad in dropped", row) a bad cell and a missing one.
+
+    Each file draws its own rates of missing, bad and short cells.
+    """
+    declared = list(rng.permutation(list(KINDS))[: rng.integers(1, len(KINDS) + 1)])
+    header = declared + [f"extra{i}" for i in range(rng.integers(0, 3))]
+    header = [str(h) for h in rng.permutation(header)]
+    schema = {str(name): KINDS[name] for name in rng.permutation(declared)}
+    p_missing = rng.choice([0.0, 0.05, 0.2])
+    p_bad = rng.choice([0.0, 0.0, 0.0, 0.005, 0.03])
+    p_short = rng.choice([0.0, 0.0, 0.05])
+    n = int(rng.integers(0, 60))
+    checkable = [h for h in header if KINDS.get(h) in BAD_CELLS]
+
+    def cell(name, bad=False, missing=False):
+        if missing:
+            return str(rng.choice(MISSING_CELLS))
+        if name not in KINDS:
+            return str(rng.choice(UNDECLARED_CELLS))
+        kind = KINDS[name]
+        if bad or (kind in BAD_CELLS and rng.random() < p_bad):
+            return str(rng.choice(BAD_CELLS[kind]))
+        if rng.random() < p_missing:
+            return str(rng.choice(MISSING_CELLS))
+        return str(rng.choice(GOOD_CELLS[kind]))
+
+    planted, bad, dropper = None, set(), None
+    if n and checkable and rng.random() < 0.5:
+        at = int(rng.integers(0, n))
+        if len(checkable) >= 2 and rng.random() < 0.5:
+            bad = set(rng.choice(checkable, size=2, replace=False).tolist())
+            planted = ("two bad", at + 1)
+        else:
+            bad = {str(rng.choice(checkable))}
+            others = [h for h in header if h in KINDS and h not in bad]
+            if others:
+                dropper = str(rng.choice(others))
+                planted = ("bad in dropped", at + 1)
+    lines = [",".join(f" {h} " if rng.random() < 0.2 else h for h in header)]
+    for i in range(n):
+        if planted and i + 1 == planted[1]:
+            fields = [cell(h, bad=h in bad, missing=h == dropper) for h in header]
+        else:
+            fields = [cell(h) for h in header]
+            if rng.random() < p_short:
+                fields = fields[: rng.integers(0, len(fields))]
+        lines.append(",".join(fields))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return schema, planted
+
+
+def _outcome(loader, path, schema):
+    try:
+        return loader(path, schema)
+    except RowParseError as exc:
+        return (exc.row, exc.column, exc.value)
+
+
+def _assert_same_dataset(got, want):
+    assert (got.n_rows, got.dropped_rows) == (want.n_rows, want.dropped_rows)
+    assert list(got.columns) == list(want.columns)
+    for name, col in want.columns.items():
+        other = got.columns[name]
+        assert (other.kind, other.levels) == (col.kind, col.levels)
+        assert other.values.dtype == col.values.dtype
+        assert other.values.shape == col.values.shape
+        assert other.values.tobytes() == col.values.tobytes()
+
+
+class TestLoaderOracle:
+    """The column-wise loader against the row loop on seeded random CSVs:
+    the same Dataset bit for bit, or the same RowParseError."""
+
+    def test_random_files_agree_with_the_row_loop(self, tmp_path):
+        rng = np.random.default_rng(20241)
+        path = tmp_path / "random.csv"
+        seen = dict.fromkeys(
+            ["loaded", "with dropped rows", "error", "two bad", "bad in dropped"], 0
+        )
+        for trial in range(400):
+            schema, planted = _random_csv(rng, path)
+            want = _outcome(_row_loop_load_csv, path, schema)
+            got = _outcome(load_csv, path, schema)
+            if isinstance(want, tuple):
+                assert got == want, f"trial {trial}"
+                seen["error"] += 1
+                if planted and planted[1] == want[0]:
+                    seen[planted[0]] += 1
+            else:
+                assert not isinstance(got, tuple), f"trial {trial}: {got}"
+                _assert_same_dataset(got, want)
+                seen["loaded"] += 1
+                seen["with dropped rows"] += want.dropped_rows > 0
+        # each case the oracle is meant to cover came up
+        assert min(seen.values()) >= 10, seen

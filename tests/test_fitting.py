@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,34 @@ class TestFusedObjective:
         assert ll == pytest.approx(oracle, abs=1e-10)
         assert grad.shape == (len(theta),)
 
+    def test_poisson_fit_gathers_log_factorial_once(self, monkeypatch):
+        calls = []
+        log_factorial = _kernels.log_factorial
+
+        def counted(y):
+            calls.append(y.size)
+            return log_factorial(y)
+
+        monkeypatch.setattr(_kernels, "log_factorial", counted)
+        ds = _nb_sim()
+        spec = ModelSpec("poisson", "y", ["x"])
+        res = fit(spec, ds)
+        assert res.converged and res.n_iterations > 1
+        assert calls == [ds.n_rows]  # every row distinct: nothing collapses
+        # the gathered table gives the logL the public function computes afresh
+        X, y = build_design(ds, ["x"]), ds.response_vector("y")
+        assert log_likelihood(spec, X, None, y, res.estimates) == res.log_likelihood
+
+    def test_non_finite_gradient_is_inadmissible(self, monkeypatch):
+        X, Z, y = _ll6_pieces()
+        problem = _Problem(ModelSpec("nb", "y", ["x"]), X, None, y, FitOptions())
+        monkeypatch.setattr(
+            fitting, "_loglik_score", lambda *args: (-10.0, np.array([1.0, math.nan, 0.0]))
+        )
+        ll, grad = problem.objective(np.zeros(3))
+        assert ll == -math.inf
+        np.testing.assert_array_equal(grad, np.zeros(3))
+
 
 def _nb_sim(n=4000, seed=21):
     config = SimConfig(
@@ -323,6 +352,33 @@ class TestFits:
         )
         with pytest.raises(InsufficientDataError):
             fit(ModelSpec("nb", "y", ["x"]), ds)  # 3 free params, 3 rows
+
+
+class TestFarTrialPoints:
+    def test_line_search_overflow_leaves_no_warnings(self):
+        # ZINB with a zero part on NB data without zero inflation: the ascent
+        # drives the zero intercept to about -37 and its line search tries
+        # points whose lam * (y + tau) overflows
+        config = SimConfig(
+            n_rows=200_000,
+            family="nb",
+            covariates=[
+                CovariateSpec(
+                    "g", "categorical", levels=("a", "b", "c"), probabilities=(0.5, 0.3, 0.2)
+                ),
+                CovariateSpec("h", "categorical", levels=("p", "q"), probabilities=(0.6, 0.4)),
+                CovariateSpec("x", "numeric", low=-1.0, high=1.0),
+            ],
+            true_beta={"(intercept)": 0.4, "g=b": 0.3, "g=c": -0.2, "h=q": 0.25, "x": -0.5},
+            true_tau=1.5,
+            seed=700,
+        )
+        ds = simulate(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(ModelSpec("zinb", "y", ["g", "h"], ["g"]), ds)
+        assert res.converged
+        assert res.estimates.gamma[0] < -30
 
 
 def _grouped_sim(n=20_000, seed=91):
