@@ -7,29 +7,36 @@ pieces in a single pass over the rows:
     zinb_loglik_score(y, lam, p, tau) -> (rows, u, v, dt)
 
 ``u``, ``v`` and ``dt`` are the derivatives of the row log pmf in
-eta = log(lam), s = logit(p) and tau.  ``nb_logpmf``/``zinb_logpmf`` are the
-``rows`` views for pmf callers.
+eta = log(lam), s = logit(p) and tau.  With ``hessian=True``, which only the
+fitter asks for, they are followed by the second derivatives, the upper
+triangle of the row Hessian in (eta, tau) or (eta, s, tau): (ee, et, tt) for
+NB and (ee, es, et, ss, st, tt) for ZINB.  ``nb_logpmf``/``zinb_logpmf`` are
+the ``rows`` views for pmf callers.
 
 Every count-only term comes from one table per call over k = 0..max(y),
 built in numpy and gathered at y before either backend runs:
 
     L[k] = sum_{j<k} log1p(j / tau) - lgamma(k + 1)
          = lgamma(k + tau) - lgamma(tau) - k log(tau) - lgamma(k + 1)
-    D[k] = sum_{j<k} 1 / (tau + j) = psi(k + tau) - psi(tau)
+    D[k] = sum_{j<k} 1 / (tau + j)   = psi(k + tau) - psi(tau)
+    T[k] = sum_{j<k} 1 / (tau + j)^2 = psi'(tau) - psi'(k + tau)  (hessian only)
 
-Neither sum suffers the cancellation of a (di)gamma difference at large tau.
-The table stops at k = 4096 (``_TABLE_MAX``); a row with a larger count takes
-a closed form instead.  A kernel call therefore costs O(n + min(max y, 4096))
-time and a few arrays of that size in memory.  ``log_factorial`` gathers
-lgamma(y + 1) for the Poisson family from the same kind of table.
+None of the sums suffers the cancellation of a (poly)gamma difference at
+large tau.  The table stops at k = 4096 (``_TABLE_MAX``); a row with a
+larger count takes a closed form instead.  A kernel call therefore costs
+O(n + min(max y, 4096)) time and a few arrays of that size in memory.
+``log_factorial`` gathers lgamma(y + 1) for the Poisson family from the
+same kind of table.
 
 Each kernel exists twice: a vectorized numpy version and a scalar loop
 written as plain Python, compiled with ``numba.njit`` when numba is
 importable (the loops also run, slowly, under CPython, which the agreement
-tests use).  The backend is chosen once at import time: numba when it is
-importable, numpy when it is not or when the environment variable
-``COUNTREG_NO_NUMBA`` is set to a non-empty value other than ``"0"``.
-``BACKEND`` names the choice.
+tests use).  Both take T[y] as their last argument, an empty array when the
+second derivatives are not wanted; the numpy kernels return a tuple of
+arrays, the loops one 2-D array with a row per output.  The backend is
+chosen once at import time: numba when it is importable, numpy when it is
+not or when the environment variable ``COUNTREG_NO_NUMBA`` is set to a
+non-empty value other than ``"0"``.  ``BACKEND`` names the choice.
 
 Kernels take the response as a float64 array of integer-valued counts, the
 mean ``lam`` (and for the zero-inflated family the structural-zero
@@ -42,7 +49,7 @@ import math
 import os
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, polygamma
 
 __all__ = [
     "BACKEND",
@@ -76,22 +83,28 @@ def log_factorial(y):
     return out
 
 
-def _count_terms(y, tau):
-    """(L[y], D[y]) per row; see the module docstring.
+def _count_terms(y, tau, hessian=False):
+    """(L[y], D[y], T[y]) per row, T empty unless ``hessian``; see above.
 
     Rounding in the log1p sum grows with k, so a table entry whose lgamma
     difference has the smaller error bound takes that instead: the sum wins
     near the Poisson limit (tau >> k), the lgamma difference at large counts.
-    Rows past the table take the (di)gamma differences below tau = 1e3, where
-    y > 4096 makes them accurate, and their Stirling series above it, where
-    the series' truncation error is below 1e-14.  The series is written in
-    reciprocals, so no power of tau can overflow.
+    Rows past the table take the (poly)gamma differences below tau = 1e3,
+    where y > 4096 makes them accurate, and their Stirling series above it,
+    where the series' truncation error is below 1e-14.  The series are
+    written in reciprocals, so no power of tau can overflow.
     """
     k, big, k_all = _table_index(y)
     L = np.zeros(k_all.size)
     D = np.zeros(k_all.size)
     np.cumsum(np.log1p(k_all[:-1] / tau), out=L[1:])
-    np.cumsum(1.0 / (tau + k_all[:-1]), out=D[1:])
+    recip = 1.0 / (tau + k_all[:-1])
+    np.cumsum(recip, out=D[1:])
+    Ty = np.empty(0)
+    if hessian:
+        T = np.zeros(k_all.size)
+        np.cumsum(recip * recip, out=T[1:])
+        Ty = T[k]
     lg_k_tau, lg_tau, k_log_tau = gammaln(k_all + tau), gammaln(tau), k_all * math.log(tau)
     sum_bound = np.cumsum(L)  # both bounds in units of the float64 epsilon
     diff_bound = np.abs(lg_k_tau) + abs(lg_tau) + np.abs(k_log_tau)
@@ -103,22 +116,29 @@ def _count_terms(y, tau):
         if tau < 1e3:
             Lb = gammaln(yb + tau) - lg_tau - yb * math.log(tau)
             Db = digamma(yb + tau) - digamma(tau)
+            if hessian:
+                Ty[big] = polygamma(1, tau) - polygamma(1, yb + tau)
         else:  # free of the large-tau cancellation of the differences
             x, l1p = yb + tau, np.log1p(yb / tau)
             rx, rt = 1 / x, 1 / tau
             Lb = (x - 0.5) * l1p - yb + (rx / 12 - rx**3 / 360)
             Lb -= rt / 12 - rt**3 / 360
             Db = l1p + yb * rt * rx / 2 + (rt**2 / 12 - rx**2 / 12)
+            if hessian:
+                Ty[big] = (
+                    yb * rt * rx * (1 + (rt + rx) / 2)
+                    + (rt**3 - rx**3) / 6 - (rt**5 - rx**5) / 30
+                )
         Ly[big] = Lb - gammaln(yb + 1.0)
         Dy[big] = Db
-    return Ly, Dy
+    return Ly, Dy, Ty
 
 
 # ---------------------------------------------------------------------------
 # numpy implementations
 
 
-def nb_loglik_score_numpy(y, lam, tau, Ly, Dy):
+def nb_loglik_score_numpy(y, lam, tau, Ly, Dy, Ty):
     denom = lam + tau
     ltt = -np.log1p(lam / tau)  # log(tau / (lam + tau))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -127,11 +147,14 @@ def nb_loglik_score_numpy(y, lam, tau, Ly, Dy):
     rows = Ly + tau * ltt + ylog
     u = y - lam * (y + tau) / denom
     dt = Dy + ltt + (lam - y) / denom
-    return rows, u, dt
+    if not Ty.size:
+        return rows, u, dt
+    r, e = lam / denom, (y - lam) / denom
+    return rows, u, dt, -r * (tau / denom) * (y + tau), r * e, r / tau + e / denom - Ty
 
 
-def zinb_loglik_score_numpy(y, lam, p, tau, Ly, Dy):
-    rows, u, dt = nb_loglik_score_numpy(y, lam, tau, Ly, Dy)
+def zinb_loglik_score_numpy(y, lam, p, tau, Ly, Dy, Ty):
+    rows, u, dt, *second = nb_loglik_score_numpy(y, lam, tau, Ly, Dy, Ty)
     zero = y == 0
     logb = rows[zero]  # log P_NB(0)
     with np.errstate(divide="ignore"):
@@ -146,75 +169,89 @@ def zinb_loglik_score_numpy(y, lam, p, tau, Ly, Dy):
         # p == 0 rows would hit 0 * inf when P_ZINB(0) underflows
         v[zero] = np.where(pz > 0.0, pz * (np.exp(qz - loga) - w0), 0.0)
     rows[zero] = loga
+    if second:
+        # a zero row is log(p + (1-p) P_NB(0)): the NB (ee, et, tt) weighted
+        # by w0, plus w0 (1 - w0) times products of the NB scores
+        uz, dz, vz, mix = u[zero], dt[zero], v[zero], w0 * (1.0 - w0)
+        for h, a, b in zip(second, (uz, uz, dz), (uz, dz, dz)):
+            h[zero] = w0 * h[zero] + mix * a * b
+        hes, hst, hss = np.zeros_like(p), np.zeros_like(p), -p * (1.0 - p)
+        hes[zero], hst[zero], hss[zero] = -mix * uz, -mix * dz, vz * (1.0 - 2.0 * pz - vz)
+        second = [second[0], hes, second[1], hss, hst, second[2]]
     u[zero] *= w0
     dt[zero] *= w0
-    return rows, u, v, dt
+    return rows, u, v, dt, *second
 
 
 # ---------------------------------------------------------------------------
 # numba implementations: scalar loops, compiled only when numba is importable
 
 
-def _nb_loglik_score_loop(y, lam, tau, Ly, Dy):
-    n = y.shape[0]
-    rows = np.empty(n)
-    u = np.empty(n)
-    dt = np.empty(n)
-    for i in range(n):
-        yi, li = y[i], lam[i]
-        denom = li + tau
-        ltt = -math.log1p(li / tau)
-        if yi == 0.0:
-            ylog = 0.0
-        elif li > 0.0:
-            ylog = yi * (math.log(li) + ltt)
-        else:
-            ylog = -math.inf
-        rows[i] = Ly[i] + tau * ltt + ylog
-        u[i] = yi - li * (yi + tau) / denom
-        dt[i] = Dy[i] + ltt + (li - yi) / denom
-    return rows, u, dt
+def _nb_row(yi, li, tau, Li, Di, Ti):
+    """One NB row: log pmf, derivatives in eta and tau, then the second
+    derivatives (ee, et, tt), the last of which needs Ti = T[y]."""
+    denom = li + tau
+    ltt = -math.log1p(li / tau)
+    if yi == 0.0:
+        ylog = 0.0
+    elif li > 0.0:
+        ylog = yi * (math.log(li) + ltt)
+    else:
+        ylog = -math.inf
+    r = li / denom
+    e = (yi - li) / denom
+    return (
+        Li + tau * ltt + ylog,
+        yi - li * (yi + tau) / denom,
+        Di + ltt + (li - yi) / denom,
+        -r * (tau / denom) * (yi + tau),
+        r * e,
+        r / tau + e / denom - Ti,
+    )
 
 
-def _zinb_loglik_score_loop(y, lam, p, tau, Ly, Dy):
-    n = y.shape[0]
-    rows = np.empty(n)
-    u = np.empty(n)
-    v = np.empty(n)
-    dt = np.empty(n)
+def _nb_loglik_score_loop(y, lam, tau, Ly, Dy, Ty):
+    n, hessian = y.shape[0], Ty.shape[0] > 0
+    out = np.empty((6 if hessian else 3, n))
     for i in range(n):
-        yi, li, pi = y[i], lam[i], p[i]
-        denom = li + tau
-        ltt = -math.log1p(li / tau)
+        terms = _nb_row(y[i], lam[i], tau, Ly[i], Dy[i], Ty[i] if hessian else 0.0)
+        for j in range(out.shape[0]):
+            out[j, i] = terms[j]
+    return out
+
+
+def _zinb_loglik_score_loop(y, lam, p, tau, Ly, Dy, Ty):
+    n, hessian = y.shape[0], Ty.shape[0] > 0
+    out = np.empty((10 if hessian else 4, n))
+    for i in range(n):
+        yi, pi = y[i], p[i]
+        row, u, dt, ee, et, tt = _nb_row(yi, lam[i], tau, Ly[i], Dy[i], Ty[i] if hessian else 0.0)
+        es, st = 0.0, 0.0
         if yi > 0.0:
-            if pi >= 1.0 or li <= 0.0:
-                rows[i] = -math.inf
-            else:
-                rows[i] = Ly[i] + tau * ltt + yi * (math.log(li) + ltt) + math.log1p(-pi)
-            u[i] = yi - li * (yi + tau) / denom
-            v[i] = -pi
-            dt[i] = Dy[i] + ltt + (li - yi) / denom
+            row = -math.inf if pi >= 1.0 else row + math.log1p(-pi)
+            v, ss = -pi, -pi * (1.0 - pi)
         elif pi <= 0.0:
-            rows[i] = tau * ltt
-            u[i] = -(li * tau / denom)
-            v[i] = 0.0
-            dt[i] = ltt + li / denom
+            v, ss = 0.0, 0.0
         elif pi >= 1.0:
-            rows[i] = 0.0
-            u[i] = 0.0
-            v[i] = 0.0
-            dt[i] = 0.0
+            row, u, v, dt, ee, et, tt, ss = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
         else:
             a = math.log(pi)
-            b = math.log1p(-pi) + tau * ltt
-            m = max(a, b)
-            loga = m + math.log(math.exp(a - m) + math.exp(b - m))
-            w0 = math.exp(b - loga)
-            rows[i] = loga
-            u[i] = -(li * tau / denom) * w0
-            v[i] = pi * (math.exp(math.log1p(-pi) - loga) - w0)
-            dt[i] = (ltt + li / denom) * w0
-    return rows, u, v, dt
+            b = math.log1p(-pi) + row
+            mx = max(a, b)
+            row = mx + math.log(math.exp(a - mx) + math.exp(b - mx))
+            w0 = math.exp(b - row)
+            mix = w0 * (1.0 - w0)
+            v = pi * (math.exp(math.log1p(-pi) - row) - w0)
+            ee = w0 * ee + mix * u * u
+            et = w0 * et + mix * u * dt
+            tt = w0 * tt + mix * dt * dt
+            es, st = -mix * u, -mix * dt
+            ss = v * (1.0 - 2.0 * pi - v)
+            u, dt = u * w0, dt * w0
+        terms = (row, u, v, dt, ee, es, et, ss, st, tt)
+        for j in range(out.shape[0]):
+            out[j, i] = terms[j]
+    return out
 
 
 try:
@@ -225,6 +262,8 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
     _HAVE_NUMBA = False
 
 if _HAVE_NUMBA:
+    # rebound first: the compiled loops resolve this global when they compile
+    _nb_row = njit(cache=True)(_nb_row)
     nb_loglik_score_numba = njit(cache=True)(_nb_loglik_score_loop)
     zinb_loglik_score_numba = njit(cache=True)(_zinb_loglik_score_loop)
 else:  # pragma: no cover
@@ -244,15 +283,17 @@ else:
     _nb_kernel, _zinb_kernel = nb_loglik_score_numpy, zinb_loglik_score_numpy
 
 
-def nb_loglik_score(y, lam, tau):
-    """NB row log pmf and its derivatives in eta and tau: (rows, u, dt)."""
-    return _nb_kernel(y, lam, tau, *_count_terms(y, tau))
+def nb_loglik_score(y, lam, tau, hessian=False):
+    """NB row log pmf and its derivatives in eta and tau: (rows, u, dt),
+    then with ``hessian`` the second derivatives (ee, et, tt)."""
+    return _nb_kernel(y, lam, tau, *_count_terms(y, tau, hessian))
 
 
-def zinb_loglik_score(y, lam, p, tau):
+def zinb_loglik_score(y, lam, p, tau, hessian=False):
     """ZINB row log pmf and its derivatives in eta, logit(p) and tau:
-    (rows, u, v, dt)."""
-    return _zinb_kernel(y, lam, p, tau, *_count_terms(y, tau))
+    (rows, u, v, dt), then with ``hessian`` the second derivatives
+    (ee, es, et, ss, st, tt)."""
+    return _zinb_kernel(y, lam, p, tau, *_count_terms(y, tau, hessian))
 
 
 def nb_logpmf(y, lam, tau):

@@ -131,9 +131,8 @@ def _load_dataset(args):
     return ds, response
 
 
-def _emit(text: str, out_path: str | None, also_stdout: bool = True):
-    if also_stdout:
-        sys.stdout.write(text)
+def _emit(text: str, out_path: str | None):
+    sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text)
 
@@ -157,13 +156,7 @@ def _run_fit(args) -> int:
     if args.fmt == "json":
         sys.stdout.write(json_text)
     elif args.fmt == "csv":
-        lines = ["label,part,estimate,irr,se,z,p,stars"]
-        for r in table_rows:
-            lines.append(
-                f"{r.label},{r.part},{r.coefficient!r},{r.irr!r},"
-                f"{r.std_error!r},{r.z_value!r},{r.p_value!r},{r.stars}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(report.irr_table_csv(table_rows))
     else:
         sys.stdout.write(report.render_fit_text(result, table_rows))
     if args.out:
@@ -187,10 +180,7 @@ def _run_screen(args) -> int:
     if args.fmt == "json":
         text = report.to_json_text(report.screening_report_dict(results))
     elif args.fmt == "csv":
-        lines = ["covariate,chi2,df,p,stars,min_expected"]
-        for name, r in results.items():
-            lines.append(f"{name},{r.chi2!r},{r.df},{r.p_value!r},{r.stars},{r.min_expected!r}")
-        text = "\n".join(lines) + "\n"
+        text = report.screening_csv(results)
     else:
         text = report.render_screening_text(results)
     _emit(text, args.out)
@@ -261,10 +251,7 @@ def _run_compare(args) -> int:
     if args.fmt == "json":
         text = report.to_json_text(report.comparison_report_dict(rows))
     elif args.fmt == "csv":
-        lines = ["family,n_params,log_likelihood,aic"]
-        for r in rows:
-            lines.append(f"{r.family},{r.n_params},{r.log_likelihood!r},{r.aic!r}")
-        text = "\n".join(lines) + "\n"
+        text = report.comparison_csv(rows)
     else:
         text = report.render_comparison_text(rows)
     _emit(text, args.out)

@@ -160,19 +160,31 @@ def _convert(cells: list[str], kind: str) -> tuple[np.ndarray | None, int | None
 
 def _read_columns(path, schema: dict[str, str]) -> tuple[dict[str, list[str]], int]:
     """The stripped cells of each declared column in row order, and the
-    number of data rows.  A row too short to hold a column reads "" there."""
+    number of data rows.  A row too short to hold a column reads "" there.
+    Bytes that are not UTF-8, and text that `csv` cannot parse (such as a
+    field past its size limit), raise a SchemaError naming the file line."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        missing_cols = [name for name in schema if name not in header]
-        if missing_cols:
-            raise SchemaError(f"{path}: declared columns absent from header: {missing_cols}")
-        positions = [header.index(name) for name in schema]
-        rows = list(reader)
+            rows = list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the decoded chunk; find the file offset
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                line = data.count(b"\n", 0, first.start) + 1
+            raise SchemaError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise SchemaError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in rows.pop(0)]
+    missing_cols = [name for name in schema if name not in header]
+    if missing_cols:
+        raise SchemaError(f"{path}: declared columns absent from header: {missing_cols}")
+    positions = [header.index(name) for name in schema]
     width = max(positions, default=-1) + 1
     if rows and min(map(len, rows)) < width:
         rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]

@@ -11,9 +11,9 @@ rows only through those patterns, so the weighted sums are the full-data
 likelihood and score, exact to rounding.  Where every row is distinct, the
 patterns are the rows in their given order with unit weights.
 
-Per-observation sums go through numpy reductions and BLAS products, whose
-summation order depends on the BLAS thread count; at a fixed thread count,
-repeated fits on identical input are bit-identical.
+Per-observation sums go through numpy reductions and ``np.einsum``, whose
+summation order does not depend on the BLAS thread count, so repeated fits
+on identical input are bit-identical.
 """
 
 import math
@@ -34,7 +34,7 @@ from .errors import (
     ParameterDomainError,
     SchemaError,
 )
-from .optimize import hessian_fd, maximize_bfgs
+from .optimize import equilibrated_eigh, maximize_newton
 from .report import stars_for_p
 
 ETA_MAX = 700.0  # exp overflows just past 709; flag a little earlier
@@ -142,34 +142,52 @@ def _loglik_score(
     params: ParamVector,
     w: np.ndarray | float = 1.0,
     log_y_factorial: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Log-likelihood and its analytic gradient from one pass over the rows.
+    hessian: bool = False,
+) -> tuple:
+    """Log-likelihood and its analytic gradient, and with ``hessian`` its
+    analytic Hessian, from one pass over the rows.
 
     Row ``i`` counts ``w[i]`` times: the number of observations that share
     its (y, x, z) pattern, or 1 for every row.  ``log_y_factorial`` is
     log(y!) for the Poisson family, computed here when not given.  Gradient
     layout matches the family: [beta] for poisson, [beta, log_tau] for nb,
-    [beta, gamma, log_tau] for zinb.
+    [beta, gamma, log_tau] for zinb.  The row derivatives in eta, logit(p)
+    and tau meet the designs [X, Z, tau * 1] block by block; the log-tau
+    chain term, tau * dl/dtau, joins the last diagonal entry.
     """
     _check_finite_params(params)
     yf = np.asarray(y, dtype=np.float64)
     eta = _count_predictor(X, params.beta)
     lam = np.exp(eta)
+    designs = [X.values]
     if spec.family == "poisson":
         if log_y_factorial is None:
             log_y_factorial = _kernels.log_factorial(yf)
         rows = yf * eta - lam - log_y_factorial
-        return float(np.sum(w * rows)), X.values.T @ (w * (yf - lam))
-    tau = _tau_of(params)
-    if spec.family == "nb":
-        rows, u, dt = _kernels.nb_loglik_score(yf, lam, tau)
-        scores = [X.values.T @ (w * u)]
+        terms = [yf - lam, -lam]
     else:
-        p = expit(_zero_predictor(Z, params.gamma))
-        rows, u, v, dt = _kernels.zinb_loglik_score(yf, lam, p, tau)
-        scores = [X.values.T @ (w * u), Z.values.T @ (w * v)]
+        tau = _tau_of(params)
+        if spec.family == "nb":
+            rows, *terms = _kernels.nb_loglik_score(yf, lam, tau, hessian)
+        else:
+            p = expit(_zero_predictor(Z, params.gamma))
+            rows, *terms = _kernels.zinb_loglik_score(yf, lam, p, tau, hessian)
+            designs.append(Z.values)
+        designs.append(np.full((yf.size, 1), tau))
+    k = len(designs)
     ll = float(np.sum(w * rows))
-    return ll, np.concatenate([*scores, [tau * float(np.sum(w * dt))]])
+    grad = np.concatenate([np.einsum("ni,n->i", D, w * t) for D, t in zip(designs, terms)])
+    if not hessian:
+        return ll, grad
+    blocks = [[None] * k for _ in range(k)]
+    upper = [(a, b) for a in range(k) for b in range(a, k)]
+    for (a, b), h in zip(upper, terms[k:]):
+        blocks[a][b] = np.einsum("ni,nj->ij", designs[a] * (w * h)[:, None], designs[b])
+        blocks[b][a] = blocks[a][b].T
+    H = np.block(blocks)
+    if spec.family != "poisson":
+        H[-1, -1] += grad[-1]
+    return ll, grad, H
 
 
 def log_likelihood(spec, X, Z, y, params) -> float:
@@ -221,7 +239,6 @@ class _Problem:
 
     def __init__(self, spec, X, Z, y, options):
         self.spec = spec
-        self.full_rows = (X, Z, y)
         y = np.asarray(y, dtype=np.float64)
         self.n_obs = y.size
         designs = [X, Z] if spec.family == "zinb" else [X]
@@ -256,11 +273,6 @@ class _Problem:
         if spec.family != "poisson":
             mask += [self.tau_free]
         self.mask = np.asarray(mask)
-        # FD-Hessian step floors: 1 / max(1, max |column|), 1 for log_tau
-        scales = [np.abs(D.values).max(axis=0) for D in designs]
-        if spec.family != "poisson":
-            scales.append(np.ones(1))
-        self.fd_floor = (1.0 / np.maximum(1.0, np.concatenate(scales)))[self.mask]
 
     def to_params(self, theta: np.ndarray) -> ParamVector:
         beta = theta[: self.d]
@@ -289,49 +301,29 @@ class _Problem:
             labels.append("log_tau")
         return labels
 
-    def _loglik_score(self, theta):
-        params = self.to_params(theta)
-        # a trial point far out (tau or lam near overflow, p -> 1) may produce
-        # inf or nan; `objective` reads such a point as inadmissible
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _loglik_score(
-                self.spec, self.X, self.Z, self.y, params, self.w, self.log_y_factorial
-            )
-
     def objective(self, theta):
-        """Log-likelihood and free gradient, or -inf (with a zero gradient)
-        where either is not finite or cannot be evaluated."""
+        """Log-likelihood, free gradient and free Hessian, or -inf (with
+        zeros) where any of them is not finite or cannot be evaluated."""
+        free = self.mask
         try:
-            ll, grad = self._loglik_score(theta)
+            # a trial point far out (tau or lam near overflow, p -> 1) may
+            # produce inf or nan; such a point is inadmissible
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ll, grad, hess = _loglik_score(
+                    self.spec, self.X, self.Z, self.y, self.to_params(theta), self.w,
+                    self.log_y_factorial, hessian=True,
+                )
         except CountregError:
             pass
         else:
-            grad = grad[self.mask]
-            if math.isfinite(ll) and np.all(np.isfinite(grad)):
-                return ll, grad
-        return -math.inf, np.zeros(int(self.mask.sum()))
-
-    def free_gradient(self, theta):
-        return self._loglik_score(theta)[1][self.mask]
-
-    def maximize(self, x0):
-        """BFGS ascent of the objective from ``x0``.
-
-        The objective reads evaluation errors as -inf, so a start point that
-        cannot be evaluated is evaluated again unguarded on the full rows: the
-        error then names the row or parameter at fault instead of ending in a
-        ValueError.
-        """
-        try:
-            return maximize_bfgs(self.objective, x0)
-        except ValueError:
-            ll = _loglik_score(self.spec, *self.full_rows, self.to_params(x0))[0]
-            if math.isfinite(ll):
-                raise
-            raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
+            grad, hess = grad[free], hess[np.ix_(free, free)]
+            if math.isfinite(ll) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess)):
+                return ll, grad, hess
+        k = int(free.sum())
+        return -math.inf, np.zeros(k), np.zeros((k, k))
 
     def start(self) -> np.ndarray:
-        """Free vector of the single BFGS start point, shared by every family.
+        """Free vector of the single start point, shared by every family.
 
         beta is zero but for the intercept at log(mean(y) + 0.1), log_tau is
         0, and the zero-part intercept is the logit of the empirical
@@ -353,16 +345,16 @@ class _Problem:
 
 
 def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitResult:
-    """Maximize the likelihood by one BFGS ascent over the row patterns.
+    """Maximize the likelihood by one Newton ascent over the row patterns.
 
     Every family starts from the same point (`_Problem.start`).  The
-    covariance is the inverse negative Hessian, obtained by central
-    differences of the analytic gradient at the optimum, with steps that
-    move each linear predictor alike whatever its columns' units.  When that matrix's
-    smallest eigenvalue is not above ``size * eps`` times its largest (numpy's
-    ``matrix_rank`` tolerance), the estimates are still returned with the
-    covariance flagged unavailable.  A design column that is zero in every
-    row raises `DegenerateCovariateError` before fitting.
+    covariance is the inverse of the analytic negative Hessian at the
+    optimum, through one eigendecomposition of that matrix scaled to a unit
+    diagonal.  When the scaled matrix's smallest eigenvalue is not above
+    ``size * eps`` times its largest (numpy's ``matrix_rank`` tolerance),
+    the estimates are still returned with the covariance flagged
+    unavailable.  A design column that is zero in every row raises
+    `DegenerateCovariateError` before fitting.
     """
     options = options or FitOptions()
     y = ds.response_vector(spec.response)
@@ -394,24 +386,27 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             f"response '{spec.response}' has no positive counts; its mean cannot be estimated"
         )
 
-    res = problem.maximize(problem.start())
+    x0 = problem.start()
+    try:
+        res = maximize_newton(problem.objective, x0)
+    except ValueError:
+        # the objective reads evaluation errors as -inf: evaluate the start
+        # unguarded on the full rows, so the error names the row at fault
+        ll = _loglik_score(spec, X, Z, y, problem.to_params(x0))[0]
+        if math.isfinite(ll):
+            raise
+        raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
     estimates = problem.to_params(res.x)
 
-    covariance = None
-    covariance_error = None
-    try:
-        H = hessian_fd(problem.free_gradient, res.x, problem.fd_floor)
-        w, V = np.linalg.eigh(-H)
-    except (np.linalg.LinAlgError, CountregError) as exc:
-        covariance_error = f"covariance unavailable: {exc}"
+    covariance = covariance_error = None
+    s, w, V = equilibrated_eigh(-res.hess)
+    if w[0] > w.size * np.finfo(float).eps * w[-1]:
+        covariance = np.outer(s, s) * ((V / w) @ V.T)
     else:
-        if w[0] > w.size * np.finfo(float).eps * w[-1]:
-            covariance = (V / w) @ V.T
-        else:
-            covariance_error = (
-                "covariance unavailable: negative Hessian is singular or indefinite "
-                f"(eigenvalues {w[0]:.3g} to {w[-1]:.3g})"
-            )
+        covariance_error = (
+            "covariance unavailable: negative Hessian is singular or indefinite "
+            f"(eigenvalues {w[0]:.3g} to {w[-1]:.3g})"
+        )
 
     lam = np.exp(np.clip(X.values @ estimates.beta, None, ETA_MAX))
     yzero = np.zeros(ds.n_rows)
@@ -435,7 +430,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         n_obs=ds.n_rows,
         n_iterations=res.n_iter,
         converged=res.converged,
-        gradient_norm=res.grad_norm,
+        gradient_norm=float(np.max(np.abs(res.grad))),
         message=res.message,
         ll_path=res.path,
         zero_probabilities=zero_probs,

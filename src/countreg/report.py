@@ -99,6 +99,18 @@ def render_fit_text(fit_result, rows) -> str:
     return "\n".join(out) + "\n"
 
 
+def _csv(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def irr_table_csv(rows) -> str:
+    return _csv("label,part,estimate,irr,se,z,p,stars", (
+        f"{r.label},{r.part},{r.coefficient!r},{r.irr!r},"
+        f"{r.std_error!r},{r.z_value!r},{r.p_value!r},{r.stars}"
+        for r in rows
+    ))
+
+
 def screening_report_dict(results: dict) -> dict:
     """``results`` maps covariate name -> ContingencyResult."""
     return {
@@ -132,6 +144,13 @@ def render_screening_text(results: dict) -> str:
     return "\n".join(out) + "\n"
 
 
+def screening_csv(results: dict) -> str:
+    return _csv("covariate,chi2,df,p,stars,min_expected", (
+        f"{name},{r.chi2!r},{r.df},{r.p_value!r},{r.stars},{r.min_expected!r}"
+        for name, r in results.items()
+    ))
+
+
 def diagnose_report_dict(disp, zero) -> dict:
     return {
         "dispersion": {
@@ -163,10 +182,7 @@ def render_diagnose_text(disp, zero) -> str:
 
 
 def histogram_csv(zero) -> str:
-    lines = ["value,count"]
-    for v, c in zero.histogram:
-        lines.append(f"{v},{c}")
-    return "\n".join(lines) + "\n"
+    return _csv("value,count", (f"{v},{c}" for v, c in zero.histogram))
 
 
 def comparison_report_dict(rows) -> dict:
@@ -181,6 +197,12 @@ def comparison_report_dict(rows) -> dict:
             for r in rows
         ]
     }
+
+
+def comparison_csv(rows) -> str:
+    return _csv("family,n_params,log_likelihood,aic", (
+        f"{r.family},{r.n_params},{r.log_likelihood!r},{r.aic!r}" for r in rows
+    ))
 
 
 def render_comparison_text(rows) -> str:

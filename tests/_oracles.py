@@ -1,11 +1,14 @@
 """Independent high-precision oracles for the test suite.
 
-Everything here is computed with mpmath from the closed-form definitions,
-never through the package's own code paths, so agreement between the two is
-a real check rather than a tautology.
+Everything here but `hessian_fd` is computed with mpmath from the
+closed-form definitions, never through the package's own code paths, so
+agreement between the two is a real check rather than a tautology.
+`hessian_fd` differentiates the package's analytic gradient, which the
+tests check in turn against differences of the likelihood.
 """
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -46,6 +49,21 @@ def chi2_sf_quad(x, df) -> float:
 
 def logistic(s) -> float:
     return float(1 / (1 + mp.e ** (-mp.mpf(s))))
+
+
+def hessian_fd(grad_fn, x, rel_step=1e-5):
+    """Symmetrized central-difference Hessian from a gradient callable, with
+    step rel_step * max(1, |x_j|) in coordinate j."""
+    x = np.asarray(x, dtype=np.float64)
+    hess = np.empty((x.size, x.size))
+    for j in range(x.size):
+        h = rel_step * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        hess[:, j] = (grad_fn(xp) - grad_fn(xm)) / (2.0 * h)
+    return 0.5 * (hess + hess.T)
 
 
 # frozen values (recomputable via the functions above; dps=40)

@@ -191,24 +191,66 @@ class TestFit:
         assert payload["converged"] is True
         assert payload["tau"] > 0
 
-    def test_preset_nb_fit_does_not_depend_on_blas_threads(self):
-        # a likelihood that cancels at large tau let a single-threaded fit
-        # stop there, far from the MLE
-        logls = []
-        for threads in ("1", None):
+    def test_preset_nb_fit_does_not_depend_on_blas_threads(self, tmp_path):
+        def fit_under(threads, *argv):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
             if threads:
                 env["OPENBLAS_NUM_THREADS"] = threads
-            res = run_cli(
-                "fit", "--preset", "paper-like", "--family", "nb", "--format", "json",
-                env=env,
-            )
+            res = run_cli("fit", "--family", "nb", "--format", "json", *argv, env=env)
             assert res.returncode == EXIT_OK, res.stderr
-            logls.append(json.loads(res.stdout)["log_likelihood"])
+            return res.stdout
+
+        # a likelihood that cancels at large tau let a single-threaded fit
+        # stop there, far from the MLE
+        logls = [
+            json.loads(fit_under(threads, "--preset", "paper-like"))["log_likelihood"]
+            for threads in ("1", None)
+        ]
         assert logls[0] == pytest.approx(logls[1], rel=1e-10)
+
+        # every row distinct, so every sum runs over all 2e5 rows
+        path = tmp_path / "distinct.csv"
+        config = SimConfig(
+            n_rows=200_000,
+            family="nb",
+            covariates=[
+                CovariateSpec(
+                    "g", "categorical", levels=("a", "b", "c"), probabilities=(0.5, 0.3, 0.2)
+                ),
+                CovariateSpec("h", "categorical", levels=("p", "q"), probabilities=(0.6, 0.4)),
+                CovariateSpec("x", "numeric", low=-1.0, high=1.0),
+            ],
+            true_beta={"(intercept)": 0.4, "g=b": 0.3, "g=c": -0.2, "h=q": 0.25, "x": -0.5},
+            true_tau=1.5,
+            seed=702,
+        )
+        simulate(config, out_path=path)
+        argv = (
+            "--input", str(path),
+            "--schema", "y=count,g=categorical,h=categorical,x=numeric",
+            "--response", "y",
+            "--covariates", "g,h,x",
+        )
+        assert fit_under("1", *argv) == fit_under("2", *argv)
 
 
 class TestScreen:
+    def test_csv_format(self, data_csv):
+        res = run_cli(
+            "screen",
+            "--input", str(data_csv),
+            "--schema", SCHEMA,
+            "--response", "y",
+            "--format", "csv",
+        )
+        assert res.returncode == EXIT_OK
+        lines = res.stdout.splitlines()
+        assert lines[0] == "covariate,chi2,df,p,stars,min_expected"
+        assert len(lines) == 2
+        name, chi2, df, p, _, _ = lines[1].split(",")
+        assert name == "grp"
+        assert float(chi2) >= 0.0 and int(df) >= 1 and 0.0 <= float(p) <= 1.0
+
     def test_text(self, data_csv):
         res = run_cli(
             "screen",
@@ -328,6 +370,23 @@ class TestCompare:
         aics = [r["aic"] for r in payload["ranking"]]
         assert aics == sorted(aics)
 
+    def test_csv_format(self, data_csv):
+        res = run_cli(
+            "compare",
+            "--input", str(data_csv),
+            "--schema", SCHEMA,
+            "--response", "y",
+            "--covariates", "x",
+            "--format", "csv",
+        )
+        assert res.returncode == EXIT_OK
+        lines = res.stdout.splitlines()
+        assert lines[0] == "family,n_params,log_likelihood,aic"
+        rows = [line.split(",") for line in lines[1:]]
+        assert sorted(r[0] for r in rows) == ["nb", "poisson", "zinb"]
+        aics = [float(r[3]) for r in rows]
+        assert aics == sorted(aics)
+
 
 class TestErrors:
     def test_missing_family_is_usage_error(self, data_csv):
@@ -415,6 +474,22 @@ class TestUnfittableInput:
         res = self._fit(path)
         assert res.returncode == 1
         assert "error: row 2, column 'y'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,x\n1,0.5\n2,\xff\xfe\n0,0.1\n3,0.2\n")
+        res = self._fit(path)
+        assert res.returncode == 1
+        assert f"error: {path}, line 3: not UTF-8" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_field_past_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("y,x\n1,0.5\n2," + "1" * 200_000 + "\n0,0.1\n3,0.2\n")
+        res = self._fit(path)
+        assert res.returncode == 1
+        assert f"error: {path}, line 3: field larger than field limit" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_start_point_failure_is_an_evaluation_error(

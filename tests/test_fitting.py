@@ -1,4 +1,4 @@
-"""Likelihoods, analytic gradients, BFGS fits, IRR tables, model comparison."""
+"""Likelihoods, analytic gradients and Hessians, fits, IRR tables, model comparison."""
 
 import math
 import time
@@ -167,6 +167,60 @@ class TestGradientAgainstFiniteDifferences:
             assert float(err.max()) < self.RTOL
 
 
+class TestHessianAgainstFiniteDifferences:
+    """The fitter's analytic Hessian against central differences of its
+    analytic gradient, relative 1e-6, over free parameters only."""
+
+    RTOL = 1e-6
+    N_POINTS = 8
+
+    @staticmethod
+    def _problem(family, options):
+        # two counts past the per-call table (k > 4096) join the rows
+        ds = _fd_dataset(321)
+        y = np.append(ds.response_vector("y"), [5000, 9000])
+        x1 = np.append(ds.columns["x1"].values, [0.3, -0.4])
+        x2 = np.append(ds.columns["x2"].values, [0.9, 0.2])
+        ds = Dataset(
+            {
+                "y": Column("y", "count", y),
+                "x1": Column("x1", "numeric", x1),
+                "x2": Column("x2", "numeric", x2),
+            },
+            n_rows=y.size,
+        )
+        spec = ModelSpec(family, "y", ["x1", "x2"], ["x1"] if family == "zinb" else [])
+        X = build_design(ds, spec.count_covariates)
+        Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
+        return _Problem(spec, X, Z, ds.response_vector("y"), options)
+
+    @pytest.mark.parametrize(
+        "family,options",
+        [
+            ("poisson", FitOptions()),
+            ("nb", FitOptions()),
+            ("zinb", FitOptions()),
+            ("nb", FitOptions(fix_log_tau=0.4)),
+            ("zinb", FitOptions(fix_log_tau=0.4)),
+            ("zinb", FitOptions(fix_gamma=np.array([-0.5, 0.3]))),
+        ],
+    )
+    def test_matches_central_differences(self, family, options):
+        problem = self._problem(family, options)
+        rng = np.random.default_rng(778)
+        k = int(problem.mask.sum())
+        # log tau below and above the 1e3 switch of the past-table forms
+        for log_tau in (*rng.uniform(-0.7, 1.5, self.N_POINTS), math.log(2e3), math.log(1e6)):
+            theta = rng.uniform(-0.8, 0.8, size=k)
+            if problem.tau_free:
+                theta[-1] = log_tau
+            ll, _, hess = problem.objective(theta)
+            assert math.isfinite(ll)
+            fd = _oracles.hessian_fd(lambda t: problem.objective(t)[1], theta)
+            err = np.abs(hess - fd) / np.maximum(1.0, np.abs(hess))
+            assert float(err.max()) < self.RTOL, (log_tau, float(err.max()))
+
+
 class TestPoissonClosedForm:
     def test_gradient_zero_at_mean_rate(self):
         ds = _fd_dataset(11)
@@ -206,10 +260,11 @@ class TestFusedObjective:
         )
         theta = [*_oracles.LL6_BETA, *([_oracles.LL6_GAMMA0] if zinb else [])]
         theta.append(math.log(_oracles.LL6_TAU))
-        ll, grad = problem.objective(np.asarray(theta))
+        ll, grad, hess = problem.objective(np.asarray(theta))
         assert len(calls) == 1
         assert ll == pytest.approx(oracle, abs=1e-10)
         assert grad.shape == (len(theta),)
+        assert hess.shape == (len(theta), len(theta))
 
     def test_poisson_fit_gathers_log_factorial_once(self, monkeypatch):
         calls = []
@@ -233,11 +288,14 @@ class TestFusedObjective:
         X, Z, y = _ll6_pieces()
         problem = _Problem(ModelSpec("nb", "y", ["x"]), X, None, y, FitOptions())
         monkeypatch.setattr(
-            fitting, "_loglik_score", lambda *args: (-10.0, np.array([1.0, math.nan, 0.0]))
+            fitting,
+            "_loglik_score",
+            lambda *args, **kwargs: (-10.0, np.array([1.0, math.nan, 0.0]), np.eye(3)),
         )
-        ll, grad = problem.objective(np.zeros(3))
+        ll, grad, hess = problem.objective(np.zeros(3))
         assert ll == -math.inf
         np.testing.assert_array_equal(grad, np.zeros(3))
+        np.testing.assert_array_equal(hess, np.zeros((3, 3)))
 
 
 def _nb_sim(n=4000, seed=21):
@@ -330,17 +388,44 @@ class TestFits:
 
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
     def test_one_optimizer_run_per_fit(self, family, monkeypatch):
-        real = fitting.maximize_bfgs
+        real = fitting.maximize_newton
         runs = []
 
         def counted(*args):
             runs.append(args)
             return real(*args)
 
-        monkeypatch.setattr(fitting, "maximize_bfgs", counted)
+        monkeypatch.setattr(fitting, "maximize_newton", counted)
         res = fit(ModelSpec(family, "y", ["x"]), _zinb_sim(n=500, seed=27))
         assert res.converged
         assert len(runs) == 1
+
+    def test_raw_units_zinb_with_a_vanishing_zero_part_converges(self):
+        # NB data, so the ZINB zero part on g runs off towards p = 0 along a
+        # flat ridge; with x in raw units too the ascent must still meet the
+        # gradient rule there
+        config = SimConfig(
+            n_rows=2000,
+            family="nb",
+            covariates=[
+                CovariateSpec(
+                    "g", "categorical", levels=("a", "b", "c", "d"),
+                    probabilities=(0.4, 0.3, 0.2, 0.1),
+                ),
+                CovariateSpec("x", "numeric", low=-1.0, high=1.0),
+            ],
+            true_beta={"(intercept)": 0.5, "g=b": -0.4, "g=c": 0.3, "g=d": 0.6, "x": 0.5},
+            true_tau=1.5,
+            seed=83,
+        )
+        ds = simulate(config)
+        spec = ModelSpec("zinb", "y", ["g", "x"], ["g"])
+        unit = fit(spec, ds)
+        ds.columns["x"].values[:] = ds.columns["x"].values * 1e4 + 5e4
+        raw = fit(spec, ds)
+        assert unit.converged and raw.converged, raw.message
+        assert raw.gradient_norm < 1e-6
+        assert raw.log_likelihood == pytest.approx(unit.log_likelihood, rel=1e-10)
 
     def test_insufficient_rows_rejected(self):
         ds = Dataset(
@@ -352,6 +437,23 @@ class TestFits:
         )
         with pytest.raises(InsufficientDataError):
             fit(ModelSpec("nb", "y", ["x"]), ds)  # 3 free params, 3 rows
+
+
+class TestNewtonAscent:
+    def test_halving_stops_once_the_step_no_longer_moves_x(self):
+        # a flat objective whose gradient never vanishes: no step gains, and
+        # from x = 1e12 a step of 1e-3 is lost to rounding within 6 halvings
+        trials = []
+
+        def objective(x):
+            trials.append(float(x[0]))
+            return 0.0, np.array([1e-3]), np.array([[-1.0]])
+
+        res = fitting.maximize_newton(objective, np.array([1e12]))
+        assert not res.converged
+        assert res.message == "stopped at the objective's float resolution"
+        assert 1 < len(trials) <= 7
+        assert 1e12 not in trials[1:]
 
 
 class TestFarTrialPoints:
@@ -583,7 +685,7 @@ class TestAffineRescaling:
             assert raw.covariance_error is None
 
     def test_raw_units_covariate_has_the_same_standard_error(self, unit_and_raw_fits):
-        # the FD-Hessian step must move eta alike in either unit
+        # the covariance must not depend on the units of a design column
         for seed, unit, raw in unit_and_raw_fits:
             assert raw.std_error("x") * 1e4 == pytest.approx(
                 unit.std_error("x"), rel=1e-3
@@ -655,8 +757,9 @@ class TestCovarianceFailure:
     @pytest.mark.parametrize("seed", range(40, 60))
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
     def test_collinear_design_flags_covariance(self, family, seed):
-        # the FD Hessian of an exact duplicate is singular up to rounding
-        # noise of either sign, so only an eigenvalue tolerance flags them all
+        # the negative Hessian of an exact duplicate is singular up to
+        # rounding noise of either sign, so only an eigenvalue tolerance
+        # flags them all
         rng = np.random.default_rng(seed)
         x = rng.normal(size=300)
         mu = np.exp(0.3 + 0.5 * x)

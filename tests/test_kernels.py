@@ -101,6 +101,16 @@ class TestNumpyKernels:
         assert math.isfinite(got)
         assert got == pytest.approx(_oracles.nb_log_pmf(10**9, 1e9, 2.0), rel=1e-6)
 
+    def test_trigamma_diff_matches_oracle(self):
+        # T[y] = psi'(tau) - psi'(y + tau): the table, then past it the
+        # polygamma difference below tau = 1e3 and the Stirling series above
+        y = np.array([0.0, 1.0, 7.0, 4096.0, 5e3, 1e5, 1e6])
+        for tau in (0.5, 2.0, 50.0, 999.0, 1e3, 1e4, 1e8, 1e15):
+            got = _kernels._count_terms(y, tau, hessian=True)[2]
+            want = [float(mp.psi(1, tau) - mp.psi(1, int(v) + mp.mpf(tau))) for v in y]
+            np.testing.assert_allclose(got, want, rtol=2e-14, atol=0)
+        assert _kernels._count_terms(y, 2.0)[2].size == 0
+
     def test_nb_grad_rows_match_finite_differences(self):
         y, lam, _, tau = _random_grid(4, n=24)
         _, u, dt = _nb_numpy(y, lam, tau)
@@ -153,17 +163,20 @@ class TestBackendAgreement:
 
     @staticmethod
     def _check(y, lam, p, tau):
-        terms = _kernels._count_terms(y, tau)
-        want_nb = _kernels.nb_loglik_score_numpy(y, lam, tau, *terms)
-        want_zinb = _kernels.zinb_loglik_score_numpy(y, lam, p, tau, *terms)
-        for nb_loop, zinb_loop in _loop_kernels():
-            got_nb = nb_loop(y, lam, tau, *terms)
-            got_zinb = zinb_loop(y, lam, p, tau, *terms)
-            for got, want in ((got_nb, want_nb), (got_zinb, want_zinb)):
-                # rows to the log-pmf bound, score pieces to the score bound
-                np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-13)
-                for g, w in zip(got[1:], want[1:]):
-                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-13)
+        for hessian in (False, True):
+            terms = _kernels._count_terms(y, tau, hessian)
+            want_nb = _kernels.nb_loglik_score_numpy(y, lam, tau, *terms)
+            want_zinb = _kernels.zinb_loglik_score_numpy(y, lam, p, tau, *terms)
+            for nb_loop, zinb_loop in _loop_kernels():
+                got_nb = nb_loop(y, lam, tau, *terms)
+                got_zinb = zinb_loop(y, lam, p, tau, *terms)
+                for got, want, sizes in ((got_nb, want_nb, (3, 6)), (got_zinb, want_zinb, (4, 10))):
+                    # second derivatives only when asked for
+                    assert len(got) == len(want) == sizes[hessian]
+                    # rows to the log-pmf bound, derivatives to the score bound
+                    np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-13)
+                    for g, w in zip(got[1:], want[1:]):
+                        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15, 16])
     def test_loglik_score_agreement(self, seed):
