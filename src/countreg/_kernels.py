@@ -3,21 +3,26 @@
 Each family has one kernel that returns the row log pmf and the score
 pieces in a single pass over the rows:
 
-    nb_loglik_score(y, lam, tau)      -> (rows, u, dt)
-    zinb_loglik_score(y, lam, p, tau) -> (rows, u, v, dt)
+    nb_loglik_score(counts, lam, tau)      -> (rows, u, dt)
+    zinb_loglik_score(counts, lam, p, tau) -> (rows, u, v, dt)
 
 ``u``, ``v`` and ``dt`` are the derivatives of the row log pmf in
 eta = log(lam), s = logit(p) and tau.  With ``hessian=True``, which only the
 fitter asks for, they are followed by the second derivatives, the upper
 triangle of the row Hessian in (eta, tau) or (eta, s, tau): (ee, et, tt) for
-NB and (ee, es, et, ss, st, tt) for ZINB.  ``nb_logpmf``/``zinb_logpmf`` are
-the ``rows`` views for pmf callers.
+NB and (ee, es, et, ss, st, tt) for ZINB.  ``nb_logpmf``/``zinb_logpmf`` take
+the response as an array and return the ``rows`` for pmf callers.
 
-Every count-only term comes from one table per call over k = 0..max(y),
-built in numpy and gathered at y before either backend runs:
+``Counts(y)`` is the response prepared once, since none of it depends on the
+parameters: the counts as float64, each row's index into the count table
+below, the rows past that table, and log(y!) per row, which the Poisson,
+NB and ZINB log pmfs all subtract.  The fitter builds one per fit.
 
-    L[k] = sum_{j<k} log1p(j / tau) - lgamma(k + 1)
-         = lgamma(k + tau) - lgamma(tau) - k log(tau) - lgamma(k + 1)
+Every other count-only term comes from one table per call over
+k = 0..max(y), gathered at y before either backend runs:
+
+    L[k] = sum_{j<k} log1p(j / tau)
+         = lgamma(k + tau) - lgamma(tau) - k log(tau)
     D[k] = sum_{j<k} 1 / (tau + j)   = psi(k + tau) - psi(tau)
     T[k] = sum_{j<k} 1 / (tau + j)^2 = psi'(tau) - psi'(k + tau)  (hessian only)
 
@@ -25,22 +30,31 @@ None of the sums suffers the cancellation of a (poly)gamma difference at
 large tau.  The table stops at k = 4096 (``_TABLE_MAX``); a row with a
 larger count takes a closed form instead.  A kernel call therefore costs
 O(n + min(max y, 4096)) time and a few arrays of that size in memory.
-``log_factorial`` gathers lgamma(y + 1) for the Poisson family from the
-same kind of table.
+
+A ZINB row is Lambert's (1992) two-component mixture on every row,
+l = logaddexp(a, b) with a = log p where y = 0 and -inf where y > 0, and
+b = l_NB + log1p(-p).  Where a > -inf, pi0 = exp(a - l) is the posterior
+probability of a structural zero and w0 = exp(b - l) that of the NB
+component; elsewhere pi0 = 0 and w0 = 1 exactly, so a positive row is the
+NB row plus log1p(-p) with the NB scores.  The NB scores u and dt are
+scaled by w0, v is pi0 (1 - p) (1 - P_NB(0)) on mixed rows and -p
+elsewhere, and the second derivatives add m = w0 pi0 times products of the
+NB scores to w0 times the NB ones.  No row is gathered or scattered.
 
 Each kernel exists twice: a vectorized numpy version and a scalar loop
 written as plain Python, compiled with ``numba.njit`` when numba is
 importable (the loops also run, slowly, under CPython, which the agreement
-tests use).  Both take T[y] as their last argument, an empty array when the
-second derivatives are not wanted; the numpy kernels return a tuple of
-arrays, the loops one 2-D array with a row per output.  The backend is
-chosen once at import time: numba when it is importable, numpy when it is
-not or when the environment variable ``COUNTREG_NO_NUMBA`` is set to a
-non-empty value other than ``"0"``.  ``BACKEND`` names the choice.
+tests use).  The loops compute the same mixture, with one test per row for
+the mixed case.  Both take the float counts, the means and the shape, then
+L[y], D[y] and T[y], an empty array when the second derivatives are not
+wanted; the numpy kernels return a tuple of arrays, the loops one 2-D array
+with a row per output.  The backend is chosen once at import time: numba
+when it is importable, numpy when it is not or when the environment
+variable ``COUNTREG_NO_NUMBA`` is set to a non-empty value other than
+``"0"``.  ``BACKEND`` names the choice.
 
-Kernels take the response as a float64 array of integer-valued counts, the
-mean ``lam`` (and for the zero-inflated family the structural-zero
-probability ``p``) as float64 arrays, and the shape ``tau`` as a scalar.
+The mean ``lam`` (and for the zero-inflated family the structural-zero
+probability ``p``) are float64 arrays and the shape ``tau`` a scalar.
 Reductions over observations happen in the callers in fixed index order, so
 results are reproducible run to run.
 """
@@ -57,7 +71,7 @@ __all__ = [
     "zinb_loglik_score",
     "nb_logpmf",
     "zinb_logpmf",
-    "log_factorial",
+    "Counts",
     "warm_up",
 ]
 
@@ -65,26 +79,30 @@ __all__ = [
 _TABLE_MAX = 4096  # largest count whose terms come from the per-call table
 
 
-def _table_index(y):
-    """(k, big, k_all): each row's index into a per-call table over the
-    counts k_all = 0..min(max y, _TABLE_MAX), and the mask of the rows past
-    the table (index 0), whose terms take closed forms instead."""
-    big = y > _TABLE_MAX
-    k = np.where(big, 0.0, y).astype(np.intp)
-    return k, big, np.arange(k.max(initial=0) + 1.0)
+class Counts:
+    """A response prepared once for the kernels.
+
+    ``y`` is the counts as float64, ``k`` each row's index into the tables
+    over the counts ``k_all`` = 0..min(max y, _TABLE_MAX), ``big`` the
+    indices of the rows past the table (their k is 0), whose terms take
+    closed forms instead, and ``log_fact`` lgamma(y + 1) per row, gathered
+    from one table.
+    """
+
+    def __init__(self, y):
+        self.y = np.asarray(y, dtype=np.float64)
+        past = self.y > _TABLE_MAX
+        self.big = np.flatnonzero(past)
+        self.k = np.zeros(self.y.size, dtype=np.intp)  # one n-array, no float temporary
+        np.copyto(self.k, self.y, casting="unsafe", where=~past)
+        self.k_all = np.arange(self.k.max(initial=0) + 1.0)
+        self.log_fact = gammaln(self.k_all + 1.0)[self.k]
+        self.log_fact[self.big] = gammaln(self.y[self.big] + 1.0)
 
 
-def log_factorial(y):
-    """lgamma(y + 1) per row, gathered from one table over the counts."""
-    k, big, k_all = _table_index(y)
-    out = gammaln(k_all + 1.0)[k]
-    if big.any():
-        out[big] = gammaln(y[big] + 1.0)
-    return out
-
-
-def _count_terms(y, tau, hessian=False):
-    """(L[y], D[y], T[y]) per row, T empty unless ``hessian``; see above.
+def _count_terms(counts, tau, hessian=False):
+    """(L[y] - log(y!), D[y], T[y]) per row of ``counts``, T empty unless
+    ``hessian``; see above.
 
     Rounding in the log1p sum grows with k, so a table entry whose lgamma
     difference has the smaller error bound takes that instead: the sum wins
@@ -94,7 +112,7 @@ def _count_terms(y, tau, hessian=False):
     where the series' truncation error is below 1e-14.  The series are
     written in reciprocals, so no power of tau can overflow.
     """
-    k, big, k_all = _table_index(y)
+    k, big, k_all = counts.k, counts.big, counts.k_all
     L = np.zeros(k_all.size)
     D = np.zeros(k_all.size)
     np.cumsum(np.log1p(k_all[:-1] / tau), out=L[1:])
@@ -109,10 +127,9 @@ def _count_terms(y, tau, hessian=False):
     sum_bound = np.cumsum(L)  # both bounds in units of the float64 epsilon
     diff_bound = np.abs(lg_k_tau) + abs(lg_tau) + np.abs(k_log_tau)
     L = np.where(sum_bound <= diff_bound, L, lg_k_tau - lg_tau - k_log_tau)
-    L -= gammaln(k_all + 1.0)
     Ly, Dy = L[k], D[k]
-    if big.any():
-        yb = y[big]
+    if big.size:
+        yb = counts.y[big]
         if tau < 1e3:
             Lb = gammaln(yb + tau) - lg_tau - yb * math.log(tau)
             Db = digamma(yb + tau) - digamma(tau)
@@ -129,8 +146,9 @@ def _count_terms(y, tau, hessian=False):
                     yb * rt * rx * (1 + (rt + rx) / 2)
                     + (rt**3 - rx**3) / 6 - (rt**5 - rx**5) / 30
                 )
-        Ly[big] = Lb - gammaln(yb + 1.0)
+        Ly[big] = Lb
         Dy[big] = Db
+    Ly -= counts.log_fact
     return Ly, Dy, Ty
 
 
@@ -154,32 +172,25 @@ def nb_loglik_score_numpy(y, lam, tau, Ly, Dy, Ty):
 
 
 def zinb_loglik_score_numpy(y, lam, p, tau, Ly, Dy, Ty):
-    rows, u, dt, *second = nb_loglik_score_numpy(y, lam, tau, Ly, Dy, Ty)
-    zero = y == 0
-    logb = rows[zero]  # log P_NB(0)
-    with np.errstate(divide="ignore"):
-        log_q = np.log1p(-p)  # log(1 - p); -inf at p == 1
-    rows += log_q
-    v = -p
-    pz, qz = p[zero], log_q[zero]
-    b = qz + logb  # log((1-p) P_NB(0))
+    nb, u, dt, *second = nb_loglik_score_numpy(y, lam, tau, Ly, Dy, Ty)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        loga = np.logaddexp(np.log(pz), b)  # log P_ZINB(0)
-        w0 = np.exp(b - loga)  # (1-p) P_NB(0) / P_ZINB(0)
-        # p == 0 rows would hit 0 * inf when P_ZINB(0) underflows
-        v[zero] = np.where(pz > 0.0, pz * (np.exp(qz - loga) - w0), 0.0)
-    rows[zero] = loga
-    if second:
-        # a zero row is log(p + (1-p) P_NB(0)): the NB (ee, et, tt) weighted
-        # by w0, plus w0 (1 - w0) times products of the NB scores
-        uz, dz, vz, mix = u[zero], dt[zero], v[zero], w0 * (1.0 - w0)
-        for h, a, b in zip(second, (uz, uz, dz), (uz, dz, dz)):
-            h[zero] = w0 * h[zero] + mix * a * b
-        hes, hst, hss = np.zeros_like(p), np.zeros_like(p), -p * (1.0 - p)
-        hes[zero], hst[zero], hss[zero] = -mix * uz, -mix * dz, vz * (1.0 - 2.0 * pz - vz)
-        second = [second[0], hes, second[1], hss, hst, second[2]]
-    u[zero] *= w0
-    dt[zero] *= w0
+        a = np.log(np.where(y == 0.0, p, 0.0))  # log p; -inf where y > 0
+        b = nb + np.log1p(-p)  # log((1-p) P_NB(y))
+        rows = np.logaddexp(a, b)
+        mixed = a > -np.inf
+        pi0 = np.where(mixed, np.exp(a - rows), 0.0)
+        w0 = np.where(mixed, np.exp(b - rows), 1.0)
+        v = np.where(mixed, pi0 * (1.0 - p) * -np.expm1(nb), -p)
+        if second:
+            m = w0 * pi0  # w0 (1 - w0), free of its cancellation
+            mu, mdt = m * u, m * dt
+            ee, et, tt = second
+            second = [
+                w0 * ee + mu * u, -mu, w0 * et + mu * dt,
+                v * (1.0 - 2.0 * p - v), -mdt, w0 * tt + mdt * dt,
+            ]
+    u *= w0
+    dt *= w0
     return rows, u, v, dt, *second
 
 
@@ -224,31 +235,22 @@ def _zinb_loglik_score_loop(y, lam, p, tau, Ly, Dy, Ty):
     n, hessian = y.shape[0], Ty.shape[0] > 0
     out = np.empty((10 if hessian else 4, n))
     for i in range(n):
-        yi, pi = y[i], p[i]
-        row, u, dt, ee, et, tt = _nb_row(yi, lam[i], tau, Ly[i], Dy[i], Ty[i] if hessian else 0.0)
-        es, st = 0.0, 0.0
-        if yi > 0.0:
-            row = -math.inf if pi >= 1.0 else row + math.log1p(-pi)
-            v, ss = -pi, -pi * (1.0 - pi)
-        elif pi <= 0.0:
-            v, ss = 0.0, 0.0
-        elif pi >= 1.0:
-            row, u, v, dt, ee, et, tt, ss = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-        else:
-            a = math.log(pi)
-            b = math.log1p(-pi) + row
-            mx = max(a, b)
-            row = mx + math.log(math.exp(a - mx) + math.exp(b - mx))
-            w0 = math.exp(b - row)
-            mix = w0 * (1.0 - w0)
-            v = pi * (math.exp(math.log1p(-pi) - row) - w0)
-            ee = w0 * ee + mix * u * u
-            et = w0 * et + mix * u * dt
-            tt = w0 * tt + mix * dt * dt
-            es, st = -mix * u, -mix * dt
-            ss = v * (1.0 - 2.0 * pi - v)
-            u, dt = u * w0, dt * w0
-        terms = (row, u, v, dt, ee, es, et, ss, st, tt)
+        pi = p[i]
+        nb, u, dt, ee, et, tt = _nb_row(y[i], lam[i], tau, Ly[i], Dy[i], Ty[i] if hessian else 0.0)
+        row = nb + (math.log1p(-pi) if pi < 1.0 else -math.inf)
+        pi0, w0, v = 0.0, 1.0, -pi
+        if y[i] == 0.0 and pi > 0.0:
+            a, b = math.log(pi), row
+            row = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+            pi0, w0 = math.exp(a - row), math.exp(b - row)
+            v = pi0 * (1.0 - pi) * -math.expm1(nb)
+        m = w0 * pi0
+        mu, mdt = m * u, m * dt
+        terms = (
+            row, w0 * u, v, w0 * dt,
+            w0 * ee + mu * u, -mu, w0 * et + mu * dt,
+            v * (1.0 - 2.0 * pi - v), -mdt, w0 * tt + mdt * dt,
+        )
         for j in range(out.shape[0]):
             out[j, i] = terms[j]
     return out
@@ -283,30 +285,30 @@ else:
     _nb_kernel, _zinb_kernel = nb_loglik_score_numpy, zinb_loglik_score_numpy
 
 
-def nb_loglik_score(y, lam, tau, hessian=False):
+def nb_loglik_score(counts, lam, tau, hessian=False):
     """NB row log pmf and its derivatives in eta and tau: (rows, u, dt),
     then with ``hessian`` the second derivatives (ee, et, tt)."""
-    return _nb_kernel(y, lam, tau, *_count_terms(y, tau, hessian))
+    return _nb_kernel(counts.y, lam, tau, *_count_terms(counts, tau, hessian))
 
 
-def zinb_loglik_score(y, lam, p, tau, hessian=False):
+def zinb_loglik_score(counts, lam, p, tau, hessian=False):
     """ZINB row log pmf and its derivatives in eta, logit(p) and tau:
     (rows, u, v, dt), then with ``hessian`` the second derivatives
     (ee, es, et, ss, st, tt)."""
-    return _zinb_kernel(y, lam, p, tau, *_count_terms(y, tau, hessian))
+    return _zinb_kernel(counts.y, lam, p, tau, *_count_terms(counts, tau, hessian))
 
 
 def nb_logpmf(y, lam, tau):
-    return nb_loglik_score(y, lam, tau)[0]
+    return nb_loglik_score(Counts(y), lam, tau)[0]
 
 
 def zinb_logpmf(y, lam, p, tau):
-    return zinb_loglik_score(y, lam, p, tau)[0]
+    return zinb_loglik_score(Counts(y), lam, p, tau)[0]
 
 
 def warm_up():
     """Trigger JIT compilation of every kernel (no-op on the numpy backend)."""
-    y = np.array([0.0, 3.0])
+    y = Counts([0.0, 3.0])
     lam = np.array([0.5, 2.0])
     p = np.array([0.0, 0.3])
     nb_loglik_score(y, lam, 1.5)

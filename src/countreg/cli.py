@@ -116,6 +116,17 @@ def _parse_refs(pairs: list[str]) -> dict[str, str]:
     return refs
 
 
+def _model_spec(args, family: str, response: str) -> ModelSpec:
+    """The model the covariate options describe; only ZINB has a zero part."""
+    return ModelSpec(
+        family,
+        response,
+        _split(args.covariates),
+        _split(args.zero_covariates) if family == "zinb" else [],
+        _parse_refs(args.ref),
+    )
+
+
 def _load_dataset(args):
     """Dataset plus the name of its response column."""
     if args.preset:
@@ -141,14 +152,7 @@ def _run_fit(args) -> int:
     ds, response = _load_dataset(args)
     if not response:
         raise ConfigurationError("fit requires --response (or a --preset that names one)")
-    spec = ModelSpec(
-        args.family,
-        response,
-        _split(args.covariates),
-        _split(args.zero_covariates) if args.family == "zinb" else [],
-        _parse_refs(args.ref),
-    )
-    result = fit(spec, ds, FitOptions())
+    result = fit(_model_spec(args, args.family, response), ds, FitOptions())
     table_rows = irr_table(result)
     json_text = report.to_json_text(
         report.fit_report_dict(result, irr_table(result, include_intercepts=True), ds.dropped_rows)
@@ -195,14 +199,7 @@ def _run_diagnose(args) -> int:
     fitted = None
     exit_code = EXIT_OK
     if args.family:
-        spec = ModelSpec(
-            args.family,
-            response,
-            _split(args.covariates),
-            _split(args.zero_covariates) if args.family == "zinb" else [],
-            _parse_refs(args.ref),
-        )
-        fitted = fit(spec, ds, FitOptions())
+        fitted = fit(_model_spec(args, args.family, response), ds, FitOptions())
         if not fitted.converged:
             exit_code = EXIT_NO_CONVERGENCE
     disp = diagnostics.dispersion_summary(y)
@@ -234,19 +231,10 @@ def _run_compare(args) -> int:
     ds, response = _load_dataset(args)
     if not response:
         raise ConfigurationError("compare requires --response")
-    covariates = _split(args.covariates)
-    zero_covariates = _split(args.zero_covariates)
-    refs = _parse_refs(args.ref)
-    fits = []
-    for family in ("poisson", "nb", "zinb"):
-        spec = ModelSpec(
-            family,
-            response,
-            covariates,
-            zero_covariates if family == "zinb" else [],
-            refs,
-        )
-        fits.append(fit(spec, ds, FitOptions()))
+    fits = [
+        fit(_model_spec(args, family, response), ds, FitOptions())
+        for family in ("poisson", "nb", "zinb")
+    ]
     rows = compare_models(fits)
     if args.fmt == "json":
         text = report.to_json_text(report.comparison_report_dict(rows))

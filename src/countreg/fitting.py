@@ -134,46 +134,51 @@ def _zero_predictor(Z: DesignMatrix, gamma: np.ndarray) -> np.ndarray:
     return s
 
 
+def _row_terms(spec, X, Z, counts, params, hessian=False) -> tuple:
+    """Row log pmfs, the row derivatives in eta, logit(p) and tau (then,
+    with ``hessian``, the upper triangle of their second derivatives), and
+    the designs [X, Z, tau * 1] those derivatives meet, for the family of
+    ``spec`` at ``params``."""
+    _check_finite_params(params)
+    y = counts.y
+    eta = _count_predictor(X, params.beta)
+    lam = np.exp(eta)
+    designs = [X.values]
+    if spec.family == "poisson":
+        rows = y * eta - lam - counts.log_fact
+        terms = [y - lam, -lam]
+    else:
+        tau = _tau_of(params)
+        if spec.family == "nb":
+            rows, *terms = _kernels.nb_loglik_score(counts, lam, tau, hessian)
+        else:
+            p = expit(_zero_predictor(Z, params.gamma))
+            rows, *terms = _kernels.zinb_loglik_score(counts, lam, p, tau, hessian)
+            designs.append(Z.values)
+        designs.append(np.full((y.size, 1), tau))
+    return rows, terms, designs
+
+
 def _loglik_score(
     spec: ModelSpec,
     X: DesignMatrix,
     Z: DesignMatrix | None,
-    y: np.ndarray,
+    counts: _kernels.Counts,
     params: ParamVector,
     w: np.ndarray | float = 1.0,
-    log_y_factorial: np.ndarray | None = None,
     hessian: bool = False,
 ) -> tuple:
     """Log-likelihood and its analytic gradient, and with ``hessian`` its
     analytic Hessian, from one pass over the rows.
 
     Row ``i`` counts ``w[i]`` times: the number of observations that share
-    its (y, x, z) pattern, or 1 for every row.  ``log_y_factorial`` is
-    log(y!) for the Poisson family, computed here when not given.  Gradient
-    layout matches the family: [beta] for poisson, [beta, log_tau] for nb,
-    [beta, gamma, log_tau] for zinb.  The row derivatives in eta, logit(p)
-    and tau meet the designs [X, Z, tau * 1] block by block; the log-tau
-    chain term, tau * dl/dtau, joins the last diagonal entry.
+    its (y, x, z) pattern, or 1 for every row.  Gradient layout matches the
+    family: [beta] for poisson, [beta, log_tau] for nb, [beta, gamma,
+    log_tau] for zinb.  The row derivatives in eta, logit(p) and tau meet
+    the designs [X, Z, tau * 1] block by block; the log-tau chain term,
+    tau * dl/dtau, joins the last diagonal entry.
     """
-    _check_finite_params(params)
-    yf = np.asarray(y, dtype=np.float64)
-    eta = _count_predictor(X, params.beta)
-    lam = np.exp(eta)
-    designs = [X.values]
-    if spec.family == "poisson":
-        if log_y_factorial is None:
-            log_y_factorial = _kernels.log_factorial(yf)
-        rows = yf * eta - lam - log_y_factorial
-        terms = [yf - lam, -lam]
-    else:
-        tau = _tau_of(params)
-        if spec.family == "nb":
-            rows, *terms = _kernels.nb_loglik_score(yf, lam, tau, hessian)
-        else:
-            p = expit(_zero_predictor(Z, params.gamma))
-            rows, *terms = _kernels.zinb_loglik_score(yf, lam, p, tau, hessian)
-            designs.append(Z.values)
-        designs.append(np.full((yf.size, 1), tau))
+    rows, terms, designs = _row_terms(spec, X, Z, counts, params, hessian)
     k = len(designs)
     ll = float(np.sum(w * rows))
     grad = np.concatenate([np.einsum("ni,n->i", D, w * t) for D, t in zip(designs, terms)])
@@ -192,12 +197,12 @@ def _loglik_score(
 
 def log_likelihood(spec, X, Z, y, params) -> float:
     """Sum of per-observation log pmfs under the family of ``spec``."""
-    return _loglik_score(spec, X, Z, y, params)[0]
+    return float(np.sum(_row_terms(spec, X, Z, _kernels.Counts(y), params)[0]))
 
 
 def gradient(spec, X, Z, y, params) -> np.ndarray:
     """Analytic gradient of the log-likelihood, laid out as in `_loglik_score`."""
-    return _loglik_score(spec, X, Z, y, params)[1]
+    return _loglik_score(spec, X, Z, _kernels.Counts(y), params)[1]
 
 
 def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -232,9 +237,12 @@ def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | 
 class _Problem:
     """Maps the optimizer's free vector onto a full ParamVector and back.
 
-    The objective runs over the distinct (y, x, z) rows, each weighted by
-    how often it occurs, which is the full-data likelihood exactly.  Where
-    every row is distinct the rows are used as given, with unit weights.
+    ``theta`` is the full vector [beta, gamma, log_tau] in the gradient's
+    layout, holding the pinned entries of ``FitOptions``; ``mask`` marks
+    the free ones.  The objective runs over the distinct (y, x, z) rows,
+    each weighted by how often it occurs, which is the full-data likelihood
+    exactly.  Where every row is distinct the rows are used as given, with
+    unit weights.
     """
 
     def __init__(self, spec, X, Z, y, options):
@@ -251,55 +259,38 @@ class _Problem:
             if Z is not None:
                 Z = DesignMatrix(Z.values[first], Z.labels)
             self.w = counts.astype(np.float64)
-        self.X, self.Z, self.y = X, Z, y
-        # parameter-free, so gathered once rather than on every evaluation
-        self.log_y_factorial = _kernels.log_factorial(y) if spec.family == "poisson" else None
+        self.X, self.Z = X, Z
+        # parameter-free, so prepared once rather than on every evaluation
+        self.counts = _kernels.Counts(y)
         self.d = X.n_cols
-        self.q = Z.n_cols if Z is not None else 0
-        self.fix_gamma = None
+        self.q = Z.n_cols if spec.family == "zinb" else 0
+        self.labels = list(X.labels)
+        if self.q:
+            self.labels += [f"zero:{lab}" for lab in Z.labels]
+        if spec.family != "poisson":
+            self.labels.append("log_tau")
+        self.theta = np.zeros(len(self.labels))
+        self.mask = np.ones(self.theta.size, dtype=bool)
         if options.fix_gamma is not None:
             fixed = np.asarray(options.fix_gamma, dtype=np.float64)
             if fixed.shape != (self.q,):
                 raise SchemaError(
                     f"fix_gamma has shape {fixed.shape}, zero design has {self.q} columns"
                 )
-            self.fix_gamma = fixed
-        self.fix_log_tau = options.fix_log_tau
-        self.gamma_free = spec.family == "zinb" and self.fix_gamma is None
-        self.tau_free = spec.family != "poisson" and self.fix_log_tau is None
-        mask = [True] * self.d
-        if spec.family == "zinb":
-            mask += [self.gamma_free] * self.q
-        if spec.family != "poisson":
-            mask += [self.tau_free]
-        self.mask = np.asarray(mask)
+            self.theta[self.d : self.d + self.q] = fixed
+            self.mask[self.d : self.d + self.q] = False
+        if options.fix_log_tau is not None and spec.family != "poisson":
+            self.theta[-1] = options.fix_log_tau
+            self.mask[-1] = False
 
-    def to_params(self, theta: np.ndarray) -> ParamVector:
-        beta = theta[: self.d]
-        pos = self.d
-        if self.spec.family == "zinb":
-            if self.gamma_free:
-                gamma = theta[pos : pos + self.q]
-                pos += self.q
-            else:
-                gamma = self.fix_gamma
-        else:
-            gamma = np.empty(0)
-        if self.spec.family == "poisson":
-            log_tau = None
-        elif self.tau_free:
-            log_tau = float(theta[pos])
-        else:
-            log_tau = float(self.fix_log_tau)
-        return ParamVector(beta, gamma, log_tau)
+    def to_params(self, free: np.ndarray) -> ParamVector:
+        theta = self.theta.copy()
+        theta[self.mask] = free
+        log_tau = None if self.spec.family == "poisson" else float(theta[-1])
+        return ParamVector(theta[: self.d], theta[self.d : self.d + self.q], log_tau)
 
     def free_labels(self) -> list[str]:
-        labels = list(self.X.labels)
-        if self.gamma_free:
-            labels += [f"zero:{lab}" for lab in self.Z.labels]
-        if self.tau_free:
-            labels.append("log_tau")
-        return labels
+        return [lab for lab, free in zip(self.labels, self.mask) if free]
 
     def objective(self, theta):
         """Log-likelihood, free gradient and free Hessian, or -inf (with
@@ -310,8 +301,8 @@ class _Problem:
             # produce inf or nan; such a point is inadmissible
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 ll, grad, hess = _loglik_score(
-                    self.spec, self.X, self.Z, self.y, self.to_params(theta), self.w,
-                    self.log_y_factorial, hessian=True,
+                    self.spec, self.X, self.Z, self.counts, self.to_params(theta), self.w,
+                    hessian=True,
                 )
         except CountregError:
             pass
@@ -326,22 +317,18 @@ class _Problem:
         """Free vector of the single start point, shared by every family.
 
         beta is zero but for the intercept at log(mean(y) + 0.1), log_tau is
-        0, and the zero-part intercept is the logit of the empirical
-        excess-zero fraction over what the NB count part explains there.
+        0 unless pinned, and the zero-part intercept is the logit of the
+        empirical excess-zero fraction over what the NB count part explains
+        there.
         """
-        beta = np.zeros(self.d)
-        beta[0] = math.log(float(self.w @ self.y) / self.n_obs + 0.1)
-        pieces = [beta]
-        if self.gamma_free:
-            tau = 1.0 if self.fix_log_tau is None else math.exp(self.fix_log_tau)
-            implied = math.exp(-tau * math.log1p(math.exp(beta[0]) / tau))
-            excess = max(float(self.w @ (self.y == 0)) / self.n_obs - implied, 0.01)
-            gamma = np.zeros(self.q)
-            gamma[0] = math.log(excess) - math.log1p(-excess)
-            pieces.append(gamma)
-        if self.tau_free:
-            pieces.append(np.zeros(1))
-        return np.concatenate(pieces)
+        y, d, theta = self.counts.y, self.d, self.theta.copy()
+        theta[0] = math.log(float(self.w @ y) / self.n_obs + 0.1)
+        if self.q and self.mask[d]:
+            tau = math.exp(theta[-1])
+            implied = math.exp(-tau * math.log1p(math.exp(theta[0]) / tau))
+            excess = max(float(self.w @ (y == 0)) / self.n_obs - implied, 0.01)
+            theta[d] = math.log(excess) - math.log1p(-excess)
+        return theta[self.mask]
 
 
 def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitResult:
@@ -392,7 +379,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
     except ValueError:
         # the objective reads evaluation errors as -inf: evaluate the start
         # unguarded on the full rows, so the error names the row at fault
-        ll = _loglik_score(spec, X, Z, y, problem.to_params(x0))[0]
+        ll = log_likelihood(spec, X, Z, y, problem.to_params(x0))
         if math.isfinite(ll):
             raise
         raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None

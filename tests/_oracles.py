@@ -32,6 +32,13 @@ def zinb_log_pmf(y: int, lam, p, tau) -> float:
     return float(mp.log(1 - p)) + nb_log_pmf(y, lam, tau)
 
 
+def zinb_zero_score_logit(lam, p, tau) -> float:
+    """d/ds log P_ZINB(0) in s = logit(p): p (1-p) (1 - P_NB(0)) / P_ZINB(0)."""
+    lam, p, tau = mp.mpf(lam), mp.mpf(p), mp.mpf(tau)
+    nb0 = (1 + lam / tau) ** (-tau)
+    return float(p * (1 - p) * (1 - nb0) / (p + (1 - p) * nb0))
+
+
 def poisson_pmf(y: int, lam) -> float:
     lam = mp.mpf(lam)
     return float(mp.e ** (-lam) * lam**y / mp.factorial(y))

@@ -212,7 +212,7 @@ class TestHessianAgainstFiniteDifferences:
         # log tau below and above the 1e3 switch of the past-table forms
         for log_tau in (*rng.uniform(-0.7, 1.5, self.N_POINTS), math.log(2e3), math.log(1e6)):
             theta = rng.uniform(-0.8, 0.8, size=k)
-            if problem.tau_free:
+            if problem.free_labels()[-1] == "log_tau":
                 theta[-1] = log_tau
             ll, _, hess = problem.objective(theta)
             assert math.isfinite(ll)
@@ -266,23 +266,28 @@ class TestFusedObjective:
         assert grad.shape == (len(theta),)
         assert hess.shape == (len(theta), len(theta))
 
-    def test_poisson_fit_gathers_log_factorial_once(self, monkeypatch):
-        calls = []
-        log_factorial = _kernels.log_factorial
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_fit_prepares_counts_once(self, family, monkeypatch):
+        made = []
 
-        def counted(y):
-            calls.append(y.size)
-            return log_factorial(y)
+        class Counted(_kernels.Counts):
+            def __init__(self, y):
+                super().__init__(y)
+                made.append(self.y)
 
-        monkeypatch.setattr(_kernels, "log_factorial", counted)
-        ds = _nb_sim()
-        spec = ModelSpec("poisson", "y", ["x"])
+        monkeypatch.setattr(_kernels, "Counts", Counted)
+        ds = _zinb_sim() if family == "zinb" else _nb_sim()
+        spec = ModelSpec(family, "y", ["x"])
         res = fit(spec, ds)
         assert res.converged and res.n_iterations > 1
-        assert calls == [ds.n_rows]  # every row distinct: nothing collapses
-        # the gathered table gives the logL the public function computes afresh
+        assert made[0].size == ds.n_rows  # every row distinct: nothing collapses
+        # the zero-probability step prepares its own all-zero response
+        assert len(made) == (1 if family == "poisson" else 2)
+        assert all(c.size == ds.n_rows and not c.any() for c in made[1:])
+        # the prepared counts give the logL the public function computes afresh
         X, y = build_design(ds, ["x"]), ds.response_vector("y")
-        assert log_likelihood(spec, X, None, y, res.estimates) == res.log_likelihood
+        Z = build_design(ds, []) if family == "zinb" else None
+        assert log_likelihood(spec, X, Z, y, res.estimates) == res.log_likelihood
 
     def test_non_finite_gradient_is_inadmissible(self, monkeypatch):
         X, Z, y = _ll6_pieces()
@@ -519,13 +524,13 @@ class TestRowPatterns:
         kernel = getattr(_kernels, name)
         sizes = []
 
-        def counted(y, *args):
-            sizes.append(y.size)
-            return kernel(y, *args)
+        def counted(counts, *args):
+            sizes.append(counts.y.size)
+            return kernel(counts, *args)
 
         monkeypatch.setattr(_kernels, name, counted)
         monkeypatch.setattr(
-            _kernels, f"{family}_logpmf", lambda *args: kernel(*args)[0]
+            _kernels, f"{family}_logpmf", lambda y, *args: kernel(_kernels.Counts(y), *args)[0]
         )
         return sizes
 
@@ -564,7 +569,7 @@ class TestRowPatterns:
         X = build_design(ds, spec.count_covariates)
         Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
         y = ds.response_vector("y")
-        assert _Problem(spec, X, Z, y, FitOptions()).y.size < 100
+        assert _Problem(spec, X, Z, y, FitOptions()).counts.y.size < 100
         assert res.converged, res.message
         ll = log_likelihood(spec, X, Z, y, res.estimates)
         assert ll == pytest.approx(res.log_likelihood, rel=1e-12)

@@ -37,33 +37,37 @@ def _loop_kernels():
     return loops
 
 
+def _count_terms(y, tau, hessian=False):
+    return _kernels._count_terms(_kernels.Counts(y), tau, hessian)
+
+
 def _nb_numpy(y, lam, tau):
-    return _kernels.nb_loglik_score_numpy(y, lam, tau, *_kernels._count_terms(y, tau))
+    return _kernels.nb_loglik_score_numpy(y, lam, tau, *_count_terms(y, tau))
 
 
 def _zinb_numpy(y, lam, p, tau):
-    return _kernels.zinb_loglik_score_numpy(y, lam, p, tau, *_kernels._count_terms(y, tau))
+    return _kernels.zinb_loglik_score_numpy(y, lam, p, tau, *_count_terms(y, tau))
 
 
 class TestNumpyKernels:
     def test_digamma_diff_matches_scipy(self):
         y, _, _, tau = _random_grid(1)
-        got = _kernels._count_terms(y, tau)[1]
+        got = _count_terms(y, tau)[1]
         want = digamma(y + tau) - digamma(tau)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_digamma_diff_large_tau(self):
         # rational-sum form must not cancel at tau >> y
         y = np.array([0.0, 1.0, 7.0])
-        got = _kernels._count_terms(y, 1e8)[1]
+        got = _count_terms(y, 1e8)[1]
         want = np.array([0.0, 1e-8, sum(1.0 / (1e8 + k) for k in range(7))])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_log_factorial_matches_gammaln(self):
         # table rows and rows past the table take the same lgamma arguments
         y = np.array([0.0, 1.0, 7.0, 4096.0, 4097.0, 1e6, 3.0, 0.0])
-        assert np.array_equal(_kernels.log_factorial(y), gammaln(y + 1.0))
-        assert _kernels.log_factorial(np.empty(0)).shape == (0,)
+        assert np.array_equal(_kernels.Counts(y).log_fact, gammaln(y + 1.0))
+        assert _kernels.Counts(np.empty(0)).log_fact.shape == (0,)
 
     def test_nb_logpmf_matches_oracle(self):
         y, lam, _, grid_tau = _random_grid(2, n=16)
@@ -94,7 +98,7 @@ class TestNumpyKernels:
             want = [_oracles.nb_log_pmf(int(v), m, tau) for v, m in zip(y, lam)]
             # any float64 evaluation carries the rounding of lgamma(y + 1)
             np.testing.assert_array_less(np.abs(rows - want), 1e-15 * gammaln(y + 1))
-            got = _kernels._count_terms(y, tau)[1]
+            got = _count_terms(y, tau)[1]
             want = [float(mp.digamma(int(v) + mp.mpf(tau)) - mp.digamma(tau)) for v in y]
             np.testing.assert_allclose(got, want, rtol=1e-14)
         got = nb_log_pmf(10**9, NbParams(1e9, 2.0))
@@ -106,10 +110,10 @@ class TestNumpyKernels:
         # polygamma difference below tau = 1e3 and the Stirling series above
         y = np.array([0.0, 1.0, 7.0, 4096.0, 5e3, 1e5, 1e6])
         for tau in (0.5, 2.0, 50.0, 999.0, 1e3, 1e4, 1e8, 1e15):
-            got = _kernels._count_terms(y, tau, hessian=True)[2]
+            got = _count_terms(y, tau, hessian=True)[2]
             want = [float(mp.psi(1, tau) - mp.psi(1, int(v) + mp.mpf(tau))) for v in y]
             np.testing.assert_allclose(got, want, rtol=2e-14, atol=0)
-        assert _kernels._count_terms(y, 2.0)[2].size == 0
+        assert _count_terms(y, 2.0)[2].size == 0
 
     def test_nb_grad_rows_match_finite_differences(self):
         y, lam, _, tau = _random_grid(4, n=24)
@@ -153,6 +157,43 @@ class TestNumpyKernels:
         np.testing.assert_allclose(v, 0.0, atol=1e-15)
 
 
+class TestZinbMixture:
+    """Every ZINB row is the mixture of a structural zero and an NB count;
+    the structural-zero component is absent where y > 0."""
+
+    @staticmethod
+    def _kernels():
+        return [
+            (_kernels.nb_loglik_score_numpy, _kernels.zinb_loglik_score_numpy),
+            *_loop_kernels(),
+        ]
+
+    def test_positive_rows_are_nb_rows(self):
+        y, lam, p, tau = _random_grid(17)
+        y += 1.0
+        for hessian in (False, True):
+            terms = _count_terms(y, tau, hessian)
+            for nb_kernel, zinb_kernel in self._kernels():
+                rows_nb, u_nb, dt_nb = nb_kernel(y, lam, tau, *terms)[:3]
+                rows, u, v, dt = zinb_kernel(y, lam, p, tau, *terms)[:4]
+                assert np.array_equal(rows, rows_nb + np.log1p(-p))
+                assert np.array_equal(u, u_nb)
+                assert np.array_equal(dt, dt_nb)
+                assert np.array_equal(v, -p)
+
+    def test_zero_row_logit_score_matches_oracle(self):
+        # 1 - P_NB(0) comes from expm1, so v keeps its digits as P_NB(0) -> 1
+        lam, p = np.meshgrid(np.logspace(-10, 2, 13), np.logspace(-14, math.log10(0.99), 8))
+        lam, p = lam.ravel(), p.ravel()
+        y = np.zeros(lam.size)
+        for tau in (0.3, 1.5, 40.0, 1e6):
+            want = [_oracles.zinb_zero_score_logit(m, q, tau) for m, q in zip(lam, p)]
+            terms = _count_terms(y, tau)
+            for _, zinb_kernel in self._kernels():
+                v = zinb_kernel(y, lam, p, tau, *terms)[2]
+                np.testing.assert_allclose(v, want, rtol=1e-12, atol=0)
+
+
 class TestBackendAgreement:
     """The scalar-loop kernels must agree with the numpy reference to rounding.
 
@@ -164,7 +205,7 @@ class TestBackendAgreement:
     @staticmethod
     def _check(y, lam, p, tau):
         for hessian in (False, True):
-            terms = _kernels._count_terms(y, tau, hessian)
+            terms = _count_terms(y, tau, hessian)
             want_nb = _kernels.nb_loglik_score_numpy(y, lam, tau, *terms)
             want_zinb = _kernels.zinb_loglik_score_numpy(y, lam, p, tau, *terms)
             for nb_loop, zinb_loop in _loop_kernels():
