@@ -100,7 +100,7 @@ class ModelSpec:
 
 @dataclass
 class DesignMatrix:
-    values: np.ndarray  # (n_rows, d), intercept first
+    values: np.ndarray  # (n_rows, d), intercept first; column-major from build_design
     labels: list[str]  # "(intercept)", "variable=level", or numeric names
 
     @property
@@ -257,6 +257,9 @@ def build_design(
     ("variable=level" labels, vocabulary order); the reference defaults to the
     first vocabulary level.  Count and numeric covariates pass through as a
     single column.  Deterministic: identical inputs give identical columns.
+
+    The values are column-major (Fortran order): each column is contiguous,
+    which is the layout the fitter's per-row sums contract along.
     """
     reference_levels = reference_levels or {}
     for name, level in reference_levels.items():
@@ -268,7 +271,7 @@ def build_design(
                 f"reference level {level!r} not in vocabulary of '{name}': {col.levels}"
             )
 
-    blocks = [np.ones((ds.n_rows, 1))]
+    columns = [np.ones(ds.n_rows)]
     labels = [INTERCEPT_LABEL]
     for name in covariates:
         col = ds.column(name)
@@ -282,9 +285,11 @@ def build_design(
             for code, level in enumerate(col.levels):
                 if code == ref_code:
                     continue
-                blocks.append((col.values == code).astype(np.float64).reshape(-1, 1))
+                columns.append(col.values == code)
                 labels.append(f"{name}={level}")
         else:
-            blocks.append(np.asarray(col.values, dtype=np.float64).reshape(-1, 1))
+            columns.append(col.values)
             labels.append(name)
-    return DesignMatrix(np.hstack(blocks), labels)
+    # the columns are the rows of one (d, n) array: its transpose is the
+    # design in column-major order, with no second copy
+    return DesignMatrix(np.array(columns, dtype=np.float64).T, labels)

@@ -2,8 +2,9 @@
 
 Mean model: log(lam_i) = x_i' beta.  Zero model (ZINB): logit(p_i) = z_i' gamma.
 The shape parameter is optimized as log_tau so positivity needs no constraint.
-ZINB likelihood terms go through the same pmf kernels as the distributions
-module, so likelihood and pmf cannot drift apart.
+NB and ZINB likelihood terms go through the same pmf kernels as the
+distributions module, so likelihood and pmf cannot drift apart; the fitted
+zero probabilities are the kernels' y = 0 terms in closed form.
 
 A fit runs on the distinct (y, x, z) row patterns, each weighted by its
 count: with categorical or count covariates the likelihood depends on the
@@ -11,9 +12,13 @@ rows only through those patterns, so the weighted sums are the full-data
 likelihood and score, exact to rounding.  Where every row is distinct, the
 patterns are the rows in their given order with unit weights.
 
-Per-observation sums go through numpy reductions and ``np.einsum``, whose
-summation order does not depend on the BLAS thread count, so repeated fits
-on identical input are bit-identical.
+Designs are column-major, as `build_design` returns them: the fitter takes
+each design transposed, one contiguous row per column, and the per-row sums
+of the gradient and Hessian are ``np.einsum`` contractions along those rows.
+Their summation order, like that of the numpy reductions, does not depend
+on the BLAS thread count, so repeated fits on identical input are
+bit-identical.  A row-major design gives the same sums to rounding, only
+more slowly.
 """
 
 import math
@@ -137,13 +142,13 @@ def _zero_predictor(Z: DesignMatrix, gamma: np.ndarray) -> np.ndarray:
 def _row_terms(spec, X, Z, counts, params, hessian=False) -> tuple:
     """Row log pmfs, the row derivatives in eta, logit(p) and tau (then,
     with ``hessian``, the upper triangle of their second derivatives), and
-    the designs [X, Z, tau * 1] those derivatives meet, for the family of
-    ``spec`` at ``params``."""
+    the transposed designs [X', Z', tau * 1'] those derivatives meet, for
+    the family of ``spec`` at ``params``."""
     _check_finite_params(params)
     y = counts.y
     eta = _count_predictor(X, params.beta)
     lam = np.exp(eta)
-    designs = [X.values]
+    designs = [X.values.T]
     if spec.family == "poisson":
         rows = y * eta - lam - counts.log_fact
         terms = [y - lam, -lam]
@@ -154,8 +159,8 @@ def _row_terms(spec, X, Z, counts, params, hessian=False) -> tuple:
         else:
             p = expit(_zero_predictor(Z, params.gamma))
             rows, *terms = _kernels.zinb_loglik_score(counts, lam, p, tau, hessian)
-            designs.append(Z.values)
-        designs.append(np.full((y.size, 1), tau))
+            designs.append(Z.values.T)
+        designs.append(np.full((1, y.size), tau))
     return rows, terms, designs
 
 
@@ -181,13 +186,13 @@ def _loglik_score(
     rows, terms, designs = _row_terms(spec, X, Z, counts, params, hessian)
     k = len(designs)
     ll = float(np.sum(w * rows))
-    grad = np.concatenate([np.einsum("ni,n->i", D, w * t) for D, t in zip(designs, terms)])
+    grad = np.concatenate([np.einsum("in,n->i", D, w * t) for D, t in zip(designs, terms)])
     if not hessian:
         return ll, grad
     blocks = [[None] * k for _ in range(k)]
     upper = [(a, b) for a in range(k) for b in range(a, k)]
     for (a, b), h in zip(upper, terms[k:]):
-        blocks[a][b] = np.einsum("ni,nj->ij", designs[a] * (w * h)[:, None], designs[b])
+        blocks[a][b] = np.einsum("in,jn->ij", designs[a] * (w * h), designs[b])
         blocks[b][a] = blocks[a][b].T
     H = np.block(blocks)
     if spec.family != "poisson":
@@ -205,25 +210,43 @@ def gradient(spec, X, Z, y, params) -> np.ndarray:
     return _loglik_score(spec, X, Z, _kernels.Counts(y), params)[1]
 
 
+def _zero_probabilities(family, X, Z, params) -> np.ndarray:
+    """P(y = 0) per row of the designs at ``params``, in closed form:
+    exp(-lam) for poisson, P_NB(0) = exp(-tau log1p(lam / tau)), the NB
+    kernel's y = 0 row, for nb, and p + (1 - p) P_NB(0) for zinb."""
+    lam = np.exp(np.clip(X.values @ params.beta, None, ETA_MAX))
+    if family == "poisson":
+        return np.exp(-lam)
+    tau = params.tau
+    p0 = np.exp(-tau * np.log1p(lam / tau))
+    if family == "nb":
+        return p0
+    p = expit(Z.values @ params.gamma)
+    return p + (1.0 - p) * p0
+
+
 def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
     """The distinct rows of equal-length ``columns``: the index of each
     pattern's first row and the pattern's count, or None if every row is
     distinct.
 
-    Each non-constant column adds the codes of a 1-D ``np.unique`` to one
-    mixed-radix int64 key, which is re-coded whenever its range passes the
-    row count; a column or key with a distinct value per row ends the scan.
-    Patterns come in key order, which does not depend on the row order.
+    A column's distinct values come from a plain 1-D ``np.unique``: a column
+    with a distinct value per row ends the scan and a constant one is
+    skipped.  Each other column adds its codes, the positions of its values
+    among the distinct ones, to one mixed-radix int64 key, which is re-coded
+    whenever its range passes the row count; a key with a distinct value per
+    row ends the scan too.  Patterns come in key order, which does not
+    depend on the row order.
     """
     n = columns[0].size
     key, size = np.zeros(n, dtype=np.int64), 1
     for column in columns:
-        values, codes = np.unique(column, return_inverse=True)
+        values = np.unique(column)
         if values.size == n:
             return None
         if values.size == 1:
             continue
-        key = key * values.size + codes
+        key = key * values.size + np.searchsorted(values, column)
         size *= values.size
         if size > n:
             distinct, key = np.unique(key, return_inverse=True)
@@ -255,9 +278,10 @@ class _Problem:
             self.w = np.ones(y.size)
         else:
             first, counts = table
-            X, y = DesignMatrix(X.values[first], X.labels), y[first]
+            # taken along the transpose, so the pattern designs stay column-major
+            X, y = DesignMatrix(X.values.T.take(first, axis=1).T, X.labels), y[first]
             if Z is not None:
-                Z = DesignMatrix(Z.values[first], Z.labels)
+                Z = DesignMatrix(Z.values.T.take(first, axis=1).T, Z.labels)
             self.w = counts.astype(np.float64)
         self.X, self.Z = X, Z
         # parameter-free, so prepared once rather than on every evaluation
@@ -395,16 +419,6 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             f"(eigenvalues {w[0]:.3g} to {w[-1]:.3g})"
         )
 
-    lam = np.exp(np.clip(X.values @ estimates.beta, None, ETA_MAX))
-    yzero = np.zeros(ds.n_rows)
-    if spec.family == "poisson":
-        zero_probs = np.exp(-lam)
-    elif spec.family == "nb":
-        zero_probs = np.exp(_kernels.nb_logpmf(yzero, lam, estimates.tau))
-    else:
-        p = expit(Z.values @ estimates.gamma)
-        zero_probs = np.exp(_kernels.zinb_logpmf(yzero, lam, p, estimates.tau))
-
     return FitResult(
         family=spec.family,
         estimates=estimates,
@@ -420,7 +434,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         gradient_norm=float(np.max(np.abs(res.grad))),
         message=res.message,
         ll_path=res.path,
-        zero_probabilities=zero_probs,
+        zero_probabilities=_zero_probabilities(spec.family, X, Z, estimates),
     )
 
 

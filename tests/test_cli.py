@@ -48,6 +48,17 @@ def data_csv(tmp_path_factory):
 SCHEMA = "y=count,grp=categorical,x=numeric"
 
 
+def _fit_under_blas_threads(threads, *argv):
+    """`countreg fit ... --format json` stdout with OPENBLAS_NUM_THREADS set to
+    ``threads``, or unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    res = run_cli("fit", "--format", "json", *argv, env=env)
+    assert res.returncode == EXIT_OK, res.stderr
+    return res.stdout
+
+
 class TestFit:
     def test_text_output(self, data_csv):
         res = run_cli(
@@ -193,12 +204,7 @@ class TestFit:
 
     def test_preset_nb_fit_does_not_depend_on_blas_threads(self, tmp_path):
         def fit_under(threads, *argv):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-            if threads:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            res = run_cli("fit", "--family", "nb", "--format", "json", *argv, env=env)
-            assert res.returncode == EXIT_OK, res.stderr
-            return res.stdout
+            return _fit_under_blas_threads(threads, "--family", "nb", *argv)
 
         # a likelihood that cancels at large tau let a single-threaded fit
         # stop there, far from the MLE
@@ -232,6 +238,37 @@ class TestFit:
             "--covariates", "g,h,x",
         )
         assert fit_under("1", *argv) == fit_under("2", *argv)
+
+    def test_zinb_fit_on_distinct_rows_does_not_depend_on_blas_threads(self, tmp_path):
+        # 2e4 distinct rows: the gradient and Hessian contract over every row
+        path = tmp_path / "zinb.csv"
+        config = SimConfig(
+            n_rows=20_000,
+            family="zinb",
+            covariates=[
+                CovariateSpec("x", "numeric", low=-1.0, high=1.0),
+                CovariateSpec(
+                    "g", "categorical", levels=("a", "b", "c"), probabilities=(0.5, 0.3, 0.2)
+                ),
+            ],
+            true_beta={"(intercept)": 0.5, "x": -0.4, "g=b": 0.3, "g=c": -0.2},
+            true_gamma={"(intercept)": -1.0, "x": 0.6},
+            zero_covariates=["x"],
+            true_tau=1.5,
+            seed=703,
+        )
+        simulate(config, out_path=path)
+        argv = (
+            "--family", "zinb",
+            "--input", str(path),
+            "--schema", "y=count,x=numeric,g=categorical",
+            "--response", "y",
+            "--covariates", "x,g",
+            "--zero-covariates", "x",
+        )
+        one = _fit_under_blas_threads("1", *argv)
+        assert json.loads(one)["converged"] is True
+        assert one == _fit_under_blas_threads("2", *argv)
 
 
 class TestScreen:

@@ -238,6 +238,13 @@ class TestBuildDesign:
         assert design.labels == ["(intercept)", "age", "grp=b", "grp=c"]
         assert design.n_cols == 4
 
+    def test_values_are_column_major(self, ds):
+        for covariates in ([], ["grp"], ["age", "grp"]):
+            values = build_design(ds, covariates).values
+            assert values.dtype == np.float64
+            assert values.flags.f_contiguous and values.flags.owndata is False
+            assert values.base.flags.c_contiguous  # one (d, n) array, no second copy
+
     def test_single_level_categorical_rejected(self, tmp_path):
         path = _write(tmp_path, "y,grp,age\n0,a,1.5\n1,a,2.0\n")
         ds = load_csv(path, SCHEMA)

@@ -13,6 +13,7 @@ from countreg import (
     ComparisonError,
     CovariateSpec,
     Dataset,
+    DesignMatrix,
     EvaluationError,
     FitOptions,
     InsufficientDataError,
@@ -280,14 +281,51 @@ class TestFusedObjective:
         spec = ModelSpec(family, "y", ["x"])
         res = fit(spec, ds)
         assert res.converged and res.n_iterations > 1
-        assert made[0].size == ds.n_rows  # every row distinct: nothing collapses
-        # the zero-probability step prepares its own all-zero response
-        assert len(made) == (1 if family == "poisson" else 2)
-        assert all(c.size == ds.n_rows and not c.any() for c in made[1:])
+        # every row distinct: nothing collapses; the zero probabilities take
+        # a closed form and prepare no response of their own
+        assert len(made) == 1 and made[0].size == ds.n_rows
         # the prepared counts give the logL the public function computes afresh
         X, y = build_design(ds, ["x"]), ds.response_vector("y")
         Z = build_design(ds, []) if family == "zinb" else None
         assert log_likelihood(spec, X, Z, y, res.estimates) == res.log_likelihood
+
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_row_major_designs_give_the_same_sums(self, family):
+        # the fitter contracts along contiguous columns; a C-order design
+        # takes the strided path and must agree with it
+        ds = _grouped_sim(n=3000, seed=95)
+        spec = ModelSpec(family, "y", ["g", "h"], ["g"] if family == "zinb" else [])
+        X = build_design(ds, spec.count_covariates)
+        Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
+        counts = _kernels.Counts(ds.response_vector("y"))
+        w = np.random.default_rng(96).integers(1, 5, ds.n_rows).astype(np.float64)
+        params = ParamVector(
+            np.array([0.3, 0.2, -0.1, 0.2]),
+            np.array([-0.8, 0.4, -0.3]) if Z is not None else np.empty(0),
+            None if family == "poisson" else math.log(1.3),
+        )
+
+        def c_order(D):
+            return None if D is None else DesignMatrix(np.ascontiguousarray(D.values), D.labels)
+
+        assert X.values.flags.f_contiguous and not c_order(X).values.flags.f_contiguous
+        want = fitting._loglik_score(spec, X, Z, counts, params, w, hessian=True)
+        got = fitting._loglik_score(spec, c_order(X), c_order(Z), counts, params, w, hessian=True)
+        assert got[0] == pytest.approx(want[0], rel=1e-13)
+        for g, v in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(g, v, rtol=1e-13, atol=1e-13 * np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("collapses", [True, False])
+    def test_problem_designs_are_column_major(self, collapses):
+        ds = _grouped_sim(n=2000, seed=97) if collapses else _zinb_sim(n=2000, seed=98)
+        covariates = ["g", "h"] if collapses else ["x"]
+        spec = ModelSpec("zinb", "y", covariates, covariates[:1])
+        X = build_design(ds, spec.count_covariates)
+        Z = build_design(ds, spec.zero_covariates)
+        problem = _Problem(spec, X, Z, ds.response_vector("y"), FitOptions())
+        assert (problem.counts.y.size < ds.n_rows) == collapses
+        for D in (problem.X, problem.Z):
+            assert D.values.flags.f_contiguous and D.n_cols > 1
 
     def test_non_finite_gradient_is_inadmissible(self, monkeypatch):
         X, Z, y = _ll6_pieces()
@@ -373,6 +411,30 @@ class TestFits:
         assert float(res.zero_probabilities.mean()) == pytest.approx(
             float((ds.response_vector("y") == 0).mean()), abs=0.03
         )
+
+    def test_zero_probabilities_are_the_kernels_y0_terms(self):
+        # eta up to ETA_MAX, p from ~1e-304 to 1 - 2e-16
+        eta = np.linspace(-30.0, fitting.ETA_MAX - 0.5, 61)
+        s = np.linspace(-700.0, 36.0, 61)
+        X = DesignMatrix(np.column_stack([np.ones(61), eta]), ["(intercept)", "eta"])
+        Z = DesignMatrix(np.column_stack([np.ones(61), s]), ["(intercept)", "s"])
+        lam, p, y0 = np.exp(eta), 1.0 / (1.0 + np.exp(-s)), np.zeros(61)
+        assert p[0] < 1e-300 and 1.0 - p[-1] < 1e-15
+        poisson = ParamVector(np.array([0.0, 1.0]), np.empty(0), None)
+        np.testing.assert_allclose(
+            fitting._zero_probabilities("poisson", X, None, poisson), np.exp(-lam), rtol=1e-13
+        )
+        for tau in (0.5, 1.5, 1e6):
+            with np.errstate(over="ignore", invalid="ignore"):  # scores at eta -> ETA_MAX
+                nb = np.exp(_kernels.nb_logpmf(y0, lam, tau))
+                zinb = np.exp(_kernels.zinb_logpmf(y0, lam, p, tau))
+            params = ParamVector(np.array([0.0, 1.0]), np.array([0.0, 1.0]), math.log(tau))
+            np.testing.assert_allclose(
+                fitting._zero_probabilities("nb", X, None, params), nb, rtol=1e-13, atol=0
+            )
+            np.testing.assert_allclose(
+                fitting._zero_probabilities("zinb", X, Z, params), zinb, rtol=1e-13, atol=0
+            )
 
     def test_heavy_tail_recipe_converges(self):
         # counts near 2000 with tau = 0.5: lgamma terms near 3e5 put the
@@ -514,12 +576,54 @@ GROUPED_SPECS = {
 }
 
 
+def _row_patterns_reference(columns):
+    """The pattern scan with a return_inverse ``np.unique`` on every column."""
+    n = columns[0].size
+    key, size = np.zeros(n, dtype=np.int64), 1
+    for column in columns:
+        values, codes = np.unique(column, return_inverse=True)
+        if values.size == n:
+            return None
+        if values.size == 1:
+            continue
+        key = key * values.size + codes
+        size *= values.size
+        if size > n:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = distinct.size
+            if size == n:
+                return None
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return None if first.size == n else (first, counts)
+
+
 class TestRowPatterns:
     """Fits run once per distinct (y, x, z) row, weighted by its count."""
 
+    def test_scan_matches_the_reference(self):
+        rng = np.random.default_rng(99)
+        kinds = {
+            "int": lambda n: rng.integers(0, 6, n).astype(np.float64),
+            "dummy": lambda n: (rng.random(n) < 0.3).astype(np.float64),
+            "float": lambda n: rng.choice(rng.normal(size=max(n // 3, 1)), n),
+            "signed zero": lambda n: rng.choice([-0.0, 0.0, 1.0], n),
+            "constant": lambda n: np.ones(n),
+            "distinct": lambda n: rng.permutation(n).astype(np.float64),
+        }
+        names = list(kinds)
+        for trial in range(200):
+            n = int(rng.integers(1, 300))
+            picked = rng.choice(names, int(rng.integers(1, 5)))
+            columns = [kinds[name](n) for name in picked]
+            want = _row_patterns_reference(columns)
+            got = fitting._row_patterns(columns)
+            assert (got is None) == (want is None), (trial, picked)
+            if want is not None:
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+
     @staticmethod
     def _rows_per_call(monkeypatch, family):
-        # zero probabilities are per row by design: keep them out of the count
         name = f"{family}_loglik_score"
         kernel = getattr(_kernels, name)
         sizes = []
@@ -529,9 +633,6 @@ class TestRowPatterns:
             return kernel(counts, *args)
 
         monkeypatch.setattr(_kernels, name, counted)
-        monkeypatch.setattr(
-            _kernels, f"{family}_logpmf", lambda y, *args: kernel(_kernels.Counts(y), *args)[0]
-        )
         return sizes
 
     def test_paper_like_fit_runs_on_patterns(self, monkeypatch):
