@@ -19,17 +19,18 @@ below, the rows past that table, and log(y!) per row, which the Poisson,
 NB and ZINB log pmfs all subtract.  The fitter builds one per fit.
 
 Every other count-only term comes from one table per call over
-k = 0..max(y), gathered at y before either backend runs:
+k = 0..min(max y, K), gathered at y before either backend runs:
 
     L[k] = sum_{j<k} log1p(j / tau)
          = lgamma(k + tau) - lgamma(tau) - k log(tau)
     D[k] = sum_{j<k} 1 / (tau + j)   = psi(k + tau) - psi(tau)
     T[k] = sum_{j<k} 1 / (tau + j)^2 = psi'(tau) - psi'(k + tau)  (hessian only)
 
-None of the sums suffers the cancellation of a (poly)gamma difference at
-large tau.  The table stops at k = 4096 (``_TABLE_MAX``); a row with a
-larger count takes a closed form instead.  A kernel call therefore costs
-O(n + min(max y, 4096)) time and a few arrays of that size in memory.
+The table holds three cumulative sums, compensated for rounding
+(`_prefix_sums`); none cancels like a (poly)gamma difference at large tau.
+It stops at K = 256 (``_TABLE_MAX``): a larger count adds to the entry at K
+one asymptotic series from K + tau to y + tau, the same form at every tau.
+A kernel call costs O(n + min(max y, 256)) time and arrays of that size.
 
 A ZINB row is Lambert's (1992) two-component mixture on every row,
 l = logaddexp(a, b) with a = log p where y = 0 and -inf where y > 0, and
@@ -63,7 +64,7 @@ import math
 import os
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import gammaln
 
 __all__ = [
     "BACKEND",
@@ -76,24 +77,23 @@ __all__ = [
 ]
 
 
-_TABLE_MAX = 4096  # largest count whose terms come from the per-call table
+_TABLE_MAX = 256  # K: largest count whose terms come from the per-call table
 
 
 class Counts:
     """A response prepared once for the kernels.
 
     ``y`` is the counts as float64, ``k`` each row's index into the tables
-    over the counts ``k_all`` = 0..min(max y, _TABLE_MAX), ``big`` the
-    indices of the rows past the table (their k is 0), whose terms take
-    closed forms instead, and ``log_fact`` lgamma(y + 1) per row, gathered
-    from one table.
+    over the counts ``k_all`` = 0..min(max y, K), ``big`` the indices of the
+    rows past the table, whose k is K, the anchor of their series, and
+    ``log_fact`` lgamma(y + 1) per row, gathered from one table.
     """
 
     def __init__(self, y):
         self.y = np.asarray(y, dtype=np.float64)
         past = self.y > _TABLE_MAX
         self.big = np.flatnonzero(past)
-        self.k = np.zeros(self.y.size, dtype=np.intp)  # one n-array, no float temporary
+        self.k = np.full(self.y.size, _TABLE_MAX, dtype=np.intp)  # one n-array, no float temporary
         np.copyto(self.k, self.y, casting="unsafe", where=~past)
         self.k_all = np.arange(self.k.max(initial=0) + 1.0)
         self.log_fact = gammaln(self.k_all + 1.0)[self.k]
@@ -104,52 +104,51 @@ def _count_terms(counts, tau, hessian=False):
     """(L[y] - log(y!), D[y], T[y]) per row of ``counts``, T empty unless
     ``hessian``; see above.
 
-    Rounding in the log1p sum grows with k, so a table entry whose lgamma
-    difference has the smaller error bound takes that instead: the sum wins
-    near the Poisson limit (tau >> k), the lgamma difference at large counts.
-    Rows past the table take the (poly)gamma differences below tau = 1e3,
-    where y > 4096 makes them accurate, and their Stirling series above it,
-    where the series' truncation error is below 1e-14.  The series are
-    written in reciprocals, so no power of tau can overflow.
+    A row past the table adds to its entry at K the differences of the
+    asymptotic series (`_series_tails`) between x0 = K + tau and x1 = y + tau.
+    Both are at least K, so the series reach float precision at every tau;
+    written in r = 1/x, no power of tau can overflow.
     """
-    k, big, k_all = counts.k, counts.big, counts.k_all
-    L = np.zeros(k_all.size)
-    D = np.zeros(k_all.size)
-    np.cumsum(np.log1p(k_all[:-1] / tau), out=L[1:])
-    recip = 1.0 / (tau + k_all[:-1])
-    np.cumsum(recip, out=D[1:])
-    Ty = np.empty(0)
-    if hessian:
-        T = np.zeros(k_all.size)
-        np.cumsum(recip * recip, out=T[1:])
-        Ty = T[k]
-    lg_k_tau, lg_tau, k_log_tau = gammaln(k_all + tau), gammaln(tau), k_all * math.log(tau)
-    sum_bound = np.cumsum(L)  # both bounds in units of the float64 epsilon
-    diff_bound = np.abs(lg_k_tau) + abs(lg_tau) + np.abs(k_log_tau)
-    L = np.where(sum_bound <= diff_bound, L, lg_k_tau - lg_tau - k_log_tau)
-    Ly, Dy = L[k], D[k]
-    if big.size:
+    k, j = counts.k, counts.k_all[:-1]
+    recip = 1.0 / (tau + j)
+    L, D = _prefix_sums(np.log1p(j / tau)), _prefix_sums(recip)
+    T = _prefix_sums(recip * recip) if hessian else None
+    Ly, Dy, Ty = L[k], D[k], (T[k] if hessian else np.empty(0))
+    big = counts.big
+    if big.size:  # the table runs to K, its entries there anchor the series
         yb = counts.y[big]
-        if tau < 1e3:
-            Lb = gammaln(yb + tau) - lg_tau - yb * math.log(tau)
-            Db = digamma(yb + tau) - digamma(tau)
-            if hessian:
-                Ty[big] = polygamma(1, tau) - polygamma(1, yb + tau)
-        else:  # free of the large-tau cancellation of the differences
-            x, l1p = yb + tau, np.log1p(yb / tau)
-            rx, rt = 1 / x, 1 / tau
-            Lb = (x - 0.5) * l1p - yb + (rx / 12 - rx**3 / 360)
-            Lb -= rt / 12 - rt**3 / 360
-            Db = l1p + yb * rt * rx / 2 + (rt**2 / 12 - rx**2 / 12)
-            if hessian:
-                Ty[big] = (
-                    yb * rt * rx * (1 + (rt + rx) / 2)
-                    + (rt**3 - rx**3) / 6 - (rt**5 - rx**5) / 30
-                )
-        Ly[big] = Lb
-        Dy[big] = Db
+        m, r0, r1 = yb - _TABLE_MAX, 1.0 / (_TABLE_MAX + tau), 1.0 / (yb + tau)
+        dr = m * r0 * r1  # r0 - r1
+        lq = np.log1p(m * r0)  # log((y + tau) / (K + tau))
+        (g0, h0, q0), (g1, h1, q1) = _series_tails(r0), _series_tails(r1)
+        c = math.log1p(_TABLE_MAX / tau) - 1.0
+        Ly[big] = L[-1] + ((yb + (tau - 0.5)) * lq + m * c - dr / 12 - (g1 - g0))
+        Dy[big] = D[-1] + (lq + dr / 2 + h0 - h1)
+        if hessian:
+            Ty[big] = T[-1] + (dr + q0 - q1)
     Ly -= counts.log_fact
     return Ly, Dy, Ty
+
+
+def _prefix_sums(terms):
+    """Sums of the first 0..n ``terms``, each corrected by the exact rounding
+    errors of the additions before it (Knuth's TwoSum)."""
+    s = np.concatenate(([0.0], np.cumsum(terms)))
+    a, b = s[1:-1], s[2:]
+    z = b - a
+    s[2:] += np.cumsum((a - (b - z)) + (terms[1:] - z))
+    return s
+
+
+def _series_tails(r):
+    """(g, h, q) at r = 1/x in the asymptotic series (Abramowitz & Stegun 6.1.41,
+    6.3.18, 6.4.12) psi(x) = log x - r/2 - h, psi'(x) = r + q and
+    lgamma(x) = (x - 1/2) log x - x + log(2 pi)/2 + r/12 - g."""
+    r2 = r * r
+    g = r * r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))
+    h = r2 * (1 / 12 - r2 * (1 / 120 - r2 / 252))
+    q = r2 * (0.5 + r * (1 / 6 - r2 * (1 / 30 - r2 * (1 / 42 - r2 / 30))))
+    return g, h, q
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,9 @@ def poisson_log_pmf(y: int, lam: float) -> float:
 def nb_log_pmf(y: int, params: NbParams) -> float:
     """log P(Y = y) for the NB distribution.
 
-    The gamma ratio comes from the kernels' count table, which stays
-    accurate up to the Poisson limit of large ``tau``; time and memory grow
-    with y up to the table's end at y = 4096.
+    The gamma ratio comes from the kernels' count table and, past its end at
+    y = 256, one asymptotic series; both stay accurate up to the Poisson
+    limit of large ``tau``, and time and memory stop growing with y there.
     """
     _check_count(y)
     out = _kernels.nb_logpmf(

@@ -404,9 +404,8 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         # the objective reads evaluation errors as -inf: evaluate the start
         # unguarded on the full rows, so the error names the row at fault
         ll = log_likelihood(spec, X, Z, y, problem.to_params(x0))
-        if math.isfinite(ll):
-            raise
-        raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
+        what = "score or Hessian is not finite" if math.isfinite(ll) else f"log-likelihood is {ll}"
+        raise EvaluationError(f"{what} at the starting point") from None
     estimates = problem.to_params(res.x)
 
     covariance = covariance_error = None
@@ -443,7 +442,7 @@ class IrrRow:
     label: str
     part: str  # "count" or "zero"
     coefficient: float
-    irr: float  # exp(coefficient); an odds ratio for the zero part
+    irr: float  # exp(coefficient), inf past float range; an odds ratio for the zero part
     std_error: float  # of the coefficient, not of the IRR
     z_value: float
     p_value: float
@@ -457,7 +456,8 @@ def _irr_row(label: str, part: str, coef: float, se: float) -> IrrRow:
         stars = stars_for_p(p)
     else:
         z, p, stars = math.nan, math.nan, ""
-    return IrrRow(label, part, coef, math.exp(coef), se, z, p, stars)
+    irr = math.exp(coef) if coef <= math.log(np.finfo(float).max) else math.inf
+    return IrrRow(label, part, coef, irr, se, z, p, stars)
 
 
 def irr_table(fit_result: FitResult, include_intercepts: bool = False) -> list[IrrRow]:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from countreg import CovariateSpec, SimConfig, simulate
@@ -190,6 +191,25 @@ class TestFit:
         lines = res.stdout.splitlines()
         assert lines[0] == "label,part,estimate,irr,se,z,p,stars"
         assert lines[1].startswith("x,count,")
+
+    def test_irr_past_float_range(self, tmp_path):
+        # exp(beta) of a slope near 5000 on a covariate in small units
+        # overflows: the IRR prints as inf in text and as null in JSON
+        rng = np.random.default_rng(97)
+        x = rng.uniform(0.0, 1e-4, 2000)
+        y = rng.poisson(np.exp(0.2 + 5000.0 * x))
+        path = tmp_path / "small_units.csv"
+        path.write_text("y,x\n" + "".join(f"{a},{b!r}\n" for a, b in zip(y, x.tolist())))
+        argv = ("fit", "--input", str(path), "--schema", "y=count,x=numeric",
+                "--response", "y", "--covariates", "x", "--family", "poisson")
+        text = run_cli(*argv)
+        assert text.returncode == EXIT_OK, text.stderr
+        label, cell = text.stdout.splitlines()[-1].split()
+        assert label == "x" and cell.startswith("inf***(")
+        payload = run_cli(*argv, "--format", "json")
+        assert payload.returncode == EXIT_OK, payload.stderr
+        row = json.loads(payload.stdout)["coefficients"][1]
+        assert row["label"] == "x" and row["irr"] is None and row["se"] > 0
 
     def test_preset_fit(self):
         res = run_cli(
@@ -555,6 +575,19 @@ class TestUnfittableInput:
         )
         assert code == 1
         assert "(row 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["poisson", "nb"])
+    def test_huge_finite_covariate(self, tmp_path, family):
+        # the log-likelihood is finite at the start, its Hessian is not
+        path = tmp_path / "huge.csv"
+        path.write_text("y,x\n1,1e200\n2,-3e200\n0,2e200\n3,-1e200\n4,5e199\n")
+        res = self._fit(path, "--family", family)
+        assert res.returncode == 1
+        assert res.stderr.splitlines()[-1] == (
+            "error: score or Hessian is not finite at the starting point"
+        )
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
     def test_level_seen_only_in_a_dropped_row(self, tmp_path):
         # level c stays in the vocabulary, so its dummy column is all zero

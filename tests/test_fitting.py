@@ -177,7 +177,7 @@ class TestHessianAgainstFiniteDifferences:
 
     @staticmethod
     def _problem(family, options):
-        # two counts past the per-call table (k > 4096) join the rows
+        # two counts past the per-call table (y > 256) join the rows
         ds = _fd_dataset(321)
         y = np.append(ds.response_vector("y"), [5000, 9000])
         x1 = np.append(ds.columns["x1"].values, [0.3, -0.4])
@@ -210,7 +210,7 @@ class TestHessianAgainstFiniteDifferences:
         problem = self._problem(family, options)
         rng = np.random.default_rng(778)
         k = int(problem.mask.sum())
-        # log tau below and above the 1e3 switch of the past-table forms
+        # two large tau too, where the series past the table nears the Poisson limit
         for log_tau in (*rng.uniform(-0.7, 1.5, self.N_POINTS), math.log(2e3), math.log(1e6)):
             theta = rng.uniform(-0.8, 0.8, size=k)
             if problem.free_labels()[-1] == "log_tau":
@@ -812,7 +812,7 @@ class TestNesting:
         assert nb.free_labels == ["(intercept)", "x"]
 
     def test_nb_at_log_tau_240_is_poisson(self):
-        # rows past the count table take a Stirling series in tau; at
+        # rows past the count table take a series in 1/(y + tau); at
         # tau ~ 1e104 no power of tau may overflow
         y = np.array([0, 3, 5000, 100_000], dtype=np.int64)
         x = np.log([0.5, 2.0, 4900.0, 1.01e5])

@@ -26,6 +26,7 @@ def _random_grid(seed, n=64):
 
 
 LARGE_TAUS = (1e8, 1e12, 1e15)  # near the Poisson limit, where lgamma differences cancel
+K = _kernels._TABLE_MAX  # the count table's last entry, the anchor of the series past it
 
 
 def _loop_kernels():
@@ -65,7 +66,7 @@ class TestNumpyKernels:
 
     def test_log_factorial_matches_gammaln(self):
         # table rows and rows past the table take the same lgamma arguments
-        y = np.array([0.0, 1.0, 7.0, 4096.0, 4097.0, 1e6, 3.0, 0.0])
+        y = np.array([0.0, 1.0, 7.0, K - 1, K, K + 1, 4096.0, 4097.0, 1e6, 3.0, 0.0])
         assert np.array_equal(_kernels.Counts(y).log_fact, gammaln(y + 1.0))
         assert _kernels.Counts(np.empty(0)).log_fact.shape == (0,)
 
@@ -89,11 +90,11 @@ class TestNumpyKernels:
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11)
 
     def test_counts_past_the_table_match_oracle(self):
-        # rows above the table take closed forms: (di)gamma differences at
-        # small tau, Stirling series at large tau
-        y = np.array([5e3, 1e5, 1e6, 1e9])
+        # rows above the table add one asymptotic series from K + tau to
+        # y + tau to the table's entry at K, the same form at every tau
+        y = np.array([K - 1, K, K + 1, 5e3, 1e5, 1e6, 1e9])
         lam = 1.05 * y
-        for tau in (0.5, 2.0, 50.0, 1e3, 1e4, 1e8, 1e15):
+        for tau in (1e-10, 0.5, 2.0, 50.0, 1e3, 1e4, 1e8, 1e15):
             rows = _nb_numpy(y, lam, tau)[0]
             want = [_oracles.nb_log_pmf(int(v), m, tau) for v, m in zip(y, lam)]
             # any float64 evaluation carries the rounding of lgamma(y + 1)
@@ -107,13 +108,28 @@ class TestNumpyKernels:
 
     def test_trigamma_diff_matches_oracle(self):
         # T[y] = psi'(tau) - psi'(y + tau): the table, then past it the
-        # polygamma difference below tau = 1e3 and the Stirling series above
-        y = np.array([0.0, 1.0, 7.0, 4096.0, 5e3, 1e5, 1e6])
-        for tau in (0.5, 2.0, 50.0, 999.0, 1e3, 1e4, 1e8, 1e15):
+        # table's entry at K plus the asymptotic series from K + tau to y + tau
+        y = np.array([0.0, 1.0, 7.0, K - 1, K, K + 1, 4096.0, 5e3, 1e5, 1e6])
+        for tau in (1e-10, 0.5, 2.0, 50.0, 999.0, 1e3, 1e4, 1e8, 1e15):
             got = _count_terms(y, tau, hessian=True)[2]
             want = [float(mp.psi(1, tau) - mp.psi(1, int(v) + mp.mpf(tau))) for v in y]
             np.testing.assert_allclose(got, want, rtol=2e-14, atol=0)
         assert _count_terms(y, 2.0)[2].size == 0
+
+    def test_digamma_and_trigamma_diffs_on_a_random_grid(self):
+        # D and T to a few units of the last place at every tau and count:
+        # the table's sums, where 1/tau can dwarf every later term, and the
+        # series from K + tau past it
+        rng = np.random.default_rng(909)
+        taus = 10.0 ** rng.uniform(-10.0, 15.0, 120)
+        ys = np.floor(10.0 ** rng.uniform(0.0, 7.0, 120))
+        for tau, y in zip(taus.tolist(), ys.tolist()):
+            _, D, T = _count_terms(np.array([y]), tau, hessian=True)
+            x = int(y) + mp.mpf(tau)
+            want_d = float(mp.digamma(x) - mp.digamma(tau))
+            want_t = float(mp.psi(1, tau) - mp.psi(1, x))
+            assert abs(D[0] - want_d) <= 5e-15 * abs(want_d), (tau, y)
+            assert abs(T[0] - want_t) <= 5e-15 * abs(want_t), (tau, y)
 
     def test_nb_grad_rows_match_finite_differences(self):
         y, lam, _, tau = _random_grid(4, n=24)
