@@ -15,7 +15,7 @@ from pathlib import Path
 from . import diagnostics, report
 from .data import ModelSpec, load_csv, parse_schema
 from .errors import ConfigurationError, CountregError
-from .fitting import FitOptions, compare_models, fit, irr_table
+from .fitting import compare_models, fit, irr_table
 from .simulate import csv_text, demo_preset, simulate
 
 EXIT_OK = 0
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_io(p, with_response=True):
+    def add_io(p):
         p.add_argument("--input", help="CSV file with a header row")
         p.add_argument(
             "--schema",
@@ -45,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="use a shipped simulation instead of --input/--schema",
         )
         p.add_argument("--seed", type=int, help="seed override for --preset data")
-        if with_response:
-            p.add_argument("--response", help="count-valued response column")
+        p.add_argument("--response", help="count-valued response column")
         p.add_argument("--out", help="output file path")
         p.add_argument(
             "--format", choices=("text", "json", "csv"), default="text", dest="fmt"
@@ -127,51 +126,50 @@ def _model_spec(args, family: str, response: str) -> ModelSpec:
     )
 
 
+def _preset_config(args):
+    """The --preset's SimConfig, with --seed applied."""
+    config = PRESETS[args.preset]()
+    if args.seed is not None:
+        config.seed = args.seed
+    return config
+
+
 def _load_dataset(args):
     """Dataset plus the name of its response column."""
     if args.preset:
-        config = PRESETS[args.preset]()
-        if args.seed is not None:
-            config.seed = args.seed
-        ds = simulate(config)
-        return ds, config.response_name
+        config = _preset_config(args)
+        return simulate(config), config.response_name
     if not args.input or not args.schema:
         raise ConfigurationError("either --preset or both --input and --schema are required")
-    ds = load_csv(args.input, parse_schema(args.schema))
-    response = getattr(args, "response", None)
-    return ds, response
+    if not args.response:
+        raise ConfigurationError(
+            f"{args.subcommand} requires --response (or a --preset that names one)"
+        )
+    return load_csv(args.input, parse_schema(args.schema)), args.response
 
 
-def _emit(text: str, out_path: str | None):
+def _write(args, render):
+    """Print ``render(--format)``; write --out in the subcommand's
+    `report.OUT_FORMAT`, or else the printed bytes."""
+    text = render(args.fmt)
     sys.stdout.write(text)
-    if out_path:
-        Path(out_path).write_text(text)
+    if args.out:
+        out_fmt = report.OUT_FORMAT.get(args.subcommand, args.fmt)
+        Path(args.out).write_text(text if out_fmt == args.fmt else render(out_fmt))
 
 
 def _run_fit(args) -> int:
     ds, response = _load_dataset(args)
-    if not response:
-        raise ConfigurationError("fit requires --response (or a --preset that names one)")
-    result = fit(_model_spec(args, args.family, response), ds, FitOptions())
-    table_rows = irr_table(result)
-    json_text = report.to_json_text(
-        report.fit_report_dict(result, irr_table(result, include_intercepts=True), ds.dropped_rows)
-    )
-    if args.fmt == "json":
-        sys.stdout.write(json_text)
-    elif args.fmt == "csv":
-        sys.stdout.write(report.irr_table_csv(table_rows))
-    else:
-        sys.stdout.write(report.render_fit_text(result, table_rows))
-    if args.out:
-        Path(args.out).write_text(json_text)
+    result = fit(_model_spec(args, args.family, response), ds)
+    # the JSON record publishes the intercepts too
+    _write(args, lambda fmt: report.fit_report(
+        result, irr_table(result, include_intercepts=fmt == "json"), ds.dropped_rows, fmt
+    ))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
 def _run_screen(args) -> int:
     ds, response = _load_dataset(args)
-    if not response:
-        raise ConfigurationError("screen requires --response")
     covariates = _split(args.covariates)
     if not covariates:
         # numeric columns cannot be tabulated, so the default skips them
@@ -181,44 +179,22 @@ def _run_screen(args) -> int:
             if name != response and col.kind != "numeric"
         ]
     results = diagnostics.screen(ds, covariates, response)
-    if args.fmt == "json":
-        text = report.to_json_text(report.screening_report_dict(results))
-    elif args.fmt == "csv":
-        text = report.screening_csv(results)
-    else:
-        text = report.render_screening_text(results)
-    _emit(text, args.out)
+    _write(args, lambda fmt: report.screening_report(results, fmt))
     return EXIT_OK
 
 
 def _run_diagnose(args) -> int:
     ds, response = _load_dataset(args)
-    if not response:
-        raise ConfigurationError("diagnose requires --response")
     y = ds.response_vector(response)
-    fitted = None
-    exit_code = EXIT_OK
-    if args.family:
-        fitted = fit(_model_spec(args, args.family, response), ds, FitOptions())
-        if not fitted.converged:
-            exit_code = EXIT_NO_CONVERGENCE
+    fitted = fit(_model_spec(args, args.family, response), ds) if args.family else None
     disp = diagnostics.dispersion_summary(y)
     zeros = diagnostics.zero_summary(y, fitted)
-    if args.fmt == "json":
-        sys.stdout.write(report.to_json_text(report.diagnose_report_dict(disp, zeros)))
-    elif args.fmt == "csv":
-        sys.stdout.write(report.histogram_csv(zeros))
-    else:
-        sys.stdout.write(report.render_diagnose_text(disp, zeros))
-    if args.out:
-        Path(args.out).write_text(report.histogram_csv(zeros))
-    return exit_code
+    _write(args, lambda fmt: report.diagnose_report(disp, zeros, fmt))
+    return EXIT_NO_CONVERGENCE if fitted is not None and not fitted.converged else EXIT_OK
 
 
 def _run_simulate(args) -> int:
-    config = PRESETS[args.preset]()
-    if args.seed is not None:
-        config.seed = args.seed
+    config = _preset_config(args)
     if args.out:
         simulate(config, args.out)
         print(f"wrote {args.out} and its .truth.json sidecar", file=sys.stderr)
@@ -229,20 +205,9 @@ def _run_simulate(args) -> int:
 
 def _run_compare(args) -> int:
     ds, response = _load_dataset(args)
-    if not response:
-        raise ConfigurationError("compare requires --response")
-    fits = [
-        fit(_model_spec(args, family, response), ds, FitOptions())
-        for family in ("poisson", "nb", "zinb")
-    ]
+    fits = [fit(_model_spec(args, family, response), ds) for family in ("poisson", "nb", "zinb")]
     rows = compare_models(fits)
-    if args.fmt == "json":
-        text = report.to_json_text(report.comparison_report_dict(rows))
-    elif args.fmt == "csv":
-        text = report.comparison_csv(rows)
-    else:
-        text = report.render_comparison_text(rows)
-    _emit(text, args.out)
+    _write(args, lambda fmt: report.comparison_report(rows, fmt))
     return EXIT_OK if all(f.converged for f in fits) else EXIT_NO_CONVERGENCE
 
 

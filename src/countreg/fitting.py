@@ -402,10 +402,21 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         res = maximize_newton(problem.objective, x0)
     except ValueError:
         # the objective reads evaluation errors as -inf: evaluate the start
-        # unguarded on the full rows, so the error names the row at fault
-        ll = log_likelihood(spec, X, Z, y, problem.to_params(x0))
-        what = "score or Hessian is not finite" if math.isfinite(ll) else f"log-likelihood is {ll}"
-        raise EvaluationError(f"{what} at the starting point") from None
+        # unguarded on the full rows, so the error names the row at fault,
+        # or else the first free parameter whose score or Hessian row is not
+        # finite
+        start = problem.to_params(x0)
+        ll = log_likelihood(spec, X, Z, y, start)
+        if not math.isfinite(ll):
+            raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _, grad, hess = _loglik_score(spec, X, Z, _kernels.Counts(y), start, hessian=True)
+        free = problem.mask
+        bad = ~np.isfinite(grad[free]) | ~np.isfinite(hess[np.ix_(free, free)]).all(axis=1)
+        where = f" (parameter '{problem.free_labels()[np.argmax(bad)]}')" if bad.any() else ""
+        raise EvaluationError(
+            f"score or Hessian is not finite at the starting point{where}"
+        ) from None
     estimates = problem.to_params(res.x)
 
     covariance = covariance_error = None

@@ -1,13 +1,19 @@
-"""Report rendering: significance stars, table text, and JSON payloads.
+"""Report rendering: one function per subcommand, and the format is chosen here.
 
-Text tables round IRR and SE to 3 decimals; JSON carries full precision.
-NaN becomes null in JSON so reports stay parseable everywhere.  This module
-formats plain values and duck-typed result objects only; it must not import
-the fitting or diagnostics modules.
+`fit_report`, `screening_report`, `diagnose_report` and `comparison_report`
+each take the results of their subcommand and a format, ``text``, ``json``
+or ``csv``, and return the report.  `OUT_FORMAT` names the format that
+``--out`` holds where it is not the printed one.  Text tables round IRR and
+SE to 3 decimals; JSON carries full precision.  NaN becomes null in JSON so
+reports stay parseable everywhere.  This module formats plain values and
+duck-typed result objects only; it must not import the fitting or
+diagnostics modules.
 """
 
 import json
 import math
+
+OUT_FORMAT = {"fit": "json", "diagnose": "csv"}
 
 
 def stars_for_p(p: float) -> str:
@@ -35,37 +41,13 @@ def _clean(x):
     return x
 
 
-def to_json_text(payload) -> str:
+def _json(payload) -> str:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "), allow_nan=False) + "\n"
 
 
-def fit_report_dict(fit_result, rows, dropped_rows: int) -> dict:
-    """Full-precision fit record; ``rows`` are IrrRow values to publish."""
-    return {
-        "family": fit_result.family,
-        "n_obs": fit_result.n_obs,
-        "dropped_rows": dropped_rows,
-        "coefficients": [
-            {
-                "label": r.label,
-                "part": r.part,
-                "estimate": _clean(r.coefficient),
-                "irr": _clean(r.irr),
-                "se": _clean(r.std_error),
-                "z": _clean(r.z_value),
-                "p": _clean(r.p_value),
-                "stars": r.stars,
-            }
-            for r in rows
-        ],
-        "tau": _clean(fit_result.estimates.tau) if fit_result.estimates.log_tau is not None else None,
-        "log_likelihood": _clean(fit_result.log_likelihood),
-        "aic": _clean(fit_result.aic),
-        "converged": fit_result.converged,
-        "iterations": fit_result.n_iterations,
-        "gradient_norm": _clean(fit_result.gradient_norm),
-    }
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
 
 
 def render_fit_text(fit_result, rows) -> str:
@@ -96,24 +78,62 @@ def render_fit_text(fit_result, rows) -> str:
         out.append("OR (zero part)")
         for r in zero_rows:
             out.append(f"  {r.label:<24s} {format_estimate_cell(r.irr, r.stars, r.std_error)}")
-    return "\n".join(out) + "\n"
+    return _lines(out)
 
 
-def _csv(header: str, lines) -> str:
-    return "\n".join([header, *lines]) + "\n"
+def fit_report(fit_result, rows, dropped_rows: int, fmt: str) -> str:
+    """The fit report; ``rows`` are the IrrRow values to publish.  JSON is
+    the full-precision record."""
+    if fmt == "text":
+        return render_fit_text(fit_result, rows)
+    if fmt == "csv":
+        return _lines(["label,part,estimate,irr,se,z,p,stars", *(
+            f"{r.label},{r.part},{r.coefficient!r},{r.irr!r},"
+            f"{r.std_error!r},{r.z_value!r},{r.p_value!r},{r.stars}"
+            for r in rows
+        )])
+    return _json({
+        "family": fit_result.family,
+        "n_obs": fit_result.n_obs,
+        "dropped_rows": dropped_rows,
+        "coefficients": [
+            {
+                "label": r.label,
+                "part": r.part,
+                "estimate": _clean(r.coefficient),
+                "irr": _clean(r.irr),
+                "se": _clean(r.std_error),
+                "z": _clean(r.z_value),
+                "p": _clean(r.p_value),
+                "stars": r.stars,
+            }
+            for r in rows
+        ],
+        "tau": _clean(fit_result.estimates.tau) if fit_result.estimates.log_tau is not None else None,
+        "log_likelihood": _clean(fit_result.log_likelihood),
+        "aic": _clean(fit_result.aic),
+        "converged": fit_result.converged,
+        "iterations": fit_result.n_iterations,
+        "gradient_norm": _clean(fit_result.gradient_norm),
+    })
 
 
-def irr_table_csv(rows) -> str:
-    return _csv("label,part,estimate,irr,se,z,p,stars", (
-        f"{r.label},{r.part},{r.coefficient!r},{r.irr!r},"
-        f"{r.std_error!r},{r.z_value!r},{r.p_value!r},{r.stars}"
-        for r in rows
-    ))
-
-
-def screening_report_dict(results: dict) -> dict:
+def screening_report(results: dict, fmt: str) -> str:
     """``results`` maps covariate name -> ContingencyResult."""
-    return {
+    if fmt == "text":
+        out = ["chi-square screening (no continuity correction)"]
+        for name, r in results.items():
+            line = f"  {name:<20s} chi2={r.chi2:.3f}{r.stars:<3s} df={r.df}  p={r.p_value:.4f}"
+            if r.low_expected_warning:
+                line += f"  [warning: min expected cell {r.min_expected:.2f} < 5]"
+            out.append(line)
+        return _lines(out)
+    if fmt == "csv":
+        return _lines(["covariate,chi2,df,p,stars,min_expected", *(
+            f"{name},{r.chi2!r},{r.df},{r.p_value!r},{r.stars},{r.min_expected!r}"
+            for name, r in results.items()
+        )])
+    return _json({
         "test": "chi-square independence",
         "continuity_correction": "none",
         "results": [
@@ -124,35 +144,32 @@ def screening_report_dict(results: dict) -> dict:
                 "p": _clean(r.p_value),
                 "stars": r.stars,
                 "min_expected": _clean(r.min_expected),
-                "low_expected_warning": bool(r.min_expected < 5.0),
+                "low_expected_warning": bool(r.low_expected_warning),
                 "row_labels": list(r.row_labels),
                 "col_labels": list(r.col_labels),
                 "observed": [[int(v) for v in row] for row in r.observed],
             }
             for name, r in results.items()
         ],
-    }
+    })
 
 
-def render_screening_text(results: dict) -> str:
-    out = ["chi-square screening (no continuity correction)"]
-    for name, r in results.items():
-        line = f"  {name:<20s} chi2={r.chi2:.3f}{r.stars:<3s} df={r.df}  p={r.p_value:.4f}"
-        if r.min_expected < 5.0:
-            line += f"  [warning: min expected cell {r.min_expected:.2f} < 5]"
-        out.append(line)
-    return "\n".join(out) + "\n"
-
-
-def screening_csv(results: dict) -> str:
-    return _csv("covariate,chi2,df,p,stars,min_expected", (
-        f"{name},{r.chi2!r},{r.df},{r.p_value!r},{r.stars},{r.min_expected!r}"
-        for name, r in results.items()
-    ))
-
-
-def diagnose_report_dict(disp, zero) -> dict:
-    return {
+def diagnose_report(disp, zero, fmt: str) -> str:
+    """Dispersion summary and zero summary; the CSV is the value histogram."""
+    if fmt == "text":
+        out = [
+            f"mean: {disp.mean:.6f}   variance: {disp.variance:.6f}"
+            f"   ratio: {disp.ratio:.6f}   verdict: {disp.verdict}",
+            f"observed zero fraction: {zero.observed_zero_fraction:.6f}",
+        ]
+        if zero.expected_zero_fraction is not None:
+            out.append(f"expected zero fraction: {zero.expected_zero_fraction:.6f}")
+        out.append("histogram (value,count):")
+        out.extend(f"  {v},{c}" for v, c in zero.histogram)
+        return _lines(out)
+    if fmt == "csv":
+        return _lines(["value,count", *(f"{v},{c}" for v, c in zero.histogram)])
+    return _json({
         "dispersion": {
             "mean": _clean(disp.mean),
             "variance": _clean(disp.variance),
@@ -164,29 +181,21 @@ def diagnose_report_dict(disp, zero) -> dict:
             "expected_zero_fraction": _clean(zero.expected_zero_fraction),
             "histogram": [[int(v), int(c)] for v, c in zero.histogram],
         },
-    }
+    })
 
 
-def render_diagnose_text(disp, zero) -> str:
-    out = [
-        f"mean: {disp.mean:.6f}   variance: {disp.variance:.6f}"
-        f"   ratio: {disp.ratio:.6f}   verdict: {disp.verdict}",
-        f"observed zero fraction: {zero.observed_zero_fraction:.6f}",
-    ]
-    if zero.expected_zero_fraction is not None:
-        out.append(f"expected zero fraction: {zero.expected_zero_fraction:.6f}")
-    out.append("histogram (value,count):")
-    for v, c in zero.histogram:
-        out.append(f"  {v},{c}")
-    return "\n".join(out) + "\n"
-
-
-def histogram_csv(zero) -> str:
-    return _csv("value,count", (f"{v},{c}" for v, c in zero.histogram))
-
-
-def comparison_report_dict(rows) -> dict:
-    return {
+def comparison_report(rows, fmt: str) -> str:
+    """``rows`` are ComparisonRow values, best AIC first."""
+    if fmt == "text":
+        return _lines(["model comparison (AIC ascending)", *(
+            f"  {r.family:<8s} k={r.n_params}  logL={r.log_likelihood:.6f}  AIC={r.aic:.6f}"
+            for r in rows
+        )])
+    if fmt == "csv":
+        return _lines(["family,n_params,log_likelihood,aic", *(
+            f"{r.family},{r.n_params},{r.log_likelihood!r},{r.aic!r}" for r in rows
+        )])
+    return _json({
         "ranking": [
             {
                 "family": r.family,
@@ -196,19 +205,4 @@ def comparison_report_dict(rows) -> dict:
             }
             for r in rows
         ]
-    }
-
-
-def comparison_csv(rows) -> str:
-    return _csv("family,n_params,log_likelihood,aic", (
-        f"{r.family},{r.n_params},{r.log_likelihood!r},{r.aic!r}" for r in rows
-    ))
-
-
-def render_comparison_text(rows) -> str:
-    out = ["model comparison (AIC ascending)"]
-    for r in rows:
-        out.append(
-            f"  {r.family:<8s} k={r.n_params}  logL={r.log_likelihood:.6f}  AIC={r.aic:.6f}"
-        )
-    return "\n".join(out) + "\n"
+    })

@@ -48,19 +48,6 @@ class SimConfig:
     response_name: str = "y"
 
 
-def _design_labels(covariates: list, names: list) -> list:
-    """Intercept plus the dummy/numeric columns the named covariates imply."""
-    by_name = {c.name: c for c in covariates}
-    labels = ["(intercept)"]
-    for name in names:
-        spec = by_name[name]
-        if spec.kind == "categorical":
-            labels.extend(f"{spec.name}={lv}" for lv in spec.levels[1:])
-        else:
-            labels.append(spec.name)
-    return labels
-
-
 def _validate(config: SimConfig):
     if config.n_rows < 1:
         raise ConfigurationError("n_rows must be positive")
@@ -82,20 +69,10 @@ def _validate(config: SimConfig):
                 raise ConfigurationError(f"'{c.name}' needs low < high")
         else:
             raise ConfigurationError(f"'{c.name}' has unknown kind '{c.kind}'")
-    expected = _design_labels(config.covariates, names)
-    if sorted(config.true_beta) != sorted(expected):
-        raise ConfigurationError(
-            f"true_beta keys {sorted(config.true_beta)} do not match design columns {expected}"
-        )
     if config.family == "zinb":
         unknown = [n for n in config.zero_covariates if n not in names]
         if unknown:
             raise ConfigurationError(f"zero covariates {unknown} are not declared")
-        zexpected = _design_labels(config.covariates, config.zero_covariates)
-        if sorted(config.true_gamma) != sorted(zexpected):
-            raise ConfigurationError(
-                f"true_gamma keys do not match zero-part columns {zexpected}"
-            )
     elif config.true_gamma or config.zero_covariates:
         raise ConfigurationError("zero part is only meaningful for zinb")
     if config.family in ("nb", "zinb"):
@@ -117,8 +94,15 @@ def _draw_columns(config: SimConfig, rng) -> dict:
     return columns
 
 
-def _predictor(ds, config, names, coef_by_label, part):
+def _predictor(ds, names, coef_by_label, part):
+    """The linear predictor of one part, whose coefficients are keyed by the
+    labels of its design columns."""
     design = build_design(ds, names, {})
+    if sorted(coef_by_label) != sorted(design.labels):
+        raise ConfigurationError(
+            f"{part} coefficients {sorted(coef_by_label)} do not match design columns "
+            f"{design.labels}"
+        )
     coefs = np.array([coef_by_label[lab] for lab in design.labels])
     eta = design.values @ coefs
     worst = float(np.max(np.abs(eta)))
@@ -141,13 +125,13 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
     names = [c.name for c in config.covariates]
     # temporary dataset without the response, just to reuse the design builder
     ds = Dataset(columns=dict(columns), n_rows=config.n_rows)
-    lam = np.exp(_predictor(ds, config, names, config.true_beta, "count-part"))
+    lam = np.exp(_predictor(ds, names, config.true_beta, "count-part"))
     if config.family == "poisson":
         y = rng.poisson(lam)
     elif config.family == "nb":
         y = nb_draws(rng, lam, config.true_tau)
     else:
-        p = expit(_predictor(ds, config, config.zero_covariates, config.true_gamma, "zero-part"))
+        p = expit(_predictor(ds, config.zero_covariates, config.true_gamma, "zero-part"))
         y = zinb_draws(rng, lam, p, config.true_tau)
     columns[config.response_name] = Column(
         config.response_name, "count", y.astype(np.int64)

@@ -489,6 +489,14 @@ class TestErrors:
         assert res.returncode == 1
         assert "COL=LEVEL" in res.stderr
 
+    @pytest.mark.parametrize("command", ["fit", "screen", "diagnose", "compare"])
+    def test_missing_response(self, data_csv, capsys, command):
+        family = ["--family", "nb"] if command == "fit" else []
+        assert main([command, "--input", str(data_csv), "--schema", SCHEMA, *family]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {command} requires --response (or a --preset that names one)"
+        )
+
     def test_unknown_covariate(self, data_csv):
         res = run_cli(
             "fit",
@@ -584,7 +592,7 @@ class TestUnfittableInput:
         res = self._fit(path, "--family", family)
         assert res.returncode == 1
         assert res.stderr.splitlines()[-1] == (
-            "error: score or Hessian is not finite at the starting point"
+            "error: score or Hessian is not finite at the starting point (parameter 'x')"
         )
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
@@ -706,3 +714,20 @@ class TestStreamDiscipline:
         json.loads(res.stdout)  # stdout is pure JSON
         assert res.stderr.startswith("config: screen ")
         assert "config:" not in res.stdout
+
+
+class TestOutFile:
+    """`--out` holds the printed bytes, but diagnose's holds its histogram CSV
+    (fit's JSON report is covered in TestFit)."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", ["screen", "compare", "diagnose"])
+    def test_out_file(self, data_csv, tmp_path, capsys, command, fmt):
+        def printed(fmt, *extra):
+            argv = [command, "--input", str(data_csv), "--schema", SCHEMA, "--response", "y"]
+            assert main([*argv, "--format", fmt, *extra]) == EXIT_OK
+            return capsys.readouterr().out
+
+        out = tmp_path / "report.out"
+        text = printed(fmt, "--out", str(out))
+        assert out.read_text() == (printed("csv") if command == "diagnose" else text)
