@@ -91,6 +91,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_usage(parser, args):
+    """Reject, as usage errors, options that the run would ignore."""
+    if args.subcommand == "simulate":
+        return  # argparse requires its --preset, which --seed applies to
+    if args.preset and (args.input or args.schema or args.response):
+        parser.error("--preset replaces --input, --schema and --response")
+    if args.seed is not None and not args.preset:
+        parser.error("--seed applies only to --preset data")
+    family = getattr(args, "family", "zinb")  # compare fits a ZINB too
+    if args.subcommand == "diagnose" and family is None:
+        if args.covariates or args.zero_covariates or args.ref:
+            parser.error("--covariates, --zero-covariates and --ref need --family")
+    elif getattr(args, "zero_covariates", None) and family != "zinb":
+        parser.error("--zero-covariates requires --family zinb")
+
+
 def _echo_config(args):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "subcommand"}
     print(
@@ -223,6 +239,7 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_usage(parser, args)
     _echo_config(args)
     try:
         return _RUNNERS[args.subcommand](args)

@@ -127,7 +127,5 @@ def zero_summary(y: np.ndarray, fit_result=None) -> ZeroSummary:
     observed = float(np.mean(y == 0))
     distinct, counts = np.unique(y, return_counts=True)
     histogram = [(int(v), int(c)) for v, c in zip(distinct, counts)]
-    expected = None
-    if fit_result is not None:
-        expected = float(np.mean(fit_result.zero_probabilities))
+    expected = None if fit_result is None else fit_result.expected_zero_fraction
     return ZeroSummary(observed, expected, histogram)

@@ -3,8 +3,9 @@
 Mean model: log(lam_i) = x_i' beta.  Zero model (ZINB): logit(p_i) = z_i' gamma.
 The shape parameter is optimized as log_tau so positivity needs no constraint.
 NB and ZINB likelihood terms go through the same pmf kernels as the
-distributions module, so likelihood and pmf cannot drift apart; the fitted
-zero probabilities are the kernels' y = 0 terms in closed form.
+distributions module, so likelihood and pmf cannot drift apart; the expected
+zero fraction is the mean of the kernels' y = 0 terms, in closed form over
+the row patterns.
 
 A fit runs on the distinct (y, x, z) row patterns, each weighted by its
 count: with categorical or count covariates the likelihood depends on the
@@ -83,7 +84,7 @@ class FitResult:
     gradient_norm: float
     message: str
     ll_path: list = field(repr=False, default_factory=list)
-    zero_probabilities: np.ndarray | None = field(repr=False, default=None)
+    expected_zero_fraction: float | None = None  # mean fitted P(y = 0)
 
     @property
     def n_free(self) -> int:
@@ -235,8 +236,9 @@ def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | 
     skipped.  Each other column adds its codes, the positions of its values
     among the distinct ones, to one mixed-radix int64 key, which is re-coded
     whenever its range passes the row count; a key with a distinct value per
-    row ends the scan too.  Patterns come in key order, which does not
-    depend on the row order.
+    row ends the scan too.  One counting pass over the final key gives each
+    pattern's count and first row.  Patterns come in key order, which does
+    not depend on the row order.
     """
     n = columns[0].size
     key, size = np.zeros(n, dtype=np.int64), 1
@@ -253,7 +255,10 @@ def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | 
             size = distinct.size
             if size == n:
                 return None
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    counts = np.bincount(key)
+    first = np.full(counts.size, n)
+    np.minimum.at(first, key, np.arange(n))
+    first, counts = first[counts > 0], counts[counts > 0]
     return None if first.size == n else (first, counts)
 
 
@@ -402,15 +407,15 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         res = maximize_newton(problem.objective, x0)
     except ValueError:
         # the objective reads evaluation errors as -inf: evaluate the start
-        # unguarded on the full rows, so the error names the row at fault,
-        # or else the first free parameter whose score or Hessian row is not
-        # finite
-        start = problem.to_params(x0)
-        ll = log_likelihood(spec, X, Z, y, start)
+        # once on the full rows, letting evaluation errors through, so the
+        # error names the row at fault, or else the first free parameter
+        # whose score or Hessian row is not finite
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ll, grad, hess = _loglik_score(
+                spec, X, Z, _kernels.Counts(y), problem.to_params(x0), hessian=True
+            )
         if not math.isfinite(ll):
             raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _, grad, hess = _loglik_score(spec, X, Z, _kernels.Counts(y), start, hessian=True)
         free = problem.mask
         bad = ~np.isfinite(grad[free]) | ~np.isfinite(hess[np.ix_(free, free)]).all(axis=1)
         where = f" (parameter '{problem.free_labels()[np.argmax(bad)]}')" if bad.any() else ""
@@ -444,7 +449,11 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         gradient_norm=float(np.max(np.abs(res.grad))),
         message=res.message,
         ll_path=res.path,
-        zero_probabilities=_zero_probabilities(spec.family, X, Z, estimates),
+        # a numpy reduction rather than a BLAS dot, so the sum does not
+        # depend on the thread count
+        expected_zero_fraction=float(
+            np.sum(problem.w * _zero_probabilities(spec.family, problem.X, problem.Z, estimates))
+        ) / problem.n_obs,
     )
 
 

@@ -14,7 +14,8 @@ their moduli, floored at ``EIG_FLOOR`` of the largest (Nocedal & Wright
 2006, section 3.4).  The step is halved from alpha = 1 until it gains
 ``ARMIJO`` of the predicted gain g.d.  A predicted gain below
 REL_TOL * max(1, |f|) cannot be resolved in f; such a step is accepted when
-it keeps f within that band and shrinks |g|_inf.
+it keeps f within that band and shrinks |g|_inf.  A line search whose
+every trial is inadmissible stops the ascent with its own message.
 """
 
 from dataclasses import dataclass, field
@@ -74,12 +75,13 @@ def maximize_newton(objective, x0):
         gain = float(g @ d)
         band = REL_TOL * max(1.0, abs(f))
         g_norm = np.max(np.abs(g))
-        alpha, accept = 1.0, False
+        alpha, accept, admissible = 1.0, False, None  # None until a trial is evaluated
         for _ in range(MAX_HALVINGS):
             trial = x + alpha * d
             if np.array_equal(trial, x):  # no representable step is left
                 break
             f1, g1, H1 = objective(trial)
+            admissible = admissible or bool(np.isfinite(f1))
             if gain < band:
                 accept = f1 >= f - band and np.max(np.abs(g1)) < g_norm
             else:
@@ -88,7 +90,10 @@ def maximize_newton(objective, x0):
                 break
             alpha *= 0.5
         if not accept:
-            message = "stopped at the objective's float resolution"
+            if admissible is False:
+                message = "no admissible point found along the step"
+            else:
+                message = "stopped at the objective's float resolution"
             converged = bool(g_norm < GRAD_TOL)
             break
         rel_change = abs(f1 - f) / max(1.0, abs(f1))

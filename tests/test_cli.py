@@ -509,6 +509,54 @@ class TestErrors:
         assert res.returncode == 1
 
 
+INPUT = ["--input", "counts.csv", "--schema", SCHEMA, "--response", "y"]
+PRESET = ["--preset", "paper-like"]
+
+
+class TestIgnoredOptions:
+    """An option the run would ignore is a usage error, before any data is read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", *PRESET, "--input", "absent.csv", "--family", "nb"],
+            ["screen", *PRESET, "--schema", SCHEMA],
+            ["fit", *PRESET, "--response", "nosuch", "--family", "poisson"],
+            ["diagnose", *INPUT, "--seed", "3"],
+            ["fit", *PRESET, "--family", "nb", "--zero-covariates", "x"],
+            ["diagnose", *PRESET, "--family", "poisson", "--zero-covariates", "x"],
+            ["diagnose", *INPUT, "--covariates", "grp"],
+            ["diagnose", *INPUT, "--zero-covariates", "x"],
+            ["diagnose", *INPUT, "--ref", "grp=b"],
+        ],
+        ids=[
+            "preset-with-input",
+            "preset-with-schema",
+            "preset-with-response",
+            "seed-without-preset",
+            "fit-zero-covariates-without-zinb",
+            "diagnose-zero-covariates-without-zinb",
+            "diagnose-covariates-without-family",
+            "diagnose-zero-covariates-without-family",
+            "diagnose-ref-without-family",
+        ],
+    )
+    def test_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err
+
+    def test_compare_passes_zero_covariates_to_its_zinb_fit(self, data_csv, capsys):
+        argv = ["compare", "--input", str(data_csv), "--schema", SCHEMA, "--response", "y"]
+        argv += ["--covariates", "grp", "--zero-covariates", "x", "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        zinb = [line for line in capsys.readouterr().out.splitlines() if line.startswith("zinb,")]
+        assert zinb[0].split(",")[1] == "6"  # 3 count, 2 zero coefficients and log_tau
+
+
 class TestUnfittableInput:
     """Input that cannot be fitted ends as `error: ...` with exit 1."""
 

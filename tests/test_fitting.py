@@ -32,6 +32,7 @@ from countreg import (
 from countreg import _kernels
 from countreg import fitting
 from countreg.fitting import _Problem
+from countreg.optimize import MAX_HALVINGS
 
 import _oracles
 
@@ -404,11 +405,10 @@ class TestFits:
         assert res.aic == pytest.approx(2 * res.n_free - 2 * res.log_likelihood)
         assert res.n_free == 3
 
-    def test_zero_probabilities_returned(self):
+    def test_expected_zero_fraction_returned(self):
         ds = _zinb_sim(n=2000, seed=26)
         res = fit(ModelSpec("zinb", "y", ["x"]), ds)
-        assert res.zero_probabilities.shape == (2000,)
-        assert float(res.zero_probabilities.mean()) == pytest.approx(
+        assert res.expected_zero_fraction == pytest.approx(
             float((ds.response_vector("y") == 0).mean()), abs=0.03
         )
 
@@ -521,6 +521,24 @@ class TestNewtonAscent:
         assert res.message == "stopped at the objective's float resolution"
         assert 1 < len(trials) <= 7
         assert 1e12 not in trials[1:]
+
+    def test_a_step_with_no_admissible_trial_says_so(self):
+        # a near-zero curvature sends the step to -1e30: every halving lands
+        # at |x| >= 1.7e12, outside the objective's domain |x| <= 1
+        trials = []
+
+        def objective(x):
+            trials.append(float(x[0]))
+            if abs(x[0]) > 1.0:
+                return -math.inf, np.zeros(1), np.zeros((1, 1))
+            return -x[0] ** 2, -2.0 * x, np.array([[-1e-30]])
+
+        res = fitting.maximize_newton(objective, np.array([0.5]))
+        assert not res.converged
+        assert res.n_iter == 0 and res.x[0] == 0.5
+        assert res.message == "no admissible point found along the step"
+        assert len(trials) == 1 + MAX_HALVINGS
+        assert min(abs(t) for t in trials[1:]) > 1e12
 
 
 class TestFarTrialPoints:
@@ -641,7 +659,9 @@ class TestRowPatterns:
         res = fit(ModelSpec("nb", "y"), ds)
         assert res.converged
         assert res.n_obs == ds.n_rows == 100_000
-        assert res.zero_probabilities.shape == (ds.n_rows,)
+        assert res.expected_zero_fraction == pytest.approx(
+            float((ds.response_vector("y") == 0).mean()), abs=0.03
+        )
         assert sizes and max(sizes) <= 12
 
     def test_distinct_rows_are_fitted_as_given(self, monkeypatch):
@@ -697,9 +717,17 @@ class TestRowPatterns:
             ([b.estimates.log_tau], [a.estimates.log_tau]),
         ):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
-        np.testing.assert_allclose(
-            b.zero_probabilities, a.zero_probabilities[perm], rtol=1e-12, atol=0
-        )
+        assert b.expected_zero_fraction == pytest.approx(a.expected_zero_fraction, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_expected_zero_fraction_is_the_full_row_mean(self, family):
+        ds = _grouped_sim()
+        spec = GROUPED_SPECS.get(family, ModelSpec("poisson", "y", ["g", "h"]))
+        res = fit(spec, ds)
+        X = build_design(ds, spec.count_covariates)
+        Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
+        full = np.mean(fitting._zero_probabilities(family, X, Z, res.estimates))
+        assert res.expected_zero_fraction == pytest.approx(full, rel=1e-12)
 
 
 class TestReferenceLevelInvariance:
