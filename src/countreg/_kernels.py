@@ -16,7 +16,10 @@ the response as an array and return the ``rows`` for pmf callers.
 ``Counts(y)`` is the response prepared once, since none of it depends on the
 parameters: the counts as float64, each row's index into the count table
 below, the rows past that table, and log(y!) per row, which the Poisson,
-NB and ZINB log pmfs all subtract.  The fitter builds one per fit.
+NB and ZINB log pmfs all subtract.  log(y!) is that table's L at tau = 1,
+sum_{j<y} log1p(j) = log(y!), with the series past K, which is Stirling's
+there; it is the one log(y!) of the package.  The fitter builds one
+``Counts`` per fit.
 
 Every other count-only term comes from one table per call over
 k = 0..min(max y, K), gathered at y before either backend runs:
@@ -64,7 +67,6 @@ import math
 import os
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "BACKEND",
@@ -86,7 +88,7 @@ class Counts:
     ``y`` is the counts as float64, ``k`` each row's index into the tables
     over the counts ``k_all`` = 0..min(max y, K), ``big`` the indices of the
     rows past the table, whose k is K, the anchor of their series, and
-    ``log_fact`` lgamma(y + 1) per row, gathered from one table.
+    ``log_fact`` log(y!) per row, the count terms' L[y] at tau = 1.
     """
 
     def __init__(self, y):
@@ -96,8 +98,8 @@ class Counts:
         self.k = np.full(self.y.size, _TABLE_MAX, dtype=np.intp)  # one n-array, no float temporary
         np.copyto(self.k, self.y, casting="unsafe", where=~past)
         self.k_all = np.arange(self.k.max(initial=0) + 1.0)
-        self.log_fact = gammaln(self.k_all + 1.0)[self.k]
-        self.log_fact[self.big] = gammaln(self.y[self.big] + 1.0)
+        self.log_fact = 0.0  # so that L[y] at tau = 1 comes back whole
+        self.log_fact = _count_terms(self, 1.0)[0]
 
 
 def _count_terms(counts, tau, hessian=False):

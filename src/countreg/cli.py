@@ -13,15 +13,14 @@ import sys
 from pathlib import Path
 
 from . import diagnostics, report
-from .data import ModelSpec, load_csv, parse_schema
+from .data import FAMILIES, ModelSpec, load_csv, parse_schema
 from .errors import ConfigurationError, CountregError
 from .fitting import compare_models, fit, irr_table
 from .simulate import csv_text, demo_preset, simulate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
-EXIT_NO_CONVERGENCE = 3
+EXIT_NO_CONVERGENCE = 3  # 2, a usage error, is argparse's own exit
 
 PRESETS = {"paper-like": demo_preset}
 
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit with IRR table")
     add_io(p_fit)
     add_model(p_fit)
-    p_fit.add_argument("--family", choices=("poisson", "nb", "zinb"), required=True)
+    p_fit.add_argument("--family", choices=FAMILIES, required=True)
 
     p_screen = sub.add_parser("screen", help="chi-square independence screening")
     add_io(p_screen)
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p_diag)
     p_diag.add_argument(
         "--family",
-        choices=("poisson", "nb", "zinb"),
+        choices=FAMILIES,
         help="also fit this family and report its expected zero fraction",
     )
 
@@ -221,7 +220,7 @@ def _run_simulate(args) -> int:
 
 def _run_compare(args) -> int:
     ds, response = _load_dataset(args)
-    fits = [fit(_model_spec(args, family, response), ds) for family in ("poisson", "nb", "zinb")]
+    fits = [fit(_model_spec(args, family, response), ds) for family in FAMILIES]
     rows = compare_models(fits)
     _write(args, lambda fmt: report.comparison_report(rows, fmt))
     return EXIT_OK if all(f.converged for f in fits) else EXIT_NO_CONVERGENCE

@@ -21,6 +21,7 @@ from .errors import (
 )
 
 COLUMN_KINDS = ("count", "categorical", "numeric")
+FAMILIES = ("poisson", "nb", "zinb")
 MISSING_TOKENS = {"", "NA"}
 INTERCEPT_LABEL = "(intercept)"
 
@@ -92,10 +93,14 @@ class ModelSpec:
     reference_levels: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in ("poisson", "nb", "zinb"):
+        if self.family not in FAMILIES:
             raise SchemaError(f"unknown family {self.family!r}")
         if self.zero_covariates and self.family != "zinb":
             raise SchemaError("zero-part covariates are only valid for the zinb family")
+        for part, names in (("count", self.count_covariates), ("zero", self.zero_covariates)):
+            repeated = next((name for name in names if names.count(name) > 1), None)
+            if repeated is not None:
+                raise SchemaError(f"covariate '{repeated}' is listed twice in the {part} part")
 
 
 @dataclass
@@ -121,6 +126,8 @@ def parse_schema(text: str) -> dict[str, str]:
         name, kind = name.strip(), kind.strip()
         if kind not in COLUMN_KINDS:
             raise SchemaError(f"unknown column kind {kind!r} for '{name}'")
+        if name in schema:
+            raise SchemaError(f"column '{name}' is declared twice")
         schema[name] = kind
     if not schema:
         raise SchemaError("schema declares no columns")
@@ -184,6 +191,9 @@ def _read_columns(path, schema: dict[str, str]) -> tuple[dict[str, list[str]], i
     missing_cols = [name for name in schema if name not in header]
     if missing_cols:
         raise SchemaError(f"{path}: declared columns absent from header: {missing_cols}")
+    repeated = next((name for name in schema if header.count(name) > 1), None)
+    if repeated is not None:
+        raise SchemaError(f"{path}: header holds column '{repeated}' more than once")
     positions = [header.index(name) for name in schema]
     width = max(positions, default=-1) + 1
     if rows and min(map(len, rows)) < width:

@@ -4,7 +4,9 @@ Parameterization: the NB mean is ``lam`` and the shape is ``tau``, giving
 variance ``lam + lam**2 / tau``; the Poisson distribution is the ``tau -> inf``
 limit.  The ZINB mixes a point mass at zero (probability ``p``) with an NB
 count.  All pmf evaluation happens in log space through the kernels in
-:mod:`countreg._kernels`; raw gamma ratios are never formed.
+:mod:`countreg._kernels`; raw gamma ratios are never formed.  The Poisson
+log pmf takes its log(y!) there too, from ``_kernels.Counts``, the value
+every fitted log-likelihood subtracts.
 """
 
 import math
@@ -64,7 +66,8 @@ def poisson_log_pmf(y: int, lam: float) -> float:
     _check_count(y)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ParameterDomainError(f"mean must be finite and positive, got {lam!r}")
-    return y * math.log(lam) - lam - math.lgamma(y + 1.0)
+    log_fact = _kernels.Counts(np.array([float(y)])).log_fact[0]
+    return float(y * math.log(lam) - lam - log_fact)
 
 
 def nb_log_pmf(y: int, params: NbParams) -> float:

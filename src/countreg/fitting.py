@@ -3,9 +3,10 @@
 Mean model: log(lam_i) = x_i' beta.  Zero model (ZINB): logit(p_i) = z_i' gamma.
 The shape parameter is optimized as log_tau so positivity needs no constraint.
 NB and ZINB likelihood terms go through the same pmf kernels as the
-distributions module, so likelihood and pmf cannot drift apart; the expected
-zero fraction is the mean of the kernels' y = 0 terms, in closed form over
-the row patterns.
+distributions module, and all three families subtract the one log(y!) that
+``_kernels.Counts`` holds, so likelihood and pmf cannot drift apart; the
+expected zero fraction is the mean of the kernels' y = 0 terms, in closed
+form over the row patterns.
 
 A fit runs on the distinct (y, x, z) row patterns, each weighted by its
 count: with categorical or count covariates the likelihood depends on the
@@ -44,8 +45,6 @@ from .optimize import equilibrated_eigh, maximize_newton
 from .report import stars_for_p
 
 ETA_MAX = 700.0  # exp overflows just past 709; flag a little earlier
-
-FAMILIES = ("poisson", "nb", "zinb")
 
 
 @dataclass

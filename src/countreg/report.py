@@ -10,6 +10,8 @@ duck-typed result objects only; it must not import the fitting or
 diagnostics modules.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -50,6 +52,16 @@ def _lines(lines) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(header: str, rows) -> str:
+    """CSV in the dialect `load_csv` reads: a field holding a comma, a quote
+    or a newline is quoted, and floats are written as their repr."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def render_fit_text(fit_result, rows) -> str:
     """Variable/level listing with IRR cells, one part per block."""
     out = []
@@ -87,11 +99,10 @@ def fit_report(fit_result, rows, dropped_rows: int, fmt: str) -> str:
     if fmt == "text":
         return render_fit_text(fit_result, rows)
     if fmt == "csv":
-        return _lines(["label,part,estimate,irr,se,z,p,stars", *(
-            f"{r.label},{r.part},{r.coefficient!r},{r.irr!r},"
-            f"{r.std_error!r},{r.z_value!r},{r.p_value!r},{r.stars}"
+        return _csv("label,part,estimate,irr,se,z,p,stars", (
+            (r.label, r.part, r.coefficient, r.irr, r.std_error, r.z_value, r.p_value, r.stars)
             for r in rows
-        )])
+        ))
     return _json({
         "family": fit_result.family,
         "n_obs": fit_result.n_obs,
@@ -129,10 +140,10 @@ def screening_report(results: dict, fmt: str) -> str:
             out.append(line)
         return _lines(out)
     if fmt == "csv":
-        return _lines(["covariate,chi2,df,p,stars,min_expected", *(
-            f"{name},{r.chi2!r},{r.df},{r.p_value!r},{r.stars},{r.min_expected!r}"
+        return _csv("covariate,chi2,df,p,stars,min_expected", (
+            (name, r.chi2, r.df, r.p_value, r.stars, r.min_expected)
             for name, r in results.items()
-        )])
+        ))
     return _json({
         "test": "chi-square independence",
         "continuity_correction": "none",
@@ -168,7 +179,7 @@ def diagnose_report(disp, zero, fmt: str) -> str:
         out.extend(f"  {v},{c}" for v, c in zero.histogram)
         return _lines(out)
     if fmt == "csv":
-        return _lines(["value,count", *(f"{v},{c}" for v, c in zero.histogram)])
+        return _csv("value,count", zero.histogram)
     return _json({
         "dispersion": {
             "mean": _clean(disp.mean),
@@ -192,9 +203,9 @@ def comparison_report(rows, fmt: str) -> str:
             for r in rows
         )])
     if fmt == "csv":
-        return _lines(["family,n_params,log_likelihood,aic", *(
-            f"{r.family},{r.n_params},{r.log_likelihood!r},{r.aic!r}" for r in rows
-        )])
+        return _csv("family,n_params,log_likelihood,aic", (
+            (r.family, r.n_params, r.log_likelihood, r.aic) for r in rows
+        ))
     return _json({
         "ranking": [
             {

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .data import Column, Dataset, build_design
+from .data import FAMILIES, Column, Dataset, build_design
 from .distributions import nb_draws, zinb_draws
 from .errors import ConfigurationError
 
@@ -51,7 +51,7 @@ class SimConfig:
 def _validate(config: SimConfig):
     if config.n_rows < 1:
         raise ConfigurationError("n_rows must be positive")
-    if config.family not in ("poisson", "nb", "zinb"):
+    if config.family not in FAMILIES:
         raise ConfigurationError(f"unknown family '{config.family}'")
     names = [c.name for c in config.covariates]
     if len(set(names)) != len(names):

@@ -1,8 +1,16 @@
+import os
+
 import pytest
 
 import countreg
 
 import _acceptance_report
+
+# the CLI runs, backend probes and fitbench smoke runs are subprocesses:
+# pyproject's filter reaches only this process, so pass it on to them
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"))
+)
 
 
 @pytest.fixture(scope="session", autouse=True)

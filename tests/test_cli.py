@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, stream separation, output formats."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -191,6 +193,28 @@ class TestFit:
         lines = res.stdout.splitlines()
         assert lines[0] == "label,part,estimate,irr,se,z,p,stars"
         assert lines[1].startswith("x,count,")
+
+    def test_csv_quotes_a_label_holding_a_comma(self, tmp_path):
+        # the level "a,b" is quoted in the input and must be in the report
+        rng = np.random.default_rng(7)
+        levels = rng.choice(['"a,b"', "b", "c"], 300)
+        y = rng.poisson(np.where(levels == "b", 2.0, 1.2))
+        path = tmp_path / "quoted.csv"
+        path.write_text("y,g\n" + "".join(f"{v},{g}\n" for v, g in zip(y, levels)))
+        res = run_cli(
+            "fit",
+            "--input", str(path),
+            "--schema", "y=count,g=categorical",
+            "--response", "y",
+            "--covariates", "g",
+            "--ref", "g=c",
+            "--family", "poisson",
+            "--format", "csv",
+        )
+        assert res.returncode == EXIT_OK, res.stderr
+        rows = list(csv.reader(io.StringIO(res.stdout)))
+        assert [len(row) for row in rows] == [8, 8, 8]
+        assert [row[0] for row in rows[1:]] == ["g=a,b", "g=b"]
 
     def test_irr_past_float_range(self, tmp_path):
         # exp(beta) of a slope near 5000 on a covariate in small units
@@ -495,6 +519,21 @@ class TestErrors:
         assert main([command, "--input", str(data_csv), "--schema", SCHEMA, *family]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {command} requires --response (or a --preset that names one)"
+        )
+
+    def test_covariate_listed_twice(self, data_csv):
+        res = run_cli(
+            "fit",
+            "--input", str(data_csv),
+            "--schema", SCHEMA,
+            "--response", "y",
+            "--covariates", "grp,grp",
+            "--family", "poisson",
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == (
+            "error: covariate 'grp' is listed twice in the count part"
         )
 
     def test_unknown_covariate(self, data_csv):

@@ -50,6 +50,10 @@ class TestParseSchema:
         with pytest.raises(SchemaError):
             parse_schema("")
 
+    def test_name_declared_twice(self):
+        with pytest.raises(SchemaError, match="column 'y' is declared twice"):
+            parse_schema("y=count,y=numeric")
+
 
 class TestLoadCsv:
     def test_happy_path(self, tmp_path):
@@ -126,6 +130,11 @@ class TestLoadCsv:
         ds = load_csv(path, SCHEMA)
         assert set(ds.columns) == {"y", "grp", "age"}
 
+    def test_declared_name_twice_in_header(self, tmp_path):
+        path = _write(tmp_path, "y,grp,age,grp\n0,a,1.5,b\n")
+        with pytest.raises(SchemaError, match="column 'grp' more than once"):
+            load_csv(path, SCHEMA)
+
     def test_declared_column_absent(self, tmp_path):
         path = _write(tmp_path, "y,age\n0,1.5\n")
         with pytest.raises(SchemaError):
@@ -186,6 +195,13 @@ class TestModelSpec:
     def test_unknown_family(self):
         with pytest.raises(SchemaError):
             ModelSpec("gaussian", "y")
+
+    def test_covariate_listed_twice_in_one_part(self):
+        with pytest.raises(SchemaError, match="'grp' is listed twice in the count part"):
+            ModelSpec("nb", "y", ["grp", "age", "grp"])
+        with pytest.raises(SchemaError, match="'grp' is listed twice in the zero part"):
+            ModelSpec("zinb", "y", zero_covariates=["grp", "grp"])
+        ModelSpec("zinb", "y", ["grp"], ["grp"])  # one in each part is fine
 
 
 class TestBuildDesign:
