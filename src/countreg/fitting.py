@@ -21,6 +21,12 @@ Their summation order, like that of the numpy reductions, does not depend
 on the BLAS thread count, so repeated fits on identical input are
 bit-identical.  A row-major design gives the same sums to rounding, only
 more slowly.
+
+One evaluation allocates no row-sized array.  The predictors, the mean and
+the zero probability, the kernel's output block, the tau design row and one
+scratch block for the weighted designs of the Hessian are buffers kept on
+the fit's ``_kernels.Counts``, made by the first evaluation and overwritten
+by each later one; the weights multiply the output block in place.
 """
 
 import math
@@ -121,47 +127,59 @@ def _tau_of(params: ParamVector) -> float:
     return math.exp(params.log_tau)
 
 
-def _count_predictor(X: DesignMatrix, beta: np.ndarray) -> np.ndarray:
-    eta = X.values @ beta
-    bad = ~np.isfinite(eta) | (eta > ETA_MAX)
-    if np.any(bad):
+def _count_predictor(X: DesignMatrix, beta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    eta = np.matmul(X.values, beta, out=out)
+    # a NaN fails both comparisons
+    if not (eta.min(initial=math.inf) > -math.inf and eta.max(initial=-math.inf) <= ETA_MAX):
         raise EvaluationError(
             f"count-part linear predictor is not finite or above {ETA_MAX:g}",
-            int(np.argmax(bad)),
+            int(np.argmax(~np.isfinite(eta) | (eta > ETA_MAX))),
         )
     return eta
 
-def _zero_predictor(Z: DesignMatrix, gamma: np.ndarray) -> np.ndarray:
-    s = Z.values @ gamma
-    bad = ~np.isfinite(s)
-    if np.any(bad):
-        raise EvaluationError("zero-part linear predictor is not finite", int(np.argmax(bad)))
+def _zero_predictor(Z: DesignMatrix, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
+    s = np.matmul(Z.values, gamma, out=out)
+    if not (s.min(initial=math.inf) > -math.inf and s.max(initial=-math.inf) < math.inf):
+        raise EvaluationError(
+            "zero-part linear predictor is not finite", int(np.argmax(~np.isfinite(s)))
+        )
     return s
 
 
 def _row_terms(spec, X, Z, counts, params, hessian=False) -> tuple:
-    """Row log pmfs, the row derivatives in eta, logit(p) and tau (then,
-    with ``hessian``, the upper triangle of their second derivatives), and
-    the transposed designs [X', Z', tau * 1'] those derivatives meet, for
-    the family of ``spec`` at ``params``."""
+    """One block whose rows are the row log pmfs, the row derivatives in
+    eta, logit(p) and tau and, with ``hessian``, the upper triangle of their
+    second derivatives, and the transposed designs [X', Z', tau * 1'] those
+    derivatives meet, for the family of ``spec`` at ``params``.
+
+    The block and the tau row are buffers kept on ``counts``, which the next
+    call on it overwrites.
+    """
     _check_finite_params(params)
-    y = counts.y
-    eta = _count_predictor(X, params.beta)
-    lam = np.exp(eta)
+    y, n = counts.y, counts.y.size
+    eta = _count_predictor(X, params.beta, counts.buffer("lam", (n,)))
     designs = [X.values.T]
     if spec.family == "poisson":
-        rows = y * eta - lam - counts.log_fact
-        terms = [y - lam, -lam]
+        block = counts.buffer("rows", (3, n))
+        rows, u, ee = block
+        np.multiply(y, eta, out=rows)
+        lam = np.exp(eta, out=eta)
+        rows -= lam
+        rows -= counts.log_fact
+        np.subtract(y, lam, out=u)
+        np.negative(lam, out=ee)
+        return block, designs
+    lam = np.exp(eta, out=eta)
+    tau = _tau_of(params)
+    if spec.family == "nb":
+        block = _kernels.nb_loglik_score(counts, lam, tau, hessian)
     else:
-        tau = _tau_of(params)
-        if spec.family == "nb":
-            rows, *terms = _kernels.nb_loglik_score(counts, lam, tau, hessian)
-        else:
-            p = expit(_zero_predictor(Z, params.gamma))
-            rows, *terms = _kernels.zinb_loglik_score(counts, lam, p, tau, hessian)
-            designs.append(Z.values.T)
-        designs.append(np.full((1, y.size), tau))
-    return rows, terms, designs
+        p = _zero_predictor(Z, params.gamma, counts.buffer("p", (n,)))
+        block = _kernels.zinb_loglik_score(counts, lam, expit(p, out=p), tau, hessian)
+        designs.append(Z.values.T)
+    designs.append(counts.buffer("tau", (1, n)))
+    designs[-1].fill(tau)
+    return block, designs
 
 
 def _loglik_score(
@@ -181,18 +199,23 @@ def _loglik_score(
     family: [beta] for poisson, [beta, log_tau] for nb, [beta, gamma,
     log_tau] for zinb.  The row derivatives in eta, logit(p) and tau meet
     the designs [X, Z, tau * 1] block by block; the log-tau chain term,
-    tau * dl/dtau, joins the last diagonal entry.
+    tau * dl/dtau, joins the last diagonal entry.  The weighted designs of
+    the Hessian go through one scratch block kept on ``counts``.
     """
-    rows, terms, designs = _row_terms(spec, X, Z, counts, params, hessian)
+    block, designs = _row_terms(spec, X, Z, counts, params, hessian)
+    block *= w
+    rows, *terms = block
     k = len(designs)
-    ll = float(np.sum(w * rows))
-    grad = np.concatenate([np.einsum("in,n->i", D, w * t) for D, t in zip(designs, terms)])
+    ll = float(np.sum(rows))
+    grad = np.concatenate([np.einsum("in,n->i", D, t) for D, t in zip(designs, terms)])
     if not hessian:
         return ll, grad
+    scratch = counts.buffer("weighted", (max(D.shape[0] for D in designs), rows.size))
     blocks = [[None] * k for _ in range(k)]
     upper = [(a, b) for a in range(k) for b in range(a, k)]
     for (a, b), h in zip(upper, terms[k:]):
-        blocks[a][b] = np.einsum("in,jn->ij", designs[a] * (w * h), designs[b])
+        weighted = np.multiply(designs[a], h, out=scratch[: designs[a].shape[0]])
+        blocks[a][b] = np.einsum("in,jn->ij", weighted, designs[b])
         blocks[b][a] = blocks[a][b].T
     H = np.block(blocks)
     if spec.family != "poisson":
@@ -202,7 +225,7 @@ def _loglik_score(
 
 def log_likelihood(spec, X, Z, y, params) -> float:
     """Sum of per-observation log pmfs under the family of ``spec``."""
-    return float(np.sum(_row_terms(spec, X, Z, _kernels.Counts(y), params)[0]))
+    return float(np.sum(_row_terms(spec, X, Z, _kernels.Counts(y), params)[0][0]))
 
 
 def gradient(spec, X, Z, y, params) -> np.ndarray:

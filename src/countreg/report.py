@@ -11,9 +11,9 @@ diagnostics modules.
 """
 
 import csv
-import io
 import json
 import math
+from types import SimpleNamespace
 
 OUT_FORMAT = {"fit": "json", "diagnose": "csv"}
 
@@ -53,13 +53,17 @@ def _lines(lines) -> str:
 
 
 def _csv(header: str, rows) -> str:
-    """CSV in the dialect `load_csv` reads: a field holding a comma, a quote
-    or a newline is quoted, and floats are written as their repr."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    """CSV in the dialect `load_csv` reads: a field holding a comma, a quote,
+    a carriage return or a newline is quoted, and floats are written as
+    their repr."""
+    lines = []
+    # the writer quotes a field holding any character of its line
+    # terminator, so it ends each row, one write per row, in "\r\n", and
+    # that row end becomes "\n" here
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header.split(","))
     writer.writerows(rows)
-    return out.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def render_fit_text(fit_result, rows) -> str:

@@ -194,27 +194,41 @@ class TestFit:
         assert lines[0] == "label,part,estimate,irr,se,z,p,stars"
         assert lines[1].startswith("x,count,")
 
-    def test_csv_quotes_a_label_holding_a_comma(self, tmp_path):
-        # the level "a,b" is quoted in the input and must be in the report
+    @staticmethod
+    def _csv_report_rows(tmp_path, level):
+        """`fit --format csv` rows, parsed back, for a categorical whose
+        levels are ``level`` (written quoted), "b" and the reference "c"."""
         rng = np.random.default_rng(7)
-        levels = rng.choice(['"a,b"', "b", "c"], 300)
+        levels = rng.choice([f'"{level}"', "b", "c"], 300)
         y = rng.poisson(np.where(levels == "b", 2.0, 1.2))
         path = tmp_path / "quoted.csv"
         path.write_text("y,g\n" + "".join(f"{v},{g}\n" for v, g in zip(y, levels)))
-        res = run_cli(
-            "fit",
-            "--input", str(path),
-            "--schema", "y=count,g=categorical",
-            "--response", "y",
-            "--covariates", "g",
-            "--ref", "g=c",
-            "--family", "poisson",
-            "--format", "csv",
+        # bytes, since text mode would read a "\r" in stdout as a newline
+        res = subprocess.run(
+            [sys.executable, "-m", "countreg", "fit",
+             "--input", str(path),
+             "--schema", "y=count,g=categorical",
+             "--response", "y",
+             "--covariates", "g",
+             "--ref", "g=c",
+             "--family", "poisson",
+             "--format", "csv"],
+            capture_output=True,
         )
         assert res.returncode == EXIT_OK, res.stderr
-        rows = list(csv.reader(io.StringIO(res.stdout)))
+        return list(csv.reader(io.StringIO(res.stdout.decode(), newline="")))
+
+    def test_csv_quotes_a_label_holding_a_comma(self, tmp_path):
+        # the level "a,b" is quoted in the input and must be in the report
+        rows = self._csv_report_rows(tmp_path, "a,b")
         assert [len(row) for row in rows] == [8, 8, 8]
         assert [row[0] for row in rows[1:]] == ["g=a,b", "g=b"]
+
+    def test_csv_quotes_a_label_holding_a_carriage_return(self, tmp_path):
+        # a bare "\r" would end the row for a reader
+        rows = self._csv_report_rows(tmp_path, "a\rb")
+        assert [len(row) for row in rows] == [8, 8, 8]
+        assert [row[0] for row in rows[1:]] == ["g=a\rb", "g=b"]
 
     def test_irr_past_float_range(self, tmp_path):
         # exp(beta) of a slope near 5000 on a covariate in small units

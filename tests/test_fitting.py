@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -297,6 +298,44 @@ class TestFusedObjective:
         X, y = build_design(ds, ["x"]), ds.response_vector("y")
         Z = build_design(ds, []) if family == "zinb" else None
         assert log_likelihood(spec, X, Z, y, res.estimates) == res.log_likelihood
+
+    @staticmethod
+    def _distinct_row_problem(family, n):
+        ds = _zinb_sim(n=n, seed=23)
+        spec = ModelSpec(family, "y", ["x"], ["x"] if family == "zinb" else [])
+        X = build_design(ds, spec.count_covariates)
+        Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
+        problem = _Problem(spec, X, Z, ds.response_vector("y"), FitOptions())
+        assert problem.counts.y.size == n  # every row distinct: nothing collapses
+        return problem
+
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_an_evaluation_allocates_no_row(self, family):
+        # every row-sized intermediate goes into the buffers the first
+        # evaluation makes; what a later one allocates stays below one row
+        n = 20_000
+        problem = self._distinct_row_problem(family, n)
+        theta = problem.start()
+        problem.objective(theta)
+        tracemalloc.start()
+        try:
+            problem.objective(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_evaluations_sharing_buffers_keep_no_state(self, family):
+        problem = self._distinct_row_problem(family, 3000)
+        theta = problem.start()
+        first = problem.objective(theta)
+        moved = problem.objective(theta + 0.05)
+        again = problem.objective(theta)
+        assert moved[0] != first[0]
+        assert again[0] == first[0]
+        for a, b in zip(again[1:], first[1:]):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
     def test_row_major_designs_give_the_same_sums(self, family):

@@ -29,25 +29,51 @@ LARGE_TAUS = (1e8, 1e12, 1e15)  # near the Poisson limit, where lgamma differenc
 K = _kernels._TABLE_MAX  # the count table's last entry, the anchor of the series past it
 
 
+def _numpy_kernels():
+    """The numpy kernels as functions of (y, lam, tau) and (y, lam, p, tau),
+    with ``hessian``, returning the block they fill."""
+    return _runners(_kernels.nb_loglik_score_numpy, _kernels.zinb_loglik_score_numpy, True)
+
+
 def _loop_kernels():
-    """The scalar-loop kernels to check against numpy: the plain Python loop
-    bodies always, and their compiled versions when numba is importable."""
-    loops = [(_kernels._nb_loglik_score_loop, _kernels._zinb_loglik_score_loop)]
+    """The scalar-loop kernels to check against numpy, called as
+    `_numpy_kernels`: the plain Python loop bodies always, and their compiled
+    versions when numba is importable."""
+    loops = [_runners(_kernels._nb_loglik_score_loop, _kernels._zinb_loglik_score_loop, False)]
     if _kernels._HAVE_NUMBA:
-        loops.append((_kernels.nb_loglik_score_numba, _kernels.zinb_loglik_score_numba))
+        loops.append(
+            _runners(_kernels.nb_loglik_score_numba, _kernels.zinb_loglik_score_numba, False)
+        )
     return loops
 
 
+def _runners(nb_kernel, zinb_kernel, takes_counts):
+    """Each kernel filling a fresh output block; ``takes_counts`` for the
+    numpy kernels, which take the Counts where the loops take its y."""
+
+    def run(kernel, y, tau, rows, dt, hessian, *means):
+        counts = _kernels.Counts(y)
+        out = _kernels._output_block(counts, tau, rows, dt, hessian)
+        kernel(counts if takes_counts else counts.y, *means, tau, out)
+        return out
+
+    def nb(y, lam, tau, hessian=False):
+        return run(nb_kernel, y, tau, 6 if hessian else 3, 2, hessian, lam)
+
+    def zinb(y, lam, p, tau, hessian=False):
+        return run(zinb_kernel, y, tau, 10 if hessian else 4, 3, hessian, lam, p)
+
+    return nb, zinb
+
+
 def _count_terms(y, tau, hessian=False):
-    return _kernels._count_terms(_kernels.Counts(y), tau, hessian)
+    """L[y] - log(y!) and D[y], then with ``hessian`` T[y], as rows."""
+    out = np.empty((3 if hessian else 2, len(y)))
+    _kernels._count_terms(_kernels.Counts(y), tau, out)
+    return out
 
 
-def _nb_numpy(y, lam, tau):
-    return _kernels.nb_loglik_score_numpy(y, lam, tau, *_count_terms(y, tau))
-
-
-def _zinb_numpy(y, lam, p, tau):
-    return _kernels.zinb_loglik_score_numpy(y, lam, p, tau, *_count_terms(y, tau))
+_nb_numpy, _zinb_numpy = _numpy_kernels()
 
 
 class TestNumpyKernels:
@@ -118,7 +144,7 @@ class TestNumpyKernels:
             got = _count_terms(y, tau, hessian=True)[2]
             want = [float(mp.psi(1, tau) - mp.psi(1, int(v) + mp.mpf(tau))) for v in y]
             np.testing.assert_allclose(got, want, rtol=2e-14, atol=0)
-        assert _count_terms(y, 2.0)[2].size == 0
+        assert len(_count_terms(y, 2.0)) == 2  # T only with the second derivatives
 
     def test_digamma_and_trigamma_diffs_on_a_random_grid(self):
         # D and T to a few units of the last place at every tau and count:
@@ -181,21 +207,13 @@ class TestZinbMixture:
     """Every ZINB row is the mixture of a structural zero and an NB count;
     the structural-zero component is absent where y > 0."""
 
-    @staticmethod
-    def _kernels():
-        return [
-            (_kernels.nb_loglik_score_numpy, _kernels.zinb_loglik_score_numpy),
-            *_loop_kernels(),
-        ]
-
     def test_positive_rows_are_nb_rows(self):
         y, lam, p, tau = _random_grid(17)
         y += 1.0
         for hessian in (False, True):
-            terms = _count_terms(y, tau, hessian)
-            for nb_kernel, zinb_kernel in self._kernels():
-                rows_nb, u_nb, dt_nb = nb_kernel(y, lam, tau, *terms)[:3]
-                rows, u, v, dt = zinb_kernel(y, lam, p, tau, *terms)[:4]
+            for nb_kernel, zinb_kernel in (_numpy_kernels(), *_loop_kernels()):
+                rows_nb, u_nb, dt_nb = nb_kernel(y, lam, tau, hessian)[:3]
+                rows, u, v, dt = zinb_kernel(y, lam, p, tau, hessian)[:4]
                 assert np.array_equal(rows, rows_nb + np.log1p(-p))
                 assert np.array_equal(u, u_nb)
                 assert np.array_equal(dt, dt_nb)
@@ -208,10 +226,96 @@ class TestZinbMixture:
         y = np.zeros(lam.size)
         for tau in (0.3, 1.5, 40.0, 1e6):
             want = [_oracles.zinb_zero_score_logit(m, q, tau) for m, q in zip(lam, p)]
-            terms = _count_terms(y, tau)
-            for _, zinb_kernel in self._kernels():
-                v = zinb_kernel(y, lam, p, tau, *terms)[2]
+            for _, zinb_kernel in (_numpy_kernels(), *_loop_kernels()):
+                v = zinb_kernel(y, lam, p, tau)[2]
                 np.testing.assert_allclose(v, want, rtol=1e-12, atol=0)
+
+
+def _reference_nb(y, lam, tau, Ly, Dy, Ty):
+    """The NB rows as array expressions over all rows, each a fresh array:
+    the formulas the numpy kernel writes into its buffers step by step."""
+    denom = lam + tau
+    ltt = -np.log1p(lam / tau)  # log(tau / (lam + tau))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ylog = np.where(y > 0, y * (np.log(lam) + ltt), 0.0)
+    rows = Ly + tau * ltt + ylog
+    u = y - lam * (y + tau) / denom
+    dt = Dy + ltt + (lam - y) / denom
+    if not Ty.size:
+        return rows, u, dt
+    r, e = lam / denom, (y - lam) / denom
+    return rows, u, dt, -r * (tau / denom) * (y + tau), r * e, r / tau + e / denom - Ty
+
+
+def _reference_zinb(y, lam, p, tau, Ly, Dy, Ty):
+    """The ZINB rows with the mixture evaluated on every row, a = -inf
+    where y > 0, and the y > 0 values picked by np.where."""
+    nb, u, dt, *second = _reference_nb(y, lam, tau, Ly, Dy, Ty)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.log(np.where(y == 0.0, p, 0.0))  # log p; -inf where y > 0
+        b = nb + np.log1p(-p)  # log((1-p) P_NB(y))
+        rows = np.logaddexp(a, b)
+        mixed = a > -np.inf
+        pi0 = np.where(mixed, np.exp(a - rows), 0.0)
+        w0 = np.where(mixed, np.exp(b - rows), 1.0)
+        v = np.where(mixed, pi0 * (1.0 - p) * -np.expm1(nb), -p)
+        if second:
+            m = w0 * pi0
+            mu, mdt = m * u, m * dt
+            ee, et, tt = second
+            second = [
+                w0 * ee + mu * u, -mu, w0 * et + mu * dt,
+                v * (1.0 - 2.0 * p - v), -mdt, w0 * tt + mdt * dt,
+            ]
+    return rows, u * w0, v, dt * w0, *second
+
+
+def _zero_heavy_grid(seed):
+    y, lam, p, tau = _random_grid(seed)
+    y[::2] = 0.0
+    return y, lam, p, tau
+
+
+class TestAgainstArrayExpressions:
+    """The numpy kernels give the same bits as the array expressions they
+    replace (`_reference_nb`, `_reference_zinb`), which evaluate every
+    intermediate over all rows; np.array_equal takes 0.0 == -0.0."""
+
+    @staticmethod
+    def _check(y, lam, p, tau):
+        nb_numpy, zinb_numpy = _numpy_kernels()
+        for hessian in (False, True):
+            terms = [*_count_terms(y, tau, hessian)]
+            terms += [] if hessian else [np.empty(0)]
+            for got, want in (
+                (nb_numpy(y, lam, tau, hessian), _reference_nb(y, lam, tau, *terms)),
+                (zinb_numpy(y, lam, p, tau, hessian), _reference_zinb(y, lam, p, tau, *terms)),
+            ):
+                assert len(got) == len(want)
+                for i, (g, w) in enumerate(zip(got, want)):
+                    assert np.array_equal(g, w, equal_nan=True), (hessian, i)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16, 17])
+    def test_random_grids(self, seed):
+        self._check(*_random_grid(seed))
+        self._check(*_zero_heavy_grid(seed))
+
+    def test_edge_rows(self):
+        # structural-zero probability at 0 and 1, a mean underflowed to 0,
+        # counts past the table, and lam / tau past the float range, where
+        # a zero row's NB part is -inf (with p = 0 too, l - a is nan there)
+        y = np.array([0.0, 0.0, 4.0, 4.0, 0.0, 3.0, 0.0, 300.0, 5e4, 0.0, 0.0])
+        lam = np.array([2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 1e-300, 280.0, 4e4, 1e305, 1e305])
+        p = np.array([0.0, 1.0, 0.0, 1.0, 0.4, 0.4, 0.5, 0.2, 1e-300, 0.0, 0.3])
+        # the fitter evaluates such far points under the same errstate
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for tau in (1.7, 1e-8, 1e15):
+                self._check(y, lam, p, tau)
+
+    def test_all_zero_and_no_zero_responses(self):
+        y, lam, p, tau = _random_grid(18)
+        self._check(np.zeros_like(y), lam, p, tau)
+        self._check(y + 1.0, lam, p, tau)
 
 
 class TestBackendAgreement:
@@ -224,13 +328,13 @@ class TestBackendAgreement:
 
     @staticmethod
     def _check(y, lam, p, tau):
+        nb_numpy, zinb_numpy = _numpy_kernels()
         for hessian in (False, True):
-            terms = _count_terms(y, tau, hessian)
-            want_nb = _kernels.nb_loglik_score_numpy(y, lam, tau, *terms)
-            want_zinb = _kernels.zinb_loglik_score_numpy(y, lam, p, tau, *terms)
+            want_nb = nb_numpy(y, lam, tau, hessian)
+            want_zinb = zinb_numpy(y, lam, p, tau, hessian)
             for nb_loop, zinb_loop in _loop_kernels():
-                got_nb = nb_loop(y, lam, tau, *terms)
-                got_zinb = zinb_loop(y, lam, p, tau, *terms)
+                got_nb = nb_loop(y, lam, tau, hessian)
+                got_zinb = zinb_loop(y, lam, p, tau, hessian)
                 for got, want, sizes in ((got_nb, want_nb, (3, 6)), (got_zinb, want_zinb, (4, 10))):
                     # second derivatives only when asked for
                     assert len(got) == len(want) == sizes[hessian]
@@ -270,6 +374,17 @@ class TestBackendSelection:
         assert out.shape == (2,)
         out = _kernels.zinb_logpmf(y, lam, p, 1.5)
         assert out.shape == (2,)
+
+    def test_public_results_own_their_rows(self):
+        # each call prepares its own response, and the row it returns is a
+        # copy, not a view that keeps the kernel's whole block alive
+        y, lam, p, tau = _random_grid(19)
+        first = _kernels.zinb_logpmf(y, lam, p, tau)
+        kept = first.copy()
+        second = _kernels.zinb_logpmf(y, 2.0 * lam, p, tau)
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
+        for rows in (first, second, _kernels.nb_logpmf(y, lam, tau)):
+            assert rows.base is None and rows.shape == y.shape
 
     def test_opt_out_env_flag_forces_numpy(self):
         env = dict(os.environ, COUNTREG_NO_NUMBA="1")
