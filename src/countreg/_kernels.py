@@ -1,17 +1,17 @@
 """Fused per-observation likelihood kernels: numba backend, numpy fallback.
 
-Each family has one kernel that returns the row log pmf and the score
-pieces in a single pass over the rows, as the rows of one 2-D block:
+Each family has one kernel that returns the row log pmf with its first
+and second derivatives in a single pass over the rows, as the rows of one
+2-D block:
 
-    nb_loglik_score(counts, lam, tau)      -> [rows, u, dt]
-    zinb_loglik_score(counts, lam, p, tau) -> [rows, u, v, dt]
+    nb_loglik_score(counts, lam, tau)      -> [rows, u, dt, ee, et, tt]
+    zinb_loglik_score(counts, lam, p, tau) -> [rows, u, v, dt, ee, es, et, ss, st, tt]
 
 ``u``, ``v`` and ``dt`` are the derivatives of the row log pmf in
-eta = log(lam), s = logit(p) and tau.  With ``hessian=True``, which only the
-fitter asks for, they are followed by the second derivatives, the upper
-triangle of the row Hessian in (eta, tau) or (eta, s, tau): (ee, et, tt) for
-NB and (ee, es, et, ss, st, tt) for ZINB.  ``nb_logpmf``/``zinb_logpmf`` take
-the response as an array and return a copy of the ``rows`` for pmf callers.
+eta = log(lam), s = logit(p) and tau, and the rest the upper triangle of
+the row Hessian in (eta, tau) or (eta, s, tau).  ``nb_logpmf``/``zinb_logpmf``
+take the response as an array and return a copy of the ``rows`` for pmf
+callers.
 
 ``Counts(y)`` is the response prepared once, since none of it depends on the
 parameters: the counts as float64, each row's index into the count table
@@ -35,7 +35,7 @@ backend runs:
     L[k] = sum_{j<k} log1p(j / tau)
          = lgamma(k + tau) - lgamma(tau) - k log(tau)
     D[k] = sum_{j<k} 1 / (tau + j)   = psi(k + tau) - psi(tau)
-    T[k] = sum_{j<k} 1 / (tau + j)^2 = psi'(tau) - psi'(k + tau)  (hessian only)
+    T[k] = sum_{j<k} 1 / (tau + j)^2 = psi'(tau) - psi'(k + tau)
 
 The table holds three cumulative sums, compensated for rounding
 (`_prefix_sums`); none cancels like a (poly)gamma difference at large tau.
@@ -62,12 +62,12 @@ written as plain Python, compiled with ``numba.njit`` when numba is
 importable (the loops also run, slowly, under CPython, which the agreement
 tests use).  The loops compute the same mixture, with one test per row for
 the mixed case.  Both fill the same output block in place, which on entry
-holds L[y] - log(y!) in its first row, D[y] in the row of dt and, with the
-second derivatives, T[y] in its last row; the numpy kernels take the
-``Counts``, the loops its float counts.  The backend is chosen once at
-import time: numba when it is importable, numpy when it is not or when the
-environment variable ``COUNTREG_NO_NUMBA`` is set to a non-empty value
-other than ``"0"``.  ``BACKEND`` names the choice.
+holds L[y] - log(y!) in its first row, D[y] in the row of dt and T[y] in
+its last row; the numpy kernels take the ``Counts``, the loops its float
+counts.  The backend is chosen once at import time: numba when it is
+importable, numpy when it is not or when the environment variable
+``COUNTREG_NO_NUMBA`` is set to a non-empty value other than ``"0"``.
+``BACKEND`` names the choice.
 
 The mean ``lam`` (and for the zero-inflated family the structural-zero
 probability ``p``) are float64 arrays and the shape ``tau`` a scalar.
@@ -129,8 +129,8 @@ class Counts:
 
 
 def _count_terms(counts, tau, out):
-    """Write L[y] - log(y!), D[y] and T[y] per row of ``counts`` into the
-    first one, two or three rows of ``out``, as many as it has; see above.
+    """Write L[y] - log(y!) per row of ``counts`` into ``out[0]`` and, where
+    ``out`` has three rows, D[y] and T[y] into the other two; see above.
 
     A row past the table adds to its entry at K the differences of the
     asymptotic series (`_series_tails`) between x0 = K + tau and x1 = y + tau.
@@ -141,9 +141,7 @@ def _count_terms(counts, tau, out):
     tables = [_prefix_sums(np.log1p(j / tau))]
     if len(out) > 1:
         recip = 1.0 / (tau + j)
-        tables.append(_prefix_sums(recip))
-        if len(out) > 2:
-            tables.append(_prefix_sums(recip * recip))
+        tables += [_prefix_sums(recip), _prefix_sums(recip * recip)]
     for table, row in zip(tables, out):
         np.take(table, k, out=row, mode="clip")  # k is in range; "clip" takes no copy
     big = counts.big
@@ -157,7 +155,6 @@ def _count_terms(counts, tau, out):
         out[0][big] = tables[0][-1] + ((yb + (tau - 0.5)) * lq + m * c - dr / 12 - (g1 - g0))
         if len(out) > 1:
             out[1][big] = tables[1][-1] + (lq + dr / 2 + h0 - h1)
-        if len(out) > 2:
             out[2][big] = tables[2][-1] + (dr + q0 - q1)
     out[0] -= counts.log_fact
 
@@ -190,10 +187,10 @@ def _series_tails(r):
 
 
 def nb_loglik_score_numpy(counts, lam, tau, out):
-    """Fill the NB rows ``out`` = [rows, u, dt] or [rows, u, dt, ee, et, tt]
-    in place; rows, dt and tt hold L[y] - log(y!), D[y] and T[y] on entry."""
+    """Fill the NB rows ``out`` = [rows, u, dt, ee, et, tt] in place; rows,
+    dt and tt hold L[y] - log(y!), D[y] and T[y] on entry."""
     y = counts.y
-    rows, u, dt, *second = out
+    rows, u, dt, ee, et, tt = out
     denom, ltt, t = counts.buffer("work", (_WORK_ROWS, y.size))[:3]
     np.add(lam, tau, out=denom)
     np.negative(np.log1p(np.divide(lam, tau, out=ltt), out=ltt), out=ltt)  # log(tau / denom)
@@ -208,26 +205,21 @@ def nb_loglik_score_numpy(counts, lam, tau, out):
     np.subtract(y, u, out=u)
     dt += ltt
     dt += np.divide(np.subtract(lam, y, out=t), denom, out=t)
-    if second:
-        ee, et, tt = second
-        r = np.divide(lam, denom, out=ltt)
-        e = np.divide(np.subtract(y, lam, out=t), denom, out=t)
-        np.negative(np.multiply(np.divide(tau, denom, out=ee), r, out=ee), out=ee)
-        ee *= np.add(y, tau, out=et)
-        np.multiply(r, e, out=et)
-        r /= tau
-        r += np.divide(e, denom, out=e)
-        np.subtract(r, tt, out=tt)
+    r = np.divide(lam, denom, out=ltt)
+    e = np.divide(np.subtract(y, lam, out=t), denom, out=t)
+    np.negative(np.multiply(np.divide(tau, denom, out=ee), r, out=ee), out=ee)
+    ee *= np.add(y, tau, out=et)
+    np.multiply(r, e, out=et)
+    r /= tau
+    r += np.divide(e, denom, out=e)
+    np.subtract(r, tt, out=tt)
 
 
 def zinb_loglik_score_numpy(counts, lam, p, tau, out):
-    """Fill the ZINB rows ``out`` = [rows, u, v, dt] or [rows, u, v, dt, ee,
-    es, et, ss, st, tt] in place; rows, dt and tt hold L[y] - log(y!), D[y]
-    and T[y] on entry."""
-    second = len(out) > 4
-    nb_slots = (0, 1, 3, 4, 6, 9) if second else (0, 1, 3)
-    nb_loglik_score_numpy(counts, lam, tau, [out[i] for i in nb_slots])
-    rows, u, v, dt = out[:4]
+    """Fill the ZINB rows ``out`` = [rows, u, v, dt, ee, es, et, ss, st, tt]
+    in place; rows, dt and tt hold L[y] - log(y!), D[y] and T[y] on entry."""
+    nb_loglik_score_numpy(counts, lam, tau, [out[i] for i in (0, 1, 3, 4, 6, 9)])
+    rows, u, v, dt, ee, es, et, ss, st, tt = out
     zeros = counts.zeros
     work = counts.buffer("work", (_WORK_ROWS, rows.size))
     # the y = 0 rows: p, l_NB, b, a = log p and l, in that order
@@ -252,25 +244,23 @@ def zinb_loglik_score_numpy(counts, lam, p, tau, out):
         w0 = work[0]  # past the y = 0 rows' p
         w0.fill(1.0)
         w0[zeros] = w0z
-        if second:
-            ee, es, et, ss, st, tt = out[4:]
-            m = work[1]  # past l_NB: w0 pi0 = w0 (1 - w0), free of its cancellation
-            m.fill(0.0)
-            m[zeros] = pi0z
-            m *= w0
-            mu, mdt = np.multiply(m, u, out=es), np.multiply(m, dt, out=st)
-            t = work[2]  # past b
-            ee *= w0
-            ee += np.multiply(mu, u, out=t)
-            et *= w0
-            et += np.multiply(mu, dt, out=t)
-            tt *= w0
-            tt += np.multiply(mdt, dt, out=t)
-            np.negative(mu, out=es)
-            np.negative(mdt, out=st)
-            np.subtract(1.0, np.multiply(2.0, p, out=ss), out=ss)
-            ss -= v
-            ss *= v
+        m = work[1]  # past l_NB: w0 pi0 = w0 (1 - w0), free of its cancellation
+        m.fill(0.0)
+        m[zeros] = pi0z
+        m *= w0
+        mu, mdt = np.multiply(m, u, out=es), np.multiply(m, dt, out=st)
+        t = work[2]  # past b
+        ee *= w0
+        ee += np.multiply(mu, u, out=t)
+        et *= w0
+        et += np.multiply(mu, dt, out=t)
+        tt *= w0
+        tt += np.multiply(mdt, dt, out=t)
+        np.negative(mu, out=es)
+        np.negative(mdt, out=st)
+        np.subtract(1.0, np.multiply(2.0, p, out=ss), out=ss)
+        ss -= v
+        ss *= v
     u *= w0
     dt *= w0
 
@@ -303,20 +293,16 @@ def _nb_row(yi, li, tau, Li, Di, Ti):
 
 
 def _nb_loglik_score_loop(y, lam, tau, out):
-    hessian = out.shape[0] > 3
     for i in range(y.shape[0]):
-        terms = _nb_row(y[i], lam[i], tau, out[0, i], out[2, i], out[5, i] if hessian else 0.0)
+        terms = _nb_row(y[i], lam[i], tau, out[0, i], out[2, i], out[5, i])
         for j in range(out.shape[0]):
             out[j, i] = terms[j]
 
 
 def _zinb_loglik_score_loop(y, lam, p, tau, out):
-    hessian = out.shape[0] > 4
     for i in range(y.shape[0]):
         pi = p[i]
-        nb, u, dt, ee, et, tt = _nb_row(
-            y[i], lam[i], tau, out[0, i], out[3, i], out[9, i] if hessian else 0.0
-        )
+        nb, u, dt, ee, et, tt = _nb_row(y[i], lam[i], tau, out[0, i], out[3, i], out[9, i])
         row = nb + (math.log1p(-pi) if pi < 1.0 else -math.inf)
         pi0, w0, v = 0.0, 1.0, -pi
         if y[i] == 0.0 and pi > 0.0:
@@ -359,20 +345,20 @@ _DISABLED = os.environ.get("COUNTREG_NO_NUMBA", "") not in ("", "0")
 BACKEND = "numba" if (_HAVE_NUMBA and not _DISABLED) else "numpy"
 
 
-def _output_block(counts, tau, rows, dt, hessian):
+def _output_block(counts, tau, rows, dt):
     """The kernel output block of ``rows`` rows kept on ``counts``, with
-    L[y] - log(y!) in its first row, D[y] in row ``dt`` and, with
-    ``hessian``, T[y] in its last row."""
+    L[y] - log(y!) in its first row, D[y] in row ``dt`` and T[y] in its
+    last row."""
     out = counts.buffer("rows", (rows, counts.y.size))
-    _count_terms(counts, tau, [out[0], out[dt], out[-1]] if hessian else [out[0], out[dt]])
+    _count_terms(counts, tau, [out[0], out[dt], out[-1]])
     return out
 
 
-def nb_loglik_score(counts, lam, tau, hessian=False):
-    """NB row log pmf and its derivatives in eta and tau: (rows, u, dt),
-    then with ``hessian`` the second derivatives (ee, et, tt), as the rows
-    of a block kept on ``counts``."""
-    out = _output_block(counts, tau, 6 if hessian else 3, 2, hessian)
+def nb_loglik_score(counts, lam, tau):
+    """NB row log pmf, its derivatives in eta and tau (rows, u, dt) and
+    their second derivatives (ee, et, tt), as the rows of a block kept on
+    ``counts``."""
+    out = _output_block(counts, tau, 6, 2)
     if BACKEND == "numba":
         nb_loglik_score_numba(counts.y, lam, tau, out)
     else:
@@ -380,11 +366,11 @@ def nb_loglik_score(counts, lam, tau, hessian=False):
     return out
 
 
-def zinb_loglik_score(counts, lam, p, tau, hessian=False):
-    """ZINB row log pmf and its derivatives in eta, logit(p) and tau:
-    (rows, u, v, dt), then with ``hessian`` the second derivatives
-    (ee, es, et, ss, st, tt), as the rows of a block kept on ``counts``."""
-    out = _output_block(counts, tau, 10 if hessian else 4, 3, hessian)
+def zinb_loglik_score(counts, lam, p, tau):
+    """ZINB row log pmf, its derivatives in eta, logit(p) and tau
+    (rows, u, v, dt) and their second derivatives (ee, es, et, ss, st, tt),
+    as the rows of a block kept on ``counts``."""
+    out = _output_block(counts, tau, 10, 3)
     if BACKEND == "numba":
         zinb_loglik_score_numba(counts.y, lam, p, tau, out)
     else:

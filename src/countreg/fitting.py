@@ -26,7 +26,7 @@ One evaluation allocates no row-sized array.  The predictors, the mean and
 the zero probability, the kernel's output block, the tau design row and one
 scratch block for the weighted designs of the Hessian are buffers kept on
 the fit's ``_kernels.Counts``, made by the first evaluation and overwritten
-by each later one; the weights multiply the output block in place.
+by each later one; pattern weights multiply the output block in place.
 """
 
 import math
@@ -146,10 +146,10 @@ def _zero_predictor(Z: DesignMatrix, gamma: np.ndarray, out: np.ndarray) -> np.n
     return s
 
 
-def _row_terms(spec, X, Z, counts, params, hessian=False) -> tuple:
+def _row_terms(spec, X, Z, counts, params) -> tuple:
     """One block whose rows are the row log pmfs, the row derivatives in
-    eta, logit(p) and tau and, with ``hessian``, the upper triangle of their
-    second derivatives, and the transposed designs [X', Z', tau * 1'] those
+    eta, logit(p) and tau and the upper triangle of their second
+    derivatives, and the transposed designs [X', Z', tau * 1'] those
     derivatives meet, for the family of ``spec`` at ``params``.
 
     The block and the tau row are buffers kept on ``counts``, which the next
@@ -172,10 +172,10 @@ def _row_terms(spec, X, Z, counts, params, hessian=False) -> tuple:
     lam = np.exp(eta, out=eta)
     tau = _tau_of(params)
     if spec.family == "nb":
-        block = _kernels.nb_loglik_score(counts, lam, tau, hessian)
+        block = _kernels.nb_loglik_score(counts, lam, tau)
     else:
         p = _zero_predictor(Z, params.gamma, counts.buffer("p", (n,)))
-        block = _kernels.zinb_loglik_score(counts, lam, expit(p, out=p), tau, hessian)
+        block = _kernels.zinb_loglik_score(counts, lam, expit(p, out=p), tau)
         designs.append(Z.values.T)
     designs.append(counts.buffer("tau", (1, n)))
     designs[-1].fill(tau)
@@ -189,27 +189,26 @@ def _loglik_score(
     counts: _kernels.Counts,
     params: ParamVector,
     w: np.ndarray | float = 1.0,
-    hessian: bool = False,
 ) -> tuple:
-    """Log-likelihood and its analytic gradient, and with ``hessian`` its
-    analytic Hessian, from one pass over the rows.
+    """Log-likelihood and its analytic gradient and Hessian, from one pass
+    over the rows.
 
     Row ``i`` counts ``w[i]`` times: the number of observations that share
-    its (y, x, z) pattern, or 1 for every row.  Gradient layout matches the
-    family: [beta] for poisson, [beta, log_tau] for nb, [beta, gamma,
-    log_tau] for zinb.  The row derivatives in eta, logit(p) and tau meet
-    the designs [X, Z, tau * 1] block by block; the log-tau chain term,
-    tau * dl/dtau, joins the last diagonal entry.  The weighted designs of
-    the Hessian go through one scratch block kept on ``counts``.
+    its (y, x, z) pattern, or, where ``w`` is the scalar 1.0, which
+    multiplies nothing, once.  Gradient layout matches the family: [beta]
+    for poisson, [beta, log_tau] for nb, [beta, gamma, log_tau] for zinb.
+    The row derivatives in eta, logit(p) and tau meet the designs
+    [X, Z, tau * 1] block by block; the log-tau chain term, tau * dl/dtau,
+    joins the last diagonal entry.  The weighted designs of the Hessian go
+    through one scratch block kept on ``counts``.
     """
-    block, designs = _row_terms(spec, X, Z, counts, params, hessian)
-    block *= w
+    block, designs = _row_terms(spec, X, Z, counts, params)
+    if isinstance(w, np.ndarray):
+        block *= w
     rows, *terms = block
     k = len(designs)
     ll = float(np.sum(rows))
     grad = np.concatenate([np.einsum("in,n->i", D, t) for D, t in zip(designs, terms)])
-    if not hessian:
-        return ll, grad
     scratch = counts.buffer("weighted", (max(D.shape[0] for D in designs), rows.size))
     blocks = [[None] * k for _ in range(k)]
     upper = [(a, b) for a in range(k) for b in range(a, k)]
@@ -291,8 +290,8 @@ class _Problem:
     layout, holding the pinned entries of ``FitOptions``; ``mask`` marks
     the free ones.  The objective runs over the distinct (y, x, z) rows,
     each weighted by how often it occurs, which is the full-data likelihood
-    exactly.  Where every row is distinct the rows are used as given, with
-    unit weights.
+    exactly.  Where every row is distinct the rows are used as given, and
+    the weight ``w`` is the scalar 1.0.
     """
 
     def __init__(self, spec, X, Z, y, options):
@@ -302,7 +301,7 @@ class _Problem:
         designs = [X, Z] if spec.family == "zinb" else [X]
         table = _row_patterns([*(c for D in designs for c in D.values.T), y])
         if table is None:
-            self.w = np.ones(y.size)
+            self.w = 1.0
         else:
             first, counts = table
             # taken along the transpose, so the pattern designs stay column-major
@@ -352,8 +351,7 @@ class _Problem:
             # produce inf or nan; such a point is inadmissible
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 ll, grad, hess = _loglik_score(
-                    self.spec, self.X, self.Z, self.counts, self.to_params(theta), self.w,
-                    hessian=True,
+                    self.spec, self.X, self.Z, self.counts, self.to_params(theta), self.w
                 )
         except CountregError:
             pass
@@ -373,11 +371,11 @@ class _Problem:
         there.
         """
         y, d, theta = self.counts.y, self.d, self.theta.copy()
-        theta[0] = math.log(float(self.w @ y) / self.n_obs + 0.1)
+        theta[0] = math.log(float(np.sum(self.w * y)) / self.n_obs + 0.1)
         if self.q and self.mask[d]:
             tau = math.exp(theta[-1])
             implied = math.exp(-tau * math.log1p(math.exp(theta[0]) / tau))
-            excess = max(float(self.w @ (y == 0)) / self.n_obs - implied, 0.01)
+            excess = max(float(np.sum(self.w * (y == 0))) / self.n_obs - implied, 0.01)
             theta[d] = math.log(excess) - math.log1p(-excess)
         return theta[self.mask]
 
@@ -433,9 +431,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         # error names the row at fault, or else the first free parameter
         # whose score or Hessian row is not finite
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ll, grad, hess = _loglik_score(
-                spec, X, Z, _kernels.Counts(y), problem.to_params(x0), hessian=True
-            )
+            ll, grad, hess = _loglik_score(spec, X, Z, _kernels.Counts(y), problem.to_params(x0))
         if not math.isfinite(ll):
             raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
         free = problem.mask

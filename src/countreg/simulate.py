@@ -142,15 +142,25 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
     return out
 
 
+def _quoted(field: str) -> str:
+    """``field`` as one CSV field: quoted, its quotes doubled, where it holds
+    a comma, a quote, a carriage return or a newline, as-is elsewhere."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def csv_text(ds: Dataset, config: SimConfig) -> str:
     """A simulated dataset as CSV: covariates in declaration order, then the
-    response; numbers in full precision."""
+    response; numbers in full precision, levels quoted where they need it
+    (`_quoted`), each level once."""
     names = [c.name for c in config.covariates] + [config.response_name]
     cols = []
     for name in names:
         col = ds.column(name)
         if col.kind == "categorical":
-            cols.append(col.labels().tolist())
+            levels = np.asarray([_quoted(v) for v in col.levels], dtype=object)
+            cols.append(levels[col.values].tolist())
         elif col.kind == "numeric":
             cols.append(map(repr, col.values.tolist()))
         else:

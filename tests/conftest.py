@@ -7,10 +7,13 @@ import countreg
 import _acceptance_report
 
 # the CLI runs, backend probes and fitbench smoke runs are subprocesses:
-# pyproject's filter reaches only this process, so pass it on to them
+# pyproject's filter and source path reach only this process, so pass them
+# on to them, the source path made absolute
 os.environ["PYTHONWARNINGS"] = ",".join(
     filter(None, (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"))
 )
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session", autouse=True)

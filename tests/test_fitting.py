@@ -357,8 +357,8 @@ class TestFusedObjective:
             return None if D is None else DesignMatrix(np.ascontiguousarray(D.values), D.labels)
 
         assert X.values.flags.f_contiguous and not c_order(X).values.flags.f_contiguous
-        want = fitting._loglik_score(spec, X, Z, counts, params, w, hessian=True)
-        got = fitting._loglik_score(spec, c_order(X), c_order(Z), counts, params, w, hessian=True)
+        want = fitting._loglik_score(spec, X, Z, counts, params, w)
+        got = fitting._loglik_score(spec, c_order(X), c_order(Z), counts, params, w)
         assert got[0] == pytest.approx(want[0], rel=1e-13)
         for g, v in zip(got[1:], want[1:]):
             np.testing.assert_allclose(g, v, rtol=1e-13, atol=1e-13 * np.max(np.abs(v)))

@@ -31,7 +31,7 @@ K = _kernels._TABLE_MAX  # the count table's last entry, the anchor of the serie
 
 def _numpy_kernels():
     """The numpy kernels as functions of (y, lam, tau) and (y, lam, p, tau),
-    with ``hessian``, returning the block they fill."""
+    returning the block they fill."""
     return _runners(_kernels.nb_loglik_score_numpy, _kernels.zinb_loglik_score_numpy, True)
 
 
@@ -48,27 +48,30 @@ def _loop_kernels():
 
 
 def _runners(nb_kernel, zinb_kernel, takes_counts):
-    """Each kernel filling a fresh output block; ``takes_counts`` for the
-    numpy kernels, which take the Counts where the loops take its y."""
+    """Each kernel filling a fresh output block, NaN on entry but for the
+    count terms, so a row the kernel leaves unwritten reads NaN;
+    ``takes_counts`` for the numpy kernels, which take the Counts where the
+    loops take its y."""
 
-    def run(kernel, y, tau, rows, dt, hessian, *means):
+    def run(kernel, y, tau, rows, dt, *means):
         counts = _kernels.Counts(y)
-        out = _kernels._output_block(counts, tau, rows, dt, hessian)
+        counts.buffer("rows", (rows, counts.y.size)).fill(np.nan)
+        out = _kernels._output_block(counts, tau, rows, dt)
         kernel(counts if takes_counts else counts.y, *means, tau, out)
         return out
 
-    def nb(y, lam, tau, hessian=False):
-        return run(nb_kernel, y, tau, 6 if hessian else 3, 2, hessian, lam)
+    def nb(y, lam, tau):
+        return run(nb_kernel, y, tau, 6, 2, lam)
 
-    def zinb(y, lam, p, tau, hessian=False):
-        return run(zinb_kernel, y, tau, 10 if hessian else 4, 3, hessian, lam, p)
+    def zinb(y, lam, p, tau):
+        return run(zinb_kernel, y, tau, 10, 3, lam, p)
 
     return nb, zinb
 
 
-def _count_terms(y, tau, hessian=False):
-    """L[y] - log(y!) and D[y], then with ``hessian`` T[y], as rows."""
-    out = np.empty((3 if hessian else 2, len(y)))
+def _count_terms(y, tau):
+    """L[y] - log(y!), D[y] and T[y], as rows."""
+    out = np.empty((3, len(y)))
     _kernels._count_terms(_kernels.Counts(y), tau, out)
     return out
 
@@ -141,10 +144,21 @@ class TestNumpyKernels:
         # table's entry at K plus the asymptotic series from K + tau to y + tau
         y = np.array([0.0, 1.0, 7.0, K - 1, K, K + 1, 4096.0, 5e3, 1e5, 1e6])
         for tau in (1e-10, 0.5, 2.0, 50.0, 999.0, 1e3, 1e4, 1e8, 1e15):
-            got = _count_terms(y, tau, hessian=True)[2]
+            got = _count_terms(y, tau)[2]
             want = [float(mp.psi(1, tau) - mp.psi(1, int(v) + mp.mpf(tau))) for v in y]
             np.testing.assert_allclose(got, want, rtol=2e-14, atol=0)
-        assert len(_count_terms(y, 2.0)) == 2  # T only with the second derivatives
+
+    def test_count_terms_fill_the_rows_given(self):
+        # L alone, as log(y!) takes it, or L, D and T, and no row past them;
+        # L is the same either way, past the table too
+        y, _, _, tau = _random_grid(21)
+        y[:2] = (K + 1.0, 5e3)
+        counts = _kernels.Counts(y)
+        full, alone = np.full((4, y.size), np.nan), np.full((2, y.size), np.nan)
+        _kernels._count_terms(counts, tau, full[:3])
+        _kernels._count_terms(counts, tau, alone[:1])
+        assert np.isfinite(full[:3]).all() and np.isnan(full[3]).all()
+        assert np.array_equal(alone[0], full[0]) and np.isnan(alone[1]).all()
 
     def test_digamma_and_trigamma_diffs_on_a_random_grid(self):
         # D and T to a few units of the last place at every tau and count:
@@ -154,7 +168,7 @@ class TestNumpyKernels:
         taus = 10.0 ** rng.uniform(-10.0, 15.0, 120)
         ys = np.floor(10.0 ** rng.uniform(0.0, 7.0, 120))
         for tau, y in zip(taus.tolist(), ys.tolist()):
-            _, D, T = _count_terms(np.array([y]), tau, hessian=True)
+            _, D, T = _count_terms(np.array([y]), tau)
             x = int(y) + mp.mpf(tau)
             want_d = float(mp.digamma(x) - mp.digamma(tau))
             want_t = float(mp.psi(1, tau) - mp.psi(1, x))
@@ -163,7 +177,7 @@ class TestNumpyKernels:
 
     def test_nb_grad_rows_match_finite_differences(self):
         y, lam, _, tau = _random_grid(4, n=24)
-        _, u, dt = _nb_numpy(y, lam, tau)
+        _, u, dt = _nb_numpy(y, lam, tau)[:3]
         h = 1e-6
         # u is the derivative in eta = log(lam)
         up = _nb_numpy(y, lam * math.exp(h), tau)[0]
@@ -175,7 +189,7 @@ class TestNumpyKernels:
 
     def test_zinb_grad_rows_match_finite_differences(self):
         y, lam, p, tau = _random_grid(5, n=24)
-        _, u, v, dt = _zinb_numpy(y, lam, p, tau)
+        _, u, v, dt = _zinb_numpy(y, lam, p, tau)[:4]
         h = 1e-6
         up = _zinb_numpy(y, lam * math.exp(h), p, tau)[0]
         dn = _zinb_numpy(y, lam * math.exp(-h), p, tau)[0]
@@ -195,8 +209,8 @@ class TestNumpyKernels:
         lam = np.array([0.5, 2.0, 8.0])
         p = np.zeros(3)
         tau = 1.3
-        rows, u, v, dt = _zinb_numpy(y, lam, p, tau)
-        rows_nb, u_nb, dt_nb = _nb_numpy(y, lam, tau)
+        rows, u, v, dt = _zinb_numpy(y, lam, p, tau)[:4]
+        rows_nb, u_nb, dt_nb = _nb_numpy(y, lam, tau)[:3]
         np.testing.assert_allclose(rows, rows_nb, rtol=1e-12)
         np.testing.assert_allclose(u, u_nb, rtol=1e-12)
         np.testing.assert_allclose(dt, dt_nb, rtol=1e-12)
@@ -210,14 +224,13 @@ class TestZinbMixture:
     def test_positive_rows_are_nb_rows(self):
         y, lam, p, tau = _random_grid(17)
         y += 1.0
-        for hessian in (False, True):
-            for nb_kernel, zinb_kernel in (_numpy_kernels(), *_loop_kernels()):
-                rows_nb, u_nb, dt_nb = nb_kernel(y, lam, tau, hessian)[:3]
-                rows, u, v, dt = zinb_kernel(y, lam, p, tau, hessian)[:4]
-                assert np.array_equal(rows, rows_nb + np.log1p(-p))
-                assert np.array_equal(u, u_nb)
-                assert np.array_equal(dt, dt_nb)
-                assert np.array_equal(v, -p)
+        for nb_kernel, zinb_kernel in (_numpy_kernels(), *_loop_kernels()):
+            rows_nb, u_nb, dt_nb = nb_kernel(y, lam, tau)[:3]
+            rows, u, v, dt = zinb_kernel(y, lam, p, tau)[:4]
+            assert np.array_equal(rows, rows_nb + np.log1p(-p))
+            assert np.array_equal(u, u_nb)
+            assert np.array_equal(dt, dt_nb)
+            assert np.array_equal(v, -p)
 
     def test_zero_row_logit_score_matches_oracle(self):
         # 1 - P_NB(0) comes from expm1, so v keeps its digits as P_NB(0) -> 1
@@ -241,8 +254,6 @@ def _reference_nb(y, lam, tau, Ly, Dy, Ty):
     rows = Ly + tau * ltt + ylog
     u = y - lam * (y + tau) / denom
     dt = Dy + ltt + (lam - y) / denom
-    if not Ty.size:
-        return rows, u, dt
     r, e = lam / denom, (y - lam) / denom
     return rows, u, dt, -r * (tau / denom) * (y + tau), r * e, r / tau + e / denom - Ty
 
@@ -250,7 +261,7 @@ def _reference_nb(y, lam, tau, Ly, Dy, Ty):
 def _reference_zinb(y, lam, p, tau, Ly, Dy, Ty):
     """The ZINB rows with the mixture evaluated on every row, a = -inf
     where y > 0, and the y > 0 values picked by np.where."""
-    nb, u, dt, *second = _reference_nb(y, lam, tau, Ly, Dy, Ty)
+    nb, u, dt, ee, et, tt = _reference_nb(y, lam, tau, Ly, Dy, Ty)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.log(np.where(y == 0.0, p, 0.0))  # log p; -inf where y > 0
         b = nb + np.log1p(-p)  # log((1-p) P_NB(y))
@@ -259,14 +270,12 @@ def _reference_zinb(y, lam, p, tau, Ly, Dy, Ty):
         pi0 = np.where(mixed, np.exp(a - rows), 0.0)
         w0 = np.where(mixed, np.exp(b - rows), 1.0)
         v = np.where(mixed, pi0 * (1.0 - p) * -np.expm1(nb), -p)
-        if second:
-            m = w0 * pi0
-            mu, mdt = m * u, m * dt
-            ee, et, tt = second
-            second = [
-                w0 * ee + mu * u, -mu, w0 * et + mu * dt,
-                v * (1.0 - 2.0 * p - v), -mdt, w0 * tt + mdt * dt,
-            ]
+        m = w0 * pi0
+        mu, mdt = m * u, m * dt
+        second = [
+            w0 * ee + mu * u, -mu, w0 * et + mu * dt,
+            v * (1.0 - 2.0 * p - v), -mdt, w0 * tt + mdt * dt,
+        ]
     return rows, u * w0, v, dt * w0, *second
 
 
@@ -284,16 +293,14 @@ class TestAgainstArrayExpressions:
     @staticmethod
     def _check(y, lam, p, tau):
         nb_numpy, zinb_numpy = _numpy_kernels()
-        for hessian in (False, True):
-            terms = [*_count_terms(y, tau, hessian)]
-            terms += [] if hessian else [np.empty(0)]
-            for got, want in (
-                (nb_numpy(y, lam, tau, hessian), _reference_nb(y, lam, tau, *terms)),
-                (zinb_numpy(y, lam, p, tau, hessian), _reference_zinb(y, lam, p, tau, *terms)),
-            ):
-                assert len(got) == len(want)
-                for i, (g, w) in enumerate(zip(got, want)):
-                    assert np.array_equal(g, w, equal_nan=True), (hessian, i)
+        terms = _count_terms(y, tau)
+        for got, want in (
+            (nb_numpy(y, lam, tau), _reference_nb(y, lam, tau, *terms)),
+            (zinb_numpy(y, lam, p, tau), _reference_zinb(y, lam, p, tau, *terms)),
+        ):
+            assert len(got) == len(want)
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert np.array_equal(g, w, equal_nan=True), i
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 16, 17])
     def test_random_grids(self, seed):
@@ -329,19 +336,26 @@ class TestBackendAgreement:
     @staticmethod
     def _check(y, lam, p, tau):
         nb_numpy, zinb_numpy = _numpy_kernels()
-        for hessian in (False, True):
-            want_nb = nb_numpy(y, lam, tau, hessian)
-            want_zinb = zinb_numpy(y, lam, p, tau, hessian)
-            for nb_loop, zinb_loop in _loop_kernels():
-                got_nb = nb_loop(y, lam, tau, hessian)
-                got_zinb = zinb_loop(y, lam, p, tau, hessian)
-                for got, want, sizes in ((got_nb, want_nb, (3, 6)), (got_zinb, want_zinb, (4, 10))):
-                    # second derivatives only when asked for
-                    assert len(got) == len(want) == sizes[hessian]
-                    # rows to the log-pmf bound, derivatives to the score bound
-                    np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-13)
-                    for g, w in zip(got[1:], want[1:]):
-                        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-13)
+        want_nb = nb_numpy(y, lam, tau)
+        want_zinb = zinb_numpy(y, lam, p, tau)
+        for nb_loop, zinb_loop in _loop_kernels():
+            for got, want in ((nb_loop(y, lam, tau), want_nb), (zinb_loop(y, lam, p, tau), want_zinb)):
+                assert len(got) == len(want)
+                # rows to the log-pmf bound, derivatives to the score bound
+                np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=1e-13)
+                for g, w in zip(got[1:], want[1:]):
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-13)
+
+    def test_each_backend_fills_one_block_per_family(self):
+        # the row log pmf, its scores and their second derivatives: 6 rows
+        # for NB and 10 for ZINB, every one written (the blocks start NaN)
+        y, lam, p, tau = _random_grid(20)
+        counts = _kernels.Counts(y)
+        assert _kernels.nb_loglik_score(counts, lam, tau).shape == (6, y.size)
+        assert _kernels.zinb_loglik_score(counts, lam, p, tau).shape == (10, y.size)
+        for nb, zinb in (_numpy_kernels(), *_loop_kernels()):
+            for block, size in ((nb(y, lam, tau), 6), (zinb(y, lam, p, tau), 10)):
+                assert block.shape == (size, y.size) and np.isfinite(block).all()
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15, 16])
     def test_loglik_score_agreement(self, seed):

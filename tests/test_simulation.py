@@ -227,15 +227,17 @@ class TestValidation:
 
 class TestCsvOutput:
     @staticmethod
-    def _config(seed=214):
+    def _config(seed=214, levels=("a", "b", "c")):
         return SimConfig(
             n_rows=400,
             family="zinb",
             covariates=[
-                _categorical(levels=("a", "b", "c"), probabilities=(0.5, 0.3, 0.2)),
+                _categorical(levels=levels, probabilities=(0.5, 0.3, 0.2)),
                 _numeric(),
             ],
-            true_beta={"(intercept)": 0.3, "grp=b": -0.2, "grp=c": 0.4, "x": 0.5},
+            true_beta={
+                "(intercept)": 0.3, f"grp={levels[1]}": -0.2, f"grp={levels[2]}": 0.4, "x": 0.5
+            },
             true_gamma={"(intercept)": -0.8, "x": 0.3},
             true_tau=1.2,
             seed=seed,
@@ -258,24 +260,27 @@ class TestCsvOutput:
         assert truth["n_rows"] == 400
 
     def test_round_trip_through_loader(self, tmp_path):
-        out = tmp_path / "sim.csv"
-        ds = simulate(self._config(), out_path=out)
-        loaded = load_csv(
-            out, {"y": "count", "grp": "categorical", "x": "numeric"}
-        )
-        assert loaded.n_rows == ds.n_rows
-        assert loaded.dropped_rows == 0
-        np.testing.assert_array_equal(
-            loaded.response_vector("y"), ds.response_vector("y")
-        )
-        # the loader sorts vocabularies; the declared levels here are sorted
-        # already, so codes must agree exactly
-        assert loaded.column("grp").levels == ds.column("grp").levels
-        np.testing.assert_array_equal(
-            loaded.column("grp").values, ds.column("grp").values
-        )
-        # repr round-trips floats exactly
-        np.testing.assert_array_equal(loaded.column("x").values, ds.column("x").values)
+        # the second level set holds a comma, a quote, a carriage return and
+        # a newline, which must come back whole, so the writer quotes them
+        for levels in (("a", "b", "c"), ("a,b", 'c"d', "e\rf\ng")):
+            out = tmp_path / "sim.csv"
+            ds = simulate(self._config(levels=levels), out_path=out)
+            loaded = load_csv(
+                out, {"y": "count", "grp": "categorical", "x": "numeric"}
+            )
+            assert loaded.n_rows == ds.n_rows
+            assert loaded.dropped_rows == 0
+            np.testing.assert_array_equal(
+                loaded.response_vector("y"), ds.response_vector("y")
+            )
+            # the loader sorts vocabularies; the declared levels here are
+            # sorted already, so codes must agree exactly
+            assert loaded.column("grp").levels == ds.column("grp").levels == levels
+            np.testing.assert_array_equal(
+                loaded.column("grp").values, ds.column("grp").values
+            )
+            # repr round-trips floats exactly
+            np.testing.assert_array_equal(loaded.column("x").values, ds.column("x").values)
 
 
 class TestDemoPreset:
