@@ -1,9 +1,14 @@
-"""Dataset container, CSV ingestion, and design-matrix construction.
+"""Dataset container, the CSV dialect, and design-matrix construction.
 
 Columns are typed as ``count`` (nonnegative integers), ``categorical``
 (integer codes into a level vocabulary), or ``numeric``.  Design matrices
 always start with an intercept column; each categorical contributes one
 dummy column per non-reference level, in vocabulary order.
+
+Both halves of countreg's CSV dialect live here: `load_csv` reads it, and
+`csv_text` writes it, quoting each field by one rule (`csv_field`), for the
+simulated datasets and the ``--format csv`` reports.  `reads_back` names the
+header names and levels that the reader gives back as written.
 """
 
 import csv
@@ -24,6 +29,30 @@ COLUMN_KINDS = ("count", "categorical", "numeric")
 FAMILIES = ("poisson", "nb", "zinb")
 MISSING_TOKENS = {"", "NA"}
 INTERCEPT_LABEL = "(intercept)"
+
+
+def reads_back(text: str) -> bool:
+    """Whether `load_csv` gives back ``text``, as a header name or a
+    categorical level, as written: it is not a missing token, and it has no
+    surrounding whitespace, which the reader strips from every cell."""
+    return text not in MISSING_TOKENS and text == text.strip()
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, its quotes doubled, where it holds
+    a comma, a quote, a carriage return or a newline, as-is elsewhere."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(names, columns) -> str:
+    """CSV text in the dialect `load_csv` reads: the header row of
+    ``names``, each through `csv_field`, then one line per row of
+    ``columns``, whose fields are written already.  Each line ends in a
+    newline."""
+    header = ",".join(map(csv_field, names))
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 @dataclass
@@ -98,6 +127,10 @@ class ModelSpec:
         if self.zero_covariates and self.family != "zinb":
             raise SchemaError("zero-part covariates are only valid for the zinb family")
         for part, names in (("count", self.count_covariates), ("zero", self.zero_covariates)):
+            if self.response in names:
+                raise SchemaError(
+                    f"the response '{self.response}' cannot be a covariate of the {part} part"
+                )
             repeated = next((name for name in names if names.count(name) > 1), None)
             if repeated is not None:
                 raise SchemaError(f"covariate '{repeated}' is listed twice in the {part} part")

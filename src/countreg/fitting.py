@@ -400,6 +400,12 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         if spec.family == "zinb"
         else None
     )
+    problem = _Problem(spec, X, Z, y, options)
+    n_free = int(problem.mask.sum())
+    if ds.n_rows <= n_free:
+        raise InsufficientDataError(
+            f"{ds.n_rows} observations cannot support {n_free} free parameters"
+        )
     dead = [
         prefix + label
         for prefix, D in (("", X), ("zero:", Z))
@@ -410,12 +416,6 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
     if dead:
         raise DegenerateCovariateError(
             f"design column(s) {', '.join(dead)} are zero in every row"
-        )
-    problem = _Problem(spec, X, Z, y, options)
-    n_free = int(problem.mask.sum())
-    if ds.n_rows <= n_free:
-        raise InsufficientDataError(
-            f"{ds.n_rows} observations cannot support {n_free} free parameters"
         )
     if not np.any(y > 0):
         raise InsufficientDataError(

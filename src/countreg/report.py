@@ -2,7 +2,8 @@
 
 `fit_report`, `screening_report`, `diagnose_report` and `comparison_report`
 each take the results of their subcommand and a format, ``text``, ``json``
-or ``csv``, and return the report.  `OUT_FORMAT` names the format that
+or ``csv``, and return the report; CSV is written by `data.csv_text`, in
+the dialect `load_csv` reads.  `OUT_FORMAT` names the format that
 ``--out`` holds where it is not the printed one.  Text tables round IRR and
 SE to 3 decimals; JSON carries full precision.  NaN becomes null in JSON so
 reports stay parseable everywhere.  This module formats plain values and
@@ -10,10 +11,10 @@ duck-typed result objects only; it must not import the fitting or
 diagnostics modules.
 """
 
-import csv
 import json
 import math
-from types import SimpleNamespace
+
+from .data import csv_field, csv_text
 
 OUT_FORMAT = {"fit": "json", "diagnose": "csv"}
 
@@ -53,17 +54,9 @@ def _lines(lines) -> str:
 
 
 def _csv(header: str, rows) -> str:
-    """CSV in the dialect `load_csv` reads: a field holding a comma, a quote,
-    a carriage return or a newline is quoted, and floats are written as
-    their repr."""
-    lines = []
-    # the writer quotes a field holding any character of its line
-    # terminator, so it ends each row, one write per row, in "\r\n", and
-    # that row end becomes "\n" here
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerow(header.split(","))
-    writer.writerows(rows)
-    return "".join(line[:-2] + "\n" for line in lines)
+    """CSV in the dialect `load_csv` reads (`data.csv_text`): each value is
+    written by `str`, so a float as its repr, and quoted by `csv_field`."""
+    return csv_text(header.split(","), zip(*([csv_field(str(v)) for v in row] for row in rows)))
 
 
 def render_fit_text(fit_result, rows) -> str:

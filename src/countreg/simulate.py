@@ -5,17 +5,24 @@ true coefficients keyed by design-column label, shape, zero part, and seed.
 Output is deterministic given the seed.  When a CSV path is supplied, a
 ``<stem>.truth.json`` sidecar is written next to it so downstream recovery
 checks read the truth instead of re-deriving it.
+
+The CSV is written by `data.csv_text`, in the dialect `load_csv` reads, and
+`_validate` rejects a config whose CSV would not load back as drawn (names
+and levels must pass `data.reads_back`, no level twice, no covariate named
+like the response) or that numpy could not draw from.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .data import FAMILIES, Column, Dataset, build_design
+from . import data
+from .data import FAMILIES, Column, Dataset, MISSING_TOKENS, build_design, csv_field, reads_back
 from .distributions import nb_draws, zinb_draws
 from .errors import ConfigurationError
 
@@ -48,25 +55,52 @@ class SimConfig:
     response_name: str = "y"
 
 
+def _check_reads_back(what: str, text):
+    """Reject a name or level that `load_csv` would not give back, as
+    written, from the simulated CSV (`data.reads_back`)."""
+    if not (isinstance(text, str) and reads_back(text)):
+        raise ConfigurationError(
+            f"{what} {text!r} would not load back from CSV: it must be a string that is "
+            f"not empty, not a missing token {sorted(MISSING_TOKENS)} and not surrounded "
+            "by whitespace"
+        )
+
+
 def _validate(config: SimConfig):
+    """Reject, as a ConfigurationError, a config that numpy's draws would
+    fail on or whose CSV `load_csv` would not read back as simulated."""
     if config.n_rows < 1:
         raise ConfigurationError("n_rows must be positive")
+    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {config.seed!r}")
     if config.family not in FAMILIES:
         raise ConfigurationError(f"unknown family '{config.family}'")
     names = [c.name for c in config.covariates]
     if len(set(names)) != len(names):
         raise ConfigurationError("covariate names must be unique")
+    if config.response_name in names:
+        raise ConfigurationError(
+            f"covariate '{config.response_name}' is named like the response"
+        )
+    for name in [*names, config.response_name]:
+        _check_reads_back("column name", name)
     for c in config.covariates:
         if c.kind == "categorical":
             if len(c.levels) < 1:
                 raise ConfigurationError(f"'{c.name}' declares no levels")
+            if len(set(c.levels)) != len(c.levels):
+                raise ConfigurationError(f"'{c.name}' lists a level twice")
+            for level in c.levels:
+                _check_reads_back(f"'{c.name}' level", level)
             if len(c.probabilities) != len(c.levels):
                 raise ConfigurationError(f"'{c.name}' probabilities do not match levels")
-            if any(p < 0 for p in c.probabilities) or abs(sum(c.probabilities) - 1.0) > 1e-9:
+            # both tests fail on a NaN probability
+            probs = c.probabilities
+            if not (all(p >= 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-9):
                 raise ConfigurationError(f"'{c.name}' level probabilities must sum to 1")
         elif c.kind == "numeric":
-            if not c.low < c.high:
-                raise ConfigurationError(f"'{c.name}' needs low < high")
+            if not (c.low < c.high and math.isfinite(c.high - c.low)):
+                raise ConfigurationError(f"'{c.name}' needs finite low < high")
         else:
             raise ConfigurationError(f"'{c.name}' has unknown kind '{c.kind}'")
     if config.family == "zinb":
@@ -76,8 +110,8 @@ def _validate(config: SimConfig):
     elif config.true_gamma or config.zero_covariates:
         raise ConfigurationError("zero part is only meaningful for zinb")
     if config.family in ("nb", "zinb"):
-        if config.true_tau is None or not config.true_tau > 0:
-            raise ConfigurationError(f"family '{config.family}' needs true_tau > 0")
+        if config.true_tau is None or not 0 < config.true_tau < math.inf:
+            raise ConfigurationError(f"family '{config.family}' needs a finite true_tau > 0")
 
 
 def _draw_columns(config: SimConfig, rng) -> dict:
@@ -106,7 +140,7 @@ def _predictor(ds, names, coef_by_label, part):
     coefs = np.array([coef_by_label[lab] for lab in design.labels])
     eta = design.values @ coefs
     worst = float(np.max(np.abs(eta)))
-    if worst > ETA_LIMIT:
+    if not worst <= ETA_LIMIT:  # NaN too, from a NaN coefficient
         raise ConfigurationError(
             f"{part} linear predictor reaches |{worst:.1f}| > {ETA_LIMIT:.0f}"
         )
@@ -142,30 +176,22 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
     return out
 
 
-def _quoted(field: str) -> str:
-    """``field`` as one CSV field: quoted, its quotes doubled, where it holds
-    a comma, a quote, a carriage return or a newline, as-is elsewhere."""
-    if any(c in field for c in ',"\r\n'):
-        return '"' + field.replace('"', '""') + '"'
-    return field
-
-
 def csv_text(ds: Dataset, config: SimConfig) -> str:
-    """A simulated dataset as CSV: covariates in declaration order, then the
-    response; numbers in full precision, levels quoted where they need it
-    (`_quoted`), each level once."""
+    """A simulated dataset as CSV (`data.csv_text`): covariates in
+    declaration order, then the response; numbers in full precision, each
+    level quoted once by `csv_field`."""
     names = [c.name for c in config.covariates] + [config.response_name]
     cols = []
     for name in names:
         col = ds.column(name)
         if col.kind == "categorical":
-            levels = np.asarray([_quoted(v) for v in col.levels], dtype=object)
+            levels = np.asarray([csv_field(v) for v in col.levels], dtype=object)
             cols.append(levels[col.values].tolist())
         elif col.kind == "numeric":
             cols.append(map(repr, col.values.tolist()))
         else:
             cols.append(map(str, col.values.tolist()))
-    return "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
+    return data.csv_text(names, cols)
 
 
 def _write_csv(ds: Dataset, config: SimConfig, path: Path):

@@ -550,6 +550,36 @@ class TestErrors:
             "error: covariate 'grp' is listed twice in the count part"
         )
 
+    @pytest.mark.parametrize(
+        "option, family", [("--covariates", "nb"), ("--zero-covariates", "zinb")]
+    )
+    def test_response_as_covariate(self, data_csv, capsys, option, family):
+        argv = ["fit", "--input", str(data_csv), "--schema", SCHEMA, "--response", "y"]
+        assert main([*argv, option, "y", "--family", family]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        part = "count" if option == "--covariates" else "zero"
+        assert err.splitlines()[-1] == (
+            f"error: the response 'y' cannot be a covariate of the {part} part"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--preset", "paper-like", "--seed", "-1", "--family", "nb"],
+            ["simulate", "--preset", "paper-like", "--seed", "-5"],
+        ],
+        ids=["fit", "simulate"],
+    )
+    def test_negative_preset_seed(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert [line for line in res.stderr.splitlines() if "error:" in line] == [
+            f"error: seed must be a non-negative integer, got {argv[4]}"
+        ]
+
     def test_unknown_covariate(self, data_csv):
         res = run_cli(
             "fit",
@@ -720,6 +750,21 @@ class TestUnfittableInput:
         path = tmp_path / "zeros.csv"
         path.write_text("y,x\n0,0.1\n0,0.2\n0,-0.3\n0,0.4\n0,0.5\n")
         return path
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_header_without_rows(self, tmp_path, capsys, command):
+        path = tmp_path / "header.csv"
+        path.write_text("y,x\n")
+        argv = [command, "--input", str(path), "--schema", "y=count,x=numeric"]
+        argv += ["--response", "y", "--covariates", "x"]
+        assert main(argv + (["--family", "nb"] if command == "fit" else [])) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        # compare fits Poisson first, with 2 free parameters; NB has 3
+        n_free = 3 if command == "fit" else 2
+        assert err.splitlines()[-1] == (
+            f"error: 0 observations cannot support {n_free} free parameters"
+        )
 
     def test_all_zero_response(self, all_zero_csv):
         res = self._fit(all_zero_csv)

@@ -1,7 +1,9 @@
 """CSV ingestion, typed columns, and design-matrix construction."""
 
 import csv
+import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from countreg import (
     parse_schema,
 )
 from countreg.data import MISSING_TOKENS
+from countreg.report import _csv
 
 SCHEMA = {"y": "count", "grp": "categorical", "age": "numeric"}
 
@@ -202,6 +205,12 @@ class TestModelSpec:
         with pytest.raises(SchemaError, match="'grp' is listed twice in the zero part"):
             ModelSpec("zinb", "y", zero_covariates=["grp", "grp"])
         ModelSpec("zinb", "y", ["grp"], ["grp"])  # one in each part is fine
+
+    def test_response_is_not_a_covariate(self):
+        with pytest.raises(SchemaError, match="response 'y' cannot be a covariate of the count"):
+            ModelSpec("nb", "y", ["grp", "y"])
+        with pytest.raises(SchemaError, match="response 'y' cannot be a covariate of the zero"):
+            ModelSpec("zinb", "y", ["grp"], ["y"])
 
 
 class TestBuildDesign:
@@ -447,3 +456,57 @@ class TestLoaderOracle:
                 seen["with dropped rows"] += want.dropped_rows > 0
         # each case the oracle is meant to cover came up
         assert min(seen.values()) >= 10, seen
+
+
+# characters that a CSV writer must quote (comma, quote, CR, LF) or must not
+# (space, tab, "=", letters, digits, a non-ASCII letter)
+ALPHABET = 'ab ,"\r\n\t=x1é'
+
+
+def _writer_reference(header, rows):
+    """CSV through `csv.writer`, one row at a time.  The writer quotes a
+    field holding a character of its line terminator, so that terminator is
+    "\\r\\n", and each row's "\\r\\n" then becomes "\\n"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in [header.split(","), *rows]:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
+def _random_value(rng):
+    draw = rng.randrange(5)
+    if draw == 0:
+        return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(6)))  # "" too
+    if draw == 1:
+        return rng.choice([math.nan, math.inf, -math.inf, -0.0, 0.0])
+    if draw == 2:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.choice([-30, 0, 30])
+    if draw == 3:
+        return rng.randrange(-(10**12), 10**12 + 1)
+    return rng.choice(["", "***", "count", "zero", "g=a,b"])
+
+
+class TestCsvWriter:
+    """`report._csv`, through the one field rule in `data`, against
+    `csv.writer` on seeded random rows."""
+
+    def test_random_rows_match_csv_writer(self):
+        rng = random.Random(16)
+        names = ALPHABET.replace(",", "")  # a report header is split on its commas
+        for trial in range(5000):
+            # reports have 2 to 8 columns; on one column csv.writer quotes a
+            # lone empty field, which `load_csv` reads as a blank line does
+            width = rng.randrange(2, 9)
+            header = ",".join(
+                "".join(rng.choice(names) for _ in range(rng.randrange(1, 5)))
+                for _ in range(width)
+            )
+            rows = [
+                [_random_value(rng) for _ in range(width)] for _ in range(rng.randrange(4))
+            ]
+            assert _csv(header, rows) == _writer_reference(header, rows), f"trial {trial}"

@@ -209,6 +209,32 @@ class TestValidation:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": -1},
+            {"probabilities": (math.nan, 1.0)},
+            {"low": -math.inf},
+            {"coefficient": math.nan},
+            {"true_tau": math.inf},
+        ],
+        ids=["negative-seed", "nan-probability", "infinite-low", "nan-coefficient", "infinite-tau"],
+    )
+    def test_values_numpy_cannot_draw_from(self, change):
+        config = SimConfig(
+            n_rows=100,
+            family="nb",
+            covariates=[
+                _categorical(probabilities=change.get("probabilities", (0.6, 0.4))),
+                _numeric(low=change.get("low", -1.0)),
+            ],
+            true_beta={"(intercept)": 0.0, "grp=b": change.get("coefficient", 0.1), "x": 0.2},
+            true_tau=change.get("true_tau", 1.0),
+            seed=change.get("seed", 215),
+        )
+        with pytest.raises(ConfigurationError):
+            simulate(config)
+
     def test_zero_covariates_must_be_declared(self):
         with pytest.raises(ConfigurationError):
             simulate(
@@ -227,16 +253,17 @@ class TestValidation:
 
 class TestCsvOutput:
     @staticmethod
-    def _config(seed=214, levels=("a", "b", "c")):
+    def _config(seed=214, levels=("a", "b", "c"), name="grp"):
         return SimConfig(
             n_rows=400,
             family="zinb",
             covariates=[
-                _categorical(levels=levels, probabilities=(0.5, 0.3, 0.2)),
+                _categorical(name, levels=levels, probabilities=(0.5, 0.3, 0.2)),
                 _numeric(),
             ],
             true_beta={
-                "(intercept)": 0.3, f"grp={levels[1]}": -0.2, f"grp={levels[2]}": 0.4, "x": 0.5
+                "(intercept)": 0.3, f"{name}={levels[1]}": -0.2, f"{name}={levels[2]}": 0.4,
+                "x": 0.5,
             },
             true_gamma={"(intercept)": -0.8, "x": 0.3},
             true_tau=1.2,
@@ -259,28 +286,57 @@ class TestCsvOutput:
         assert truth["response"] == "y"
         assert truth["n_rows"] == 400
 
+    def _assert_round_trip(self, config, tmp_path):
+        """The CSV that `simulate` writes loads back as the simulated data."""
+        out = tmp_path / "sim.csv"
+        ds = simulate(config, out_path=out)
+        name = config.covariates[0].name
+        loaded = load_csv(out, {"y": "count", name: "categorical", "x": "numeric"})
+        assert loaded.n_rows == ds.n_rows
+        assert loaded.dropped_rows == 0
+        np.testing.assert_array_equal(loaded.response_vector("y"), ds.response_vector("y"))
+        # the loader sorts vocabularies; the declared levels here are sorted
+        # already, so codes must agree exactly
+        assert loaded.column(name).levels == ds.column(name).levels
+        np.testing.assert_array_equal(loaded.column(name).values, ds.column(name).values)
+        # repr round-trips floats exactly
+        np.testing.assert_array_equal(loaded.column("x").values, ds.column("x").values)
+
     def test_round_trip_through_loader(self, tmp_path):
         # the second level set holds a comma, a quote, a carriage return and
-        # a newline, which must come back whole, so the writer quotes them
-        for levels in (("a", "b", "c"), ("a,b", 'c"d', "e\rf\ng")):
-            out = tmp_path / "sim.csv"
-            ds = simulate(self._config(levels=levels), out_path=out)
-            loaded = load_csv(
-                out, {"y": "count", "grp": "categorical", "x": "numeric"}
-            )
-            assert loaded.n_rows == ds.n_rows
-            assert loaded.dropped_rows == 0
-            np.testing.assert_array_equal(
-                loaded.response_vector("y"), ds.response_vector("y")
-            )
-            # the loader sorts vocabularies; the declared levels here are
-            # sorted already, so codes must agree exactly
-            assert loaded.column("grp").levels == ds.column("grp").levels == levels
-            np.testing.assert_array_equal(
-                loaded.column("grp").values, ds.column("grp").values
-            )
-            # repr round-trips floats exactly
-            np.testing.assert_array_equal(loaded.column("x").values, ds.column("x").values)
+        # a newline, and the second name a comma and a quote, which must come
+        # back whole, so the writer quotes them
+        for levels, name in ((("a", "b", "c"), "grp"), (("a,b", 'c"d', "e\rf\ng"), 'g,"r"')):
+            self._assert_round_trip(self._config(levels=levels, name=name), tmp_path)
+
+    @pytest.mark.parametrize(
+        "levels, name",
+        [
+            (("", "b", "c"), "grp"),
+            (("NA", "b", "c"), "grp"),
+            ((" a", "b", "c"), "grp"),
+            (("a", "b", "c "), "grp"),
+            (("a", "a", "b"), "grp"),
+            (("a", "b", "c"), " g"),
+            (("a", "b", "c"), ""),
+            (("a", "b", "c"), "y"),
+            (("a", "b", "c"), "g,h"),
+        ],
+        ids=[
+            "empty-level", "NA-level", "leading-space-level", "trailing-space-level",
+            "duplicate-level", "spaced-name", "empty-name", "response-name", "comma-name",
+        ],
+    )
+    def test_writes_only_what_the_loader_reads_back(self, tmp_path, levels, name):
+        # a config whose CSV would load back otherwise than simulated is
+        # rejected; a name holding a comma is quoted and comes back whole
+        config = self._config(levels=levels, name=name)
+        if name == "g,h":
+            self._assert_round_trip(config, tmp_path)
+        else:
+            reason = "would not load back|lists a level twice|named like the response"
+            with pytest.raises(ConfigurationError, match=reason):
+                simulate(config, out_path=tmp_path / "sim.csv")
 
 
 class TestDemoPreset:
