@@ -7,8 +7,9 @@ dummy column per non-reference level, in vocabulary order.
 
 Both halves of countreg's CSV dialect live here: `load_csv` reads it, and
 `csv_text` writes it, quoting each field by one rule (`csv_field`), for the
-simulated datasets and the ``--format csv`` reports.  `reads_back` names the
-header names and levels that the reader gives back as written.
+simulated datasets and the ``--format csv`` reports.  `name_reads_back` and
+`level_reads_back` name the header names and levels that the reader gives
+back as written.
 """
 
 import csv
@@ -31,11 +32,18 @@ MISSING_TOKENS = {"", "NA"}
 INTERCEPT_LABEL = "(intercept)"
 
 
-def reads_back(text: str) -> bool:
-    """Whether `load_csv` gives back ``text``, as a header name or a
-    categorical level, as written: it is not a missing token, and it has no
-    surrounding whitespace, which the reader strips from every cell."""
-    return text not in MISSING_TOKENS and text == text.strip()
+def name_reads_back(text: str) -> bool:
+    """Whether `load_csv` finds a header cell written as ``text`` under that
+    name: it is not empty, and it has no surrounding whitespace, which the
+    reader strips from every cell."""
+    return text != "" and text == text.strip()
+
+
+def level_reads_back(text: str) -> bool:
+    """Whether `load_csv` gives back a categorical cell written as ``text``
+    as that level: it reads back as a name would, and it is not a missing
+    token, whose rows the reader drops."""
+    return name_reads_back(text) and text not in MISSING_TOKENS
 
 
 def csv_field(text: str) -> str:
@@ -46,13 +54,12 @@ def csv_field(text: str) -> str:
     return text
 
 
-def csv_text(names, columns) -> str:
+def csv_text(names, rows) -> str:
     """CSV text in the dialect `load_csv` reads: the header row of
-    ``names``, each through `csv_field`, then one line per row of
-    ``columns``, whose fields are written already.  Each line ends in a
-    newline."""
+    ``names``, each through `csv_field`, then one line per row of ``rows``,
+    whose fields are written already.  Each line ends in a newline."""
     header = ",".join(map(csv_field, names))
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 @dataclass

@@ -56,7 +56,7 @@ def _lines(lines) -> str:
 def _csv(header: str, rows) -> str:
     """CSV in the dialect `load_csv` reads (`data.csv_text`): each value is
     written by `str`, so a float as its repr, and quoted by `csv_field`."""
-    return csv_text(header.split(","), zip(*([csv_field(str(v)) for v in row] for row in rows)))
+    return csv_text(header.split(","), ([csv_field(str(v)) for v in row] for row in rows))
 
 
 def render_fit_text(fit_result, rows) -> str:

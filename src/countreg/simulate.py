@@ -8,8 +8,9 @@ checks read the truth instead of re-deriving it.
 
 The CSV is written by `data.csv_text`, in the dialect `load_csv` reads, and
 `_validate` rejects a config whose CSV would not load back as drawn (names
-and levels must pass `data.reads_back`, no level twice, no covariate named
-like the response) or that numpy could not draw from.
+must pass `data.name_reads_back` and levels `data.level_reads_back`, no
+level twice, no covariate named like the response) or that numpy could not
+draw from.
 """
 
 import json
@@ -22,7 +23,16 @@ import numpy as np
 from scipy.special import expit
 
 from . import data
-from .data import FAMILIES, Column, Dataset, MISSING_TOKENS, build_design, csv_field, reads_back
+from .data import (
+    FAMILIES,
+    MISSING_TOKENS,
+    Column,
+    Dataset,
+    build_design,
+    csv_field,
+    level_reads_back,
+    name_reads_back,
+)
 from .distributions import nb_draws, zinb_draws
 from .errors import ConfigurationError
 
@@ -55,15 +65,18 @@ class SimConfig:
     response_name: str = "y"
 
 
-def _check_reads_back(what: str, text):
+def _check_reads_back(what: str, text, reads_back, rule: str):
     """Reject a name or level that `load_csv` would not give back, as
-    written, from the simulated CSV (`data.reads_back`)."""
+    written, from the simulated CSV (``reads_back`` is the test from `data`
+    and ``rule`` says what it asks)."""
     if not (isinstance(text, str) and reads_back(text)):
         raise ConfigurationError(
-            f"{what} {text!r} would not load back from CSV: it must be a string that is "
-            f"not empty, not a missing token {sorted(MISSING_TOKENS)} and not surrounded "
-            "by whitespace"
+            f"{what} {text!r} would not load back from CSV: it must be a string that is {rule}"
         )
+
+
+_NAME_RULE = "not empty and not surrounded by whitespace"
+_LEVEL_RULE = f"{_NAME_RULE}, and not a missing token {sorted(MISSING_TOKENS)}"
 
 
 def _validate(config: SimConfig):
@@ -83,7 +96,7 @@ def _validate(config: SimConfig):
             f"covariate '{config.response_name}' is named like the response"
         )
     for name in [*names, config.response_name]:
-        _check_reads_back("column name", name)
+        _check_reads_back("column name", name, name_reads_back, _NAME_RULE)
     for c in config.covariates:
         if c.kind == "categorical":
             if len(c.levels) < 1:
@@ -91,7 +104,7 @@ def _validate(config: SimConfig):
             if len(set(c.levels)) != len(c.levels):
                 raise ConfigurationError(f"'{c.name}' lists a level twice")
             for level in c.levels:
-                _check_reads_back(f"'{c.name}' level", level)
+                _check_reads_back(f"'{c.name}' level", level, level_reads_back, _LEVEL_RULE)
             if len(c.probabilities) != len(c.levels):
                 raise ConfigurationError(f"'{c.name}' probabilities do not match levels")
             # both tests fail on a NaN probability
@@ -191,7 +204,7 @@ def csv_text(ds: Dataset, config: SimConfig) -> str:
             cols.append(map(repr, col.values.tolist()))
         else:
             cols.append(map(str, col.values.tolist()))
-    return data.csv_text(names, cols)
+    return data.csv_text(names, zip(*cols))
 
 
 def _write_csv(ds: Dataset, config: SimConfig, path: Path):
