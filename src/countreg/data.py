@@ -10,13 +10,23 @@ Both halves of countreg's CSV dialect live here: `load_csv` reads it, and
 simulated datasets and the ``--format csv`` reports.  `name_reads_back` and
 `level_reads_back` name the header names and levels that the reader gives
 back as written.
+
+`load_csv` reads the file once as bytes and takes its cells from one of two
+sources.  A file that `csv.reader` would split on "," and "\n" alone (no
+quote, NUL or carriage return, every line as wide as the header, none past
+the csv field size limit) goes to `_split_source`, which splits the text of
+`BLOCK_ROWS` lines at a time in one call and makes no list per row; every
+other file goes to `_csv_source`, one `csv.reader` read `BLOCK_ROWS` rows at
+a time.  Each block is converted before the next is read, so the loader
+holds the file's bytes, one block and the converted columns.
 """
 
 import csv
+import io
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, filterfalse
-from operator import itemgetter
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -175,7 +185,11 @@ def parse_schema(text: str) -> dict[str, str]:
 
 
 INT64_MAX = 2**63 - 1
-_CONVERSIONS = {"count": (int, np.int64), "numeric": (float, np.float64)}
+_PARSERS = {"count": int, "numeric": float}
+_DTYPES = {"count": np.int64, "numeric": np.float64, "categorical": np.int64}
+BLOCK_ROWS = 4096  # data rows read and converted at a time
+# every byte but "," and "\n": deleting them leaves the file's line skeleton
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _cell_ok(cell: str, kind: str) -> bool:
@@ -189,60 +203,164 @@ def _cell_ok(cell: str, kind: str) -> bool:
         return False
 
 
-def _convert(cells: list[str], kind: str) -> tuple[np.ndarray | None, int | None]:
-    """The values of a count or numeric column's present cells, or the index
-    of its first bad cell.
+def _convert(cells: list[str], kind: str):
+    """A count or numeric column's values (0 in a missing cell), its missing
+    mask, and the index of its first bad present cell or None.
 
-    One C-level conversion over the column and one vectorised range check;
-    only a column whose conversion raises is scanned cell by cell.
+    Where `int` or `float` accepts a raw cell it gives the value of the
+    stripped cell (surrounding whitespace is ignored), and it accepts no
+    missing cell, so one C-level conversion of the raw cells serves a column
+    with no missing cell.  Only a column whose conversion raises is stripped
+    and masked, and only one whose present cells still do not convert is
+    scanned cell by cell.
     """
-    parse, dtype = _CONVERSIONS[kind]
+    parse, dtype = _PARSERS[kind], _DTYPES[kind]
+    gaps = np.zeros(len(cells), bool)
     try:
         values = np.fromiter(map(parse, cells), dtype, count=len(cells))
-    except (ValueError, OverflowError):  # unparsable, or a count past int64
-        return None, next(i for i, cell in enumerate(cells) if not _cell_ok(cell, kind))
-    bad = values < 0 if kind == "count" else ~np.isfinite(values)
-    return (None, int(np.argmax(bad))) if bad.any() else (values, None)
-
-
-def _read_columns(path, schema: dict[str, str]) -> tuple[dict[str, list[str]], int]:
-    """The stripped cells of each declared column in row order, and the
-    number of data rows.  A row too short to hold a column reads "" there.
-    Bytes that are not UTF-8, and text that `csv` cannot parse (such as a
-    field past its size limit), raise a SchemaError naming the file line."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    except (ValueError, OverflowError):  # a missing or unparsable cell, or a count past int64
+        cells = list(map(str.strip, cells))
+        gaps = np.fromiter(map(MISSING_TOKENS.__contains__, cells), bool, count=len(cells))
+        rows = np.flatnonzero(~gaps)
+        present = [cells[i] for i in rows.tolist()]
+        values = np.zeros(len(cells), dtype)
         try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            # exc.start counts from the decoded chunk; find the file offset
-            with open(path, "rb") as raw:
-                data = raw.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as first:
-                line = data.count(b"\n", 0, first.start) + 1
-            raise SchemaError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
-    if not rows:
+            values[rows] = np.fromiter(map(parse, present), dtype, count=len(present))
+        except (ValueError, OverflowError):
+            first = next(i for i, cell in enumerate(present) if not _cell_ok(cell, kind))
+            return values, gaps, int(rows[first])
+    bad = values < 0 if kind == "count" else ~np.isfinite(values)
+    return values, gaps, (int(np.argmax(bad)) if bad.any() else None)
+
+
+def _utf8(path) -> bytes:
+    """The bytes of the file at ``path``.  Bytes that are not UTF-8 raise a
+    SchemaError naming the file line of the first bad one."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    return data
+
+
+def _line_stops(data: bytes) -> np.ndarray | None:
+    """The end offset of each line of ``data``, header first, if
+    `csv.reader` would split it on "," and "\n" alone; None otherwise.
+
+    That holds for a file with no quote, no NUL and no carriage return,
+    whose header line is not blank, whose every line holds as many commas
+    as the header, and whose lines are none longer than
+    `csv.field_size_limit()`, so that no field is.
+    """
+    if not data or any(c in data for c in (b'"', b"\0", b"\r")):
+        return None
+    stops = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    skeleton = data.translate(None, _NOT_SEPARATORS)
+    if not data.endswith(b"\n"):
+        stops = np.append(stops, len(data))
+        skeleton += b"\n"
+    lengths = np.diff(stops, prepend=-1) - 1
+    if lengths[0] == 0 or lengths.max() > csv.field_size_limit():
+        return None
+    header = skeleton[: skeleton.index(b"\n") + 1]
+    return stops if skeleton == header * len(stops) else None
+
+
+def _split_source(data: bytes, stops: np.ndarray):
+    """The header's cells, then for each block of `BLOCK_ROWS` data lines
+    its cells in row order with the number of fields per row: one `split`
+    of the block's text, its newlines read as commas, and no list per row."""
+    header = data[: stops[0]].decode("utf-8").split(",")
+    yield header
+    for first in range(1, len(stops), BLOCK_ROWS):
+        last = min(first + BLOCK_ROWS, len(stops)) - 1
+        text = data[stops[first - 1] + 1 : stops[last]].decode("utf-8")
+        yield text.replace("\n", ",").split(","), len(header)
+
+
+def _csv_source(path, data: bytes):
+    """What `_split_source` yields, for any file: `csv.reader`'s rows, read
+    `BLOCK_ROWS` at a time and padded with "" to the block's longest row.
+    Text that `csv` cannot parse (such as a field past its size limit)
+    raises a SchemaError naming the file line."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        yield next(reader, None)
+        while rows := list(islice(reader, BLOCK_ROWS)):
+            width = max(1, *map(len, rows))
+            if min(map(len, rows)) < width:
+                rows = [row + [""] * (width - len(row)) for row in rows]
+            yield list(chain.from_iterable(rows)), width
+    except csv.Error as exc:
+        raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def _positions(path, header: list[str] | None, schema: dict[str, str]) -> list[int]:
+    """Each declared column's index in the header row."""
+    if header is None:
         raise SchemaError(f"{path}: empty file, expected a header row")
-    header = [h.strip() for h in rows.pop(0)]
+    header = [h.strip() for h in header]
     missing_cols = [name for name in schema if name not in header]
     if missing_cols:
         raise SchemaError(f"{path}: declared columns absent from header: {missing_cols}")
     repeated = next((name for name in schema if header.count(name) > 1), None)
     if repeated is not None:
         raise SchemaError(f"{path}: header holds column '{repeated}' more than once")
-    positions = [header.index(name) for name in schema]
-    width = max(positions, default=-1) + 1
-    if rows and min(map(len, rows)) < width:
-        rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in rows]
-    cells = {
-        name: list(map(str.strip, map(itemgetter(pos), rows)))
-        for name, pos in zip(schema, positions)
-    }
-    return cells, len(rows)
+    return [header.index(name) for name in schema]
+
+
+def _convert_block(cells, width, rows_before, schema, positions, levels):
+    """One block's kept-row mask and each declared column's values over all
+    its rows.  A categorical column's values are codes from ``levels`` (its
+    dict of level to code), which numbers each level in the block where it
+    first appears.  The block's first bad cell, in row order and then
+    declaration order, raises a RowParseError."""
+    m = len(cells) // width
+    gaps, values, bad = [np.zeros(m, bool)], {}, []
+    for position, ((name, kind), pos) in enumerate(zip(schema.items(), positions)):
+        col = cells[pos::width] if pos < width else [""] * m
+        if kind == "categorical":
+            col = list(map(str.strip, col))
+            seen = levels[name]
+            seen.update(zip(set(col) - seen.keys(), count(len(seen))))
+            values[name] = np.fromiter(map(seen.__getitem__, col), np.int64, count=m)
+            gaps.append(np.isin(values[name], [seen.get(token, -1) for token in MISSING_TOKENS]))
+            continue
+        values[name], gap, first = _convert(col, kind)
+        gaps.append(gap)
+        if first is not None:
+            bad.append((rows_before + first + 1, position, name, col[first].strip()))
+    if bad:
+        row, _, name, cell = min(bad)
+        raise RowParseError(row, name, cell)
+    return ~np.logical_or.reduce(gaps), values
+
+
+def _load(path, schema: dict[str, str], source) -> Dataset:
+    """`load_csv`'s Dataset from the header and blocks that ``source``
+    yields."""
+    positions = _positions(path, next(source), schema)
+    parts = {name: [np.empty(0, _DTYPES[kind])] for name, kind in schema.items()}
+    levels = {name: {} for name, kind in schema.items() if kind == "categorical"}
+    n = n_rows = 0
+    for cells, width in source:
+        keep, values = _convert_block(cells, width, n, schema, positions, levels)
+        for name, col in values.items():
+            parts[name].append(col[keep])
+        n += keep.size
+        n_rows += int(np.count_nonzero(keep))
+    columns: dict[str, Column] = {}
+    for name, kind in schema.items():
+        values, vocabulary = np.concatenate(parts.pop(name)), None
+        if kind == "categorical":
+            vocabulary = tuple(sorted(levels[name].keys() - MISSING_TOKENS))
+            rank = {level: code for code, level in enumerate(vocabulary)}
+            values = np.array([rank.get(level, -1) for level in levels[name]], np.int64)[values]
+        columns[name] = Column(name, kind, values, vocabulary)
+    return Dataset(columns, n_rows, dropped_rows=n - n_rows)
 
 
 def load_csv(path, schema: dict[str, str]) -> Dataset:
@@ -256,46 +374,26 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
     such cell in row order, then declaration order, even in a row that is
     dropped.  Level vocabularies for categorical columns are collected over
     every non-missing cell, so levels seen only in dropped rows still enter
-    the vocabulary.
+    the vocabulary.  Cells are stripped of surrounding whitespace, and a row
+    too short to hold a column reads "" there.  Text that `csv` cannot parse
+    is an error wherever it stands, even after a bad cell.
 
-    The file is parsed once by `csv.reader`; each declared column is then
-    converted as a whole.
+    The file is read once, as bytes.  One that `csv.reader` would split on
+    "," and "\n" alone (`_line_stops`) is split by `_split_source`, any
+    other is read by `_csv_source`; both serve `BLOCK_ROWS` rows at a time,
+    and each block is converted before the next is read.
     """
     for kind in schema.values():
         if kind not in COLUMN_KINDS:
             raise SchemaError(f"unknown column kind {kind!r}")
-    cells, n = _read_columns(path, schema)
-    missing = {
-        name: np.fromiter(map(MISSING_TOKENS.__contains__, col), bool, count=n)
-        for name, col in cells.items()
-        if not MISSING_TOKENS.isdisjoint(col)
-    }
-    keep = ~np.logical_or.reduce(list(missing.values())) if missing else None
-    n_rows = n if keep is None else int(np.count_nonzero(keep))
-    columns: dict[str, Column] = {}
-    bad = []  # (row, declaration position, column, cell) of each column's first bad cell
-    for position, (name, kind) in enumerate(schema.items()):
-        col, gaps = cells[name], missing.get(name)
-        if kind == "categorical":
-            levels = tuple(sorted(set(col).difference(MISSING_TOKENS)))
-            index = {lvl: i for i, lvl in enumerate(levels)}
-            kept = col if keep is None else compress(col, keep.tolist())
-            codes = np.fromiter(map(index.__getitem__, kept), np.int64, count=n_rows)
-            columns[name] = Column(name, kind, codes, levels)
-            continue
-        present = col if gaps is None else list(filterfalse(MISSING_TOKENS.__contains__, col))
-        values, first = _convert(present, kind)
-        if first is not None:
-            row = first if gaps is None else int(np.flatnonzero(~gaps)[first])
-            bad.append((row + 1, position, name, present[first]))
-        elif keep is None:
-            columns[name] = Column(name, kind, values)
-        else:
-            columns[name] = Column(name, kind, values[keep if gaps is None else keep[~gaps]])
-    if bad:
-        row, _, name, cell = min(bad)
-        raise RowParseError(row, name, cell)
-    return Dataset(columns, n_rows, dropped_rows=n - n_rows)
+    data = _utf8(path)
+    stops = _line_stops(data)
+    source = _csv_source(path, data) if stops is None else _split_source(data, stops)
+    try:
+        return _load(path, schema, source)
+    except SchemaError:
+        deque(source, maxlen=0)  # text `csv` cannot parse, later in the file, comes first
+        raise
 
 
 def build_design(

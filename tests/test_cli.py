@@ -550,6 +550,19 @@ class TestErrors:
             "error: covariate 'grp' is listed twice in the count part"
         )
 
+    def test_column_name_holding_a_comma_cannot_be_named(self, tmp_path, capsys):
+        # `load_csv` reads the quoted header "g,h", but --schema and
+        # --covariates split on commas: the column is reachable only through
+        # the Python API
+        path = tmp_path / "gh.csv"
+        path.write_text('"g,h",y\na,1\nb,0\na,2\n')
+        argv = ["fit", "--input", str(path), "--schema", "y=count,g,h=categorical",
+                "--response", "y", "--covariates", "g,h", "--family", "poisson"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "error: schema entry 'g' is not of the form name=kind"
+
     @pytest.mark.parametrize(
         "option, family", [("--covariates", "nb"), ("--zero-covariates", "zinb")]
     )

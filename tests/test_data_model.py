@@ -19,6 +19,7 @@ from countreg import (
     load_csv,
     parse_schema,
 )
+from countreg import data
 from countreg.data import MISSING_TOKENS
 from countreg.report import _csv
 
@@ -56,6 +57,31 @@ class TestParseSchema:
     def test_name_declared_twice(self):
         with pytest.raises(SchemaError, match="column 'y' is declared twice"):
             parse_schema("y=count,y=numeric")
+
+
+ONE_COLUMN = {"y": "count"}
+# name: (file text, schema, error text or None to match the row loop)
+EDGE_CASES = {
+    "crlf": ("y,grp,age\r\n0,a,1.5\r\n3,b,2.0\r\n", SCHEMA, None),
+    "lone-cr": ("y,grp,age\r0,a,1.5\r3,b,2.0\r", SCHEMA, None),
+    "mixed-endings": ("y,grp,age\r\n0,a,1.5\n3,b,2.0\r1,a,0.25\r\n", SCHEMA, None),
+    "blank-line-mid-file": ("y,grp,age\n0,a,1.5\n\n3,b,2.0\n", SCHEMA, None),
+    "blank-line-at-end": ("y,grp,age\n0,a,1.5\n3,b,2.0\n\n", SCHEMA, None),
+    "one-column-blank-lines": ("y\n1\n\n2\n\n", ONE_COLUMN, None),
+    "no-final-newline": ("y,grp,age\n0,a,1.5\n3,b,2.0", SCHEMA, None),
+    "header-only": ("y,grp,age\n", SCHEMA, None),
+    "header-only-no-newline": ("y,grp,age", SCHEMA, None),
+    "empty-file": ("", SCHEMA, "{path}: empty file, expected a header row"),
+    "nul-byte": ("y,grp,age\n0,a\0b,1.5\n3,b,2.0\n", SCHEMA, None),
+    "multibyte-level": ("y,grp,age\n0,é,1.5\n3,日本,2.0\n1,é,0.5\n", SCHEMA, None),
+    "row-longer-than-header": ("y,grp,age\n0,a,1.5,extra\n3,b,2.0\n", SCHEMA, None),
+    "ragged-short-row": ("y,grp,age\n0,a\n3,b,2.0\n", SCHEMA, None),
+    "csv-error-after-bad-cell": (
+        "y,grp,age\nx,a,1.5\n3,b," + "9" * 200_000 + "\n",
+        SCHEMA,
+        "{path}, line 3: field larger than field limit (131072)",
+    ),
+}
 
 
 class TestLoadCsv:
@@ -153,6 +179,27 @@ class TestLoadCsv:
         ds = load_csv(path, SCHEMA)
         assert ds.n_rows == 1
         assert ds.dropped_rows == 1
+
+    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 1])
+    @pytest.mark.parametrize("text, schema, error", EDGE_CASES.values(), ids=EDGE_CASES)
+    def test_edge_case_agrees_with_the_row_loop(
+        self, tmp_path, monkeypatch, text, schema, error, block_rows
+    ):
+        # an error case must give the text of `csv.reader` over the whole file
+        monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if error is not None:
+            with pytest.raises(SchemaError) as err:
+                load_csv(path, schema)
+            assert str(err.value) == error.format(path=path)
+            return
+        want = _outcome(_row_loop_load_csv, path, schema)
+        got = _outcome(load_csv, path, schema)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_dataset(got, want)
 
     def test_deterministic(self, tmp_path):
         text = "y,grp,age\n0,b,1.5\n3,a,2.0\n1,b,0.25\n"
@@ -358,34 +405,42 @@ KINDS = {
 }
 
 
-def _random_csv(rng, path):
+def _random_csv(rng, path, quoted=True):
     """Write a random CSV; return a schema over some of its columns and the
     planted row, if any: ("two bad", row) holds bad cells in two declared
     columns, ("bad in dropped", row) a bad cell and a missing one.
 
-    Each file draws its own rates of missing, bad and short cells.
+    Each file draws its own rates of missing, bad and short cells.  With
+    ``quoted`` false no cell is quoted, so a file without short rows is one
+    that `load_csv` splits without `csv.reader`.
     """
+
+    def pick(cells):
+        return str(rng.choice(cells if quoted else [c for c in cells if '"' not in c]))
+
     declared = list(rng.permutation(list(KINDS))[: rng.integers(1, len(KINDS) + 1)])
     header = declared + [f"extra{i}" for i in range(rng.integers(0, 3))]
     header = [str(h) for h in rng.permutation(header)]
     schema = {str(name): KINDS[name] for name in rng.permutation(declared)}
     p_missing = rng.choice([0.0, 0.05, 0.2])
     p_bad = rng.choice([0.0, 0.0, 0.0, 0.005, 0.03])
-    p_short = rng.choice([0.0, 0.0, 0.05])
+    # a short row sends a quote-free file to `csv.reader`: half of those
+    # files may hold one, so that both of the loader's sources serve many
+    p_short = rng.choice([0.0, 0.0, 0.05] if quoted else [0.0, 0.05])
     n = int(rng.integers(0, 60))
     checkable = [h for h in header if KINDS.get(h) in BAD_CELLS]
 
     def cell(name, bad=False, missing=False):
         if missing:
-            return str(rng.choice(MISSING_CELLS))
+            return pick(MISSING_CELLS)
         if name not in KINDS:
-            return str(rng.choice(UNDECLARED_CELLS))
+            return pick(UNDECLARED_CELLS)
         kind = KINDS[name]
         if bad or (kind in BAD_CELLS and rng.random() < p_bad):
-            return str(rng.choice(BAD_CELLS[kind]))
+            return pick(BAD_CELLS[kind])
         if rng.random() < p_missing:
-            return str(rng.choice(MISSING_CELLS))
-        return str(rng.choice(GOOD_CELLS[kind]))
+            return pick(MISSING_CELLS)
+        return pick(GOOD_CELLS[kind])
 
     planted, bad, dropper = None, set(), None
     if n and checkable and rng.random() < 0.5:
@@ -431,17 +486,28 @@ def _assert_same_dataset(got, want):
 
 
 class TestLoaderOracle:
-    """The column-wise loader against the row loop on seeded random CSVs:
+    """The block-wise loader against the row loop on seeded random CSVs:
     the same Dataset bit for bit, or the same RowParseError."""
 
-    def test_random_files_agree_with_the_row_loop(self, tmp_path):
+    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 3])
+    @pytest.mark.parametrize("quoted", [True, False], ids=["quoted", "quote-free"])
+    def test_random_files_agree_with_the_row_loop(
+        self, tmp_path, monkeypatch, quoted, block_rows
+    ):
+        monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+        served = {"_split_source": 0, "_csv_source": 0}
+        for name, source in [(name, getattr(data, name)) for name in served]:
+            def counted(*args, name=name, source=source):
+                served[name] += 1
+                return source(*args)
+            monkeypatch.setattr(data, name, counted)
         rng = np.random.default_rng(20241)
         path = tmp_path / "random.csv"
         seen = dict.fromkeys(
             ["loaded", "with dropped rows", "error", "two bad", "bad in dropped"], 0
         )
         for trial in range(400):
-            schema, planted = _random_csv(rng, path)
+            schema, planted = _random_csv(rng, path, quoted)
             want = _outcome(_row_loop_load_csv, path, schema)
             got = _outcome(load_csv, path, schema)
             if isinstance(want, tuple):
@@ -454,8 +520,10 @@ class TestLoaderOracle:
                 _assert_same_dataset(got, want)
                 seen["loaded"] += 1
                 seen["with dropped rows"] += want.dropped_rows > 0
-        # each case the oracle is meant to cover came up
+        # each case the oracle is meant to cover came up, and each source
+        # served a share of the files (quoted cells leave few to the split)
         assert min(seen.values()) >= 10, seen
+        assert served["_csv_source"] >= 100 and (quoted or served["_split_source"] >= 100), served
 
 
 # characters that a CSV writer must quote (comma, quote, CR, LF) or must not
