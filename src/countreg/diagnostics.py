@@ -58,7 +58,7 @@ def chi_square_sf(x: float, df: int) -> float:
 
 def _category_codes(col: Column) -> tuple[np.ndarray, list[str]]:
     if col.kind == "categorical":
-        return np.asarray(col.values), [str(lv) for lv in col.levels]
+        return np.asarray(col.values, dtype=np.intp), [str(lv) for lv in col.levels]
     if col.kind == "count":
         values = np.asarray(col.values)
         distinct, codes = np.unique(values, return_inverse=True)
@@ -71,8 +71,7 @@ def chi_square_independence(ds: Dataset, covariate: str, response: str) -> Conti
     row_codes, row_labels = _category_codes(ds.column(covariate))
     col_codes, col_labels = _category_codes(ds.column(response))
     r, c = len(row_labels), len(col_labels)
-    observed = np.zeros((r, c), dtype=np.int64)
-    np.add.at(observed, (row_codes, col_codes), 1)
+    observed = np.bincount(row_codes * c + col_codes, minlength=r * c).reshape(r, c)
     if r < 2 or c < 2:
         raise DegenerateTableError(
             f"table is {r}x{c}; independence needs at least two rows and columns"

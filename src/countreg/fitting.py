@@ -8,11 +8,12 @@ distributions module, and all three families subtract the one log(y!) that
 expected zero fraction is the mean of the kernels' y = 0 terms, in closed
 form over the row patterns.
 
-A fit runs on the distinct (y, x, z) row patterns, each weighted by its
-count: with categorical or count covariates the likelihood depends on the
-rows only through those patterns, so the weighted sums are the full-data
-likelihood and score, exact to rounding.  Where every row is distinct, the
-patterns are the rows in their given order with unit weights.
+A fit runs on the distinct row patterns of the model's dataset columns (the
+response and the covariates, a factor by its codes), each weighted by its
+count, with designs built once on the patterns: with categorical or count
+covariates the likelihood depends on the rows only through those patterns,
+so the weighted sums are the full-data likelihood and score, exact to
+rounding.  Where every row is distinct, the patterns are the given rows.
 
 Designs are column-major, as `build_design` returns them: the fitter takes
 each design transposed, one contiguous row per column, and the per-row sums
@@ -30,7 +31,7 @@ by each later one; pattern weights multiply the output block in place.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -127,21 +128,18 @@ def _tau_of(params: ParamVector) -> float:
     return math.exp(params.log_tau)
 
 
-def _count_predictor(X: DesignMatrix, beta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    eta = np.matmul(X.values, beta, out=out)
-    # a NaN fails both comparisons
-    if not (eta.min(initial=math.inf) > -math.inf and eta.max(initial=-math.inf) <= ETA_MAX):
+def _predictor(part: str, D: DesignMatrix, coef: np.ndarray, out, limit: float) -> np.ndarray:
+    """The ``part`` ("count" or "zero") linear predictor D @ coef, written
+    into ``out`` (a new array where it is None), checked to be finite and
+    at most ``limit``."""
+    s = np.matmul(D.values, coef, out=out)
+    hi = s.max(initial=-math.inf)
+    # a NaN fails every comparison
+    if not (s.min(initial=math.inf) > -math.inf and hi < math.inf and hi <= limit):
+        bound = f" or above {limit:g}" if limit < math.inf else ""
         raise EvaluationError(
-            f"count-part linear predictor is not finite or above {ETA_MAX:g}",
-            int(np.argmax(~np.isfinite(eta) | (eta > ETA_MAX))),
-        )
-    return eta
-
-def _zero_predictor(Z: DesignMatrix, gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
-    s = np.matmul(Z.values, gamma, out=out)
-    if not (s.min(initial=math.inf) > -math.inf and s.max(initial=-math.inf) < math.inf):
-        raise EvaluationError(
-            "zero-part linear predictor is not finite", int(np.argmax(~np.isfinite(s)))
+            f"{part}-part linear predictor is not finite{bound}",
+            int(np.argmax(~np.isfinite(s) | (s > limit))),
         )
     return s
 
@@ -157,7 +155,7 @@ def _row_terms(spec, X, Z, counts, params) -> tuple:
     """
     _check_finite_params(params)
     y, n = counts.y, counts.y.size
-    eta = _count_predictor(X, params.beta, counts.buffer("lam", (n,)))
+    eta = _predictor("count", X, params.beta, counts.buffer("lam", (n,)), ETA_MAX)
     designs = [X.values.T]
     if spec.family == "poisson":
         block = counts.buffer("rows", (3, n))
@@ -174,7 +172,7 @@ def _row_terms(spec, X, Z, counts, params) -> tuple:
     if spec.family == "nb":
         block = _kernels.nb_loglik_score(counts, lam, tau)
     else:
-        p = _zero_predictor(Z, params.gamma, counts.buffer("p", (n,)))
+        p = _predictor("zero", Z, params.gamma, counts.buffer("p", (n,)), math.inf)
         block = _kernels.zinb_loglik_score(counts, lam, expit(p, out=p), tau)
         designs.append(Z.values.T)
     designs.append(counts.buffer("tau", (1, n)))
@@ -236,14 +234,14 @@ def _zero_probabilities(family, X, Z, params) -> np.ndarray:
     """P(y = 0) per row of the designs at ``params``, in closed form:
     exp(-lam) for poisson, P_NB(0) = exp(-tau log1p(lam / tau)), the NB
     kernel's y = 0 row, for nb, and p + (1 - p) P_NB(0) for zinb."""
-    lam = np.exp(np.clip(X.values @ params.beta, None, ETA_MAX))
+    lam = np.exp(_predictor("count", X, params.beta, None, ETA_MAX))
     if family == "poisson":
         return np.exp(-lam)
     tau = params.tau
     p0 = np.exp(-tau * np.log1p(lam / tau))
     if family == "nb":
         return p0
-    p = expit(Z.values @ params.gamma)
+    p = expit(_predictor("zero", Z, params.gamma, None, math.inf))
     return p + (1.0 - p) * p0
 
 
@@ -252,23 +250,21 @@ def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | 
     pattern's first row and the pattern's count, or None if every row is
     distinct.
 
-    A column's distinct values come from a plain 1-D ``np.unique``: a column
-    with a distinct value per row ends the scan and a constant one is
-    skipped.  Each other column adds its codes, the positions of its values
-    among the distinct ones, to one mixed-radix int64 key, which is re-coded
-    whenever its range passes the row count; a key with a distinct value per
-    row ends the scan too.  One counting pass over the final key gives each
-    pattern's count and first row.  Patterns come in key order, which does
-    not depend on the row order.
+    Each column is read as the float64 that the designs and counts hold, so
+    ``np.unique`` sorts it (numpy hashes integers, ~10x slower on a few
+    values).  A column with a distinct value per row ends the scan; each
+    other adds its codes, the positions of its values among its distinct
+    ones, to one mixed-radix int64 key, re-coded whenever its range passes
+    the row count, and a key with a distinct value per row ends the scan
+    too.  One counting pass over the final key gives each pattern's count
+    and first row, in key order, which does not depend on the row order.
     """
     n = columns[0].size
     key, size = np.zeros(n, dtype=np.int64), 1
-    for column in columns:
+    for column in (np.asarray(c, dtype=np.float64) for c in columns):
         values = np.unique(column)
         if values.size == n:
             return None
-        if values.size == 1:
-            continue
         key = key * values.size + np.searchsorted(values, column)
         size *= values.size
         if size > n:
@@ -283,40 +279,48 @@ def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | 
     return None if first.size == n else (first, counts)
 
 
+def _designs(spec: ModelSpec, ds: Dataset) -> tuple[DesignMatrix, DesignMatrix | None]:
+    """The count-part design of ``spec`` on ``ds`` and the zero-part one (zinb only)."""
+    X = build_design(ds, spec.count_covariates, spec.reference_levels)
+    if spec.family != "zinb":
+        return X, None
+    return X, build_design(ds, spec.zero_covariates, spec.reference_levels)
+
+
 class _Problem:
-    """Maps the optimizer's free vector onto a full ParamVector and back.
+    """The fit of ``spec`` to ``ds`` on its row patterns: the designs ``X``
+    and ``Z`` and the prepared ``counts``, built on every column of ``ds``
+    at the patterns' first rows, each pattern weighted by its count ``w``
+    (the scalar 1.0 where every row is distinct), and the map from the
+    optimizer's free vector onto a full ParamVector and back.
 
     ``theta`` is the full vector [beta, gamma, log_tau] in the gradient's
     layout, holding the pinned entries of ``FitOptions``; ``mask`` marks
-    the free ones.  The objective runs over the distinct (y, x, z) rows,
-    each weighted by how often it occurs, which is the full-data likelihood
-    exactly.  Where every row is distinct the rows are used as given, and
-    the weight ``w`` is the scalar 1.0.
+    the free ones.
     """
 
-    def __init__(self, spec, X, Z, y, options):
+    def __init__(self, spec: ModelSpec, ds: Dataset, options: FitOptions):
         self.spec = spec
-        y = np.asarray(y, dtype=np.float64)
-        self.n_obs = y.size
-        designs = [X, Z] if spec.family == "zinb" else [X]
-        table = _row_patterns([*(c for D in designs for c in D.values.T), y])
+        self.n_obs = ds.n_rows
+        ds.response_vector(spec.response)  # its errors come before the designs'
+        model = [*dict.fromkeys([*spec.count_covariates, *spec.zero_covariates]), spec.response]
+        # a name not in ds is left to build_design, which raises as it would on ds
+        table = _row_patterns([ds.columns[name].values for name in model if name in ds.columns])
         if table is None:
             self.w = 1.0
         else:
-            first, counts = table
-            # taken along the transpose, so the pattern designs stay column-major
-            X, y = DesignMatrix(X.values.T.take(first, axis=1).T, X.labels), y[first]
-            if Z is not None:
-                Z = DesignMatrix(Z.values.T.take(first, axis=1).T, Z.labels)
+            rows, counts = table
+            columns = {k: replace(c, values=c.values[rows]) for k, c in ds.columns.items()}
+            ds = Dataset(columns, rows.size)
             self.w = counts.astype(np.float64)
-        self.X, self.Z = X, Z
+        self.X, self.Z = _designs(spec, ds)
         # parameter-free, so prepared once rather than on every evaluation
-        self.counts = _kernels.Counts(y)
-        self.d = X.n_cols
-        self.q = Z.n_cols if spec.family == "zinb" else 0
-        self.labels = list(X.labels)
+        self.counts = _kernels.Counts(ds.response_vector(spec.response))
+        self.d = self.X.n_cols
+        self.q = self.Z.n_cols if self.Z is not None else 0
+        self.labels = list(self.X.labels)
         if self.q:
-            self.labels += [f"zero:{lab}" for lab in Z.labels]
+            self.labels += [f"zero:{lab}" for lab in self.Z.labels]
         if spec.family != "poisson":
             self.labels.append("log_tau")
         self.theta = np.zeros(len(self.labels))
@@ -381,7 +385,8 @@ class _Problem:
 
 
 def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitResult:
-    """Maximize the likelihood by one Newton ascent over the row patterns.
+    """Maximize the likelihood by one Newton ascent over the row patterns
+    of ``spec``'s columns of ``ds``, whose designs `_Problem` builds.
 
     Every family starts from the same point (`_Problem.start`).  The
     covariance is the inverse of the analytic negative Hessian at the
@@ -393,14 +398,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
     `DegenerateCovariateError` before fitting.
     """
     options = options or FitOptions()
-    y = ds.response_vector(spec.response)
-    X = build_design(ds, spec.count_covariates, spec.reference_levels)
-    Z = (
-        build_design(ds, spec.zero_covariates, spec.reference_levels)
-        if spec.family == "zinb"
-        else None
-    )
-    problem = _Problem(spec, X, Z, y, options)
+    problem = _Problem(spec, ds, options)
     n_free = int(problem.mask.sum())
     if ds.n_rows <= n_free:
         raise InsufficientDataError(
@@ -408,7 +406,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         )
     dead = [
         prefix + label
-        for prefix, D in (("", X), ("zero:", Z))
+        for prefix, D in (("", problem.X), ("zero:", problem.Z))
         if D is not None
         for label, column in zip(D.labels, D.values.T)
         if not np.any(column)
@@ -417,7 +415,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         raise DegenerateCovariateError(
             f"design column(s) {', '.join(dead)} are zero in every row"
         )
-    if not np.any(y > 0):
+    if not np.any(problem.counts.y > 0):
         raise InsufficientDataError(
             f"response '{spec.response}' has no positive counts; its mean cannot be estimated"
         )
@@ -430,8 +428,10 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         # once on the full rows, letting evaluation errors through, so the
         # error names the row at fault, or else the first free parameter
         # whose score or Hessian row is not finite
+        X, Z = _designs(spec, ds)
+        counts = _kernels.Counts(ds.response_vector(spec.response))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ll, grad, hess = _loglik_score(spec, X, Z, _kernels.Counts(y), problem.to_params(x0))
+            ll, grad, hess = _loglik_score(spec, X, Z, counts, problem.to_params(x0))
         if not math.isfinite(ll):
             raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
         free = problem.mask
@@ -455,8 +455,8 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
     return FitResult(
         family=spec.family,
         estimates=estimates,
-        count_labels=list(X.labels),
-        zero_labels=list(Z.labels) if Z is not None else [],
+        count_labels=list(problem.X.labels),
+        zero_labels=list(problem.Z.labels) if problem.Z is not None else [],
         free_labels=problem.free_labels(),
         covariance=covariance,
         covariance_error=covariance_error,

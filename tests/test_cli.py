@@ -832,6 +832,26 @@ class TestNonConvergenceExit:
         assert payload["converged"] is False
         assert json.loads(out.read_text())["converged"] is False
 
+    def test_iteration_cap_returns_3_with_report(self, data_csv, capsys, monkeypatch):
+        from countreg import optimize
+
+        monkeypatch.setattr(optimize, "MAX_ITER", 2)
+        code = main(
+            [
+                "fit",
+                "--input", str(data_csv),
+                "--schema", SCHEMA,
+                "--response", "y",
+                "--covariates", "grp,x",
+                "--family", "nb",
+                "--format", "json",
+            ]
+        )
+        assert code == EXIT_NO_CONVERGENCE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is False
+        assert payload["iterations"] == 2
+
     def test_compare_returns_3(self, data_csv, capsys, unconverged_fit):
         code = main(
             [

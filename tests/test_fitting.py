@@ -18,7 +18,9 @@ from countreg import (
     FitOptions,
     InsufficientDataError,
     ModelSpec,
+    ParameterDomainError,
     ParamVector,
+    SchemaError,
     SimConfig,
     build_design,
     compare_models,
@@ -31,7 +33,7 @@ from countreg import (
     simulate,
 )
 from countreg import _kernels
-from countreg import fitting
+from countreg import fitting, optimize
 from countreg.fitting import _Problem
 from countreg.optimize import MAX_HALVINGS
 
@@ -98,6 +100,53 @@ class TestLogLikelihood:
             log_likelihood(ModelSpec("poisson", "y", ["x"]), X, None, y, params)
         # row 5 holds the largest covariate value, 1.9
         assert err.value.row == 5
+
+    @pytest.mark.parametrize("evaluate", [log_likelihood, gradient])
+    @pytest.mark.parametrize(
+        "case,error,message",
+        [
+            ("nan beta", ParameterDomainError, "non-finite count-part coefficient"),
+            ("nan gamma", ParameterDomainError, "non-finite zero-part coefficient"),
+            ("nan log_tau", ParameterDomainError, "non-finite log_tau"),
+            (
+                "tau at its floor",
+                ParameterDomainError,
+                f"shape exp({math.log(1e-10)}) outside (1e-10, inf)",
+            ),
+            (
+                "nan zero-design cell",
+                EvaluationError,
+                "zero-part linear predictor is not finite (row 4)",
+            ),
+            (
+                "eta above its limit",
+                EvaluationError,
+                "count-part linear predictor is not finite or above 700 (row 5)",
+            ),
+        ],
+    )
+    def test_unevaluable_point_raises_its_message(self, evaluate, case, error, message):
+        X, Z, y = _ll6_pieces()
+        params = ParamVector(
+            np.asarray(_oracles.LL6_BETA),
+            np.asarray([_oracles.LL6_GAMMA0]),
+            math.log(_oracles.LL6_TAU),
+        )
+        if case == "nan beta":
+            params.beta[1] = math.nan
+        elif case == "nan gamma":
+            params.gamma[0] = math.nan
+        elif case == "nan log_tau":
+            params.log_tau = math.nan
+        elif case == "tau at its floor":
+            params.log_tau = math.log(1e-10)
+        elif case == "nan zero-design cell":
+            Z.values[4, 0] = math.nan
+        else:
+            params.beta[:] = [0.0, 500.0]  # eta = 950 in row 5 only
+        with pytest.raises(error) as err:
+            evaluate(ModelSpec("zinb", "y", ["x"]), X, Z, y, params)
+        assert str(err.value) == message
 
 
 def _fd_dataset(seed, n=40):
@@ -201,9 +250,7 @@ class TestHessianAgainstFiniteDifferences:
             n_rows=y.size,
         )
         spec = ModelSpec(family, "y", ["x1", "x2"], ["x1"] if family == "zinb" else [])
-        X = build_design(ds, spec.count_covariates)
-        Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
-        return _Problem(spec, X, Z, ds.response_vector("y"), options)
+        return _Problem(spec, ds, options)
 
     @pytest.mark.parametrize(
         "family,options",
@@ -264,11 +311,8 @@ class TestFusedObjective:
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, name, counted)
-        X, Z, y = _ll6_pieces()
         zinb = family == "zinb"
-        problem = _Problem(
-            ModelSpec(family, "y", ["x"]), X, Z if zinb else None, y, FitOptions()
-        )
+        problem = _Problem(ModelSpec(family, "y", ["x"]), _ll6_dataset(), FitOptions())
         theta = [*_oracles.LL6_BETA, *([_oracles.LL6_GAMMA0] if zinb else [])]
         theta.append(math.log(_oracles.LL6_TAU))
         ll, grad, hess = problem.objective(np.asarray(theta))
@@ -303,9 +347,7 @@ class TestFusedObjective:
     def _distinct_row_problem(family, n):
         ds = _zinb_sim(n=n, seed=23)
         spec = ModelSpec(family, "y", ["x"], ["x"] if family == "zinb" else [])
-        X = build_design(ds, spec.count_covariates)
-        Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
-        problem = _Problem(spec, X, Z, ds.response_vector("y"), FitOptions())
+        problem = _Problem(spec, ds, FitOptions())
         assert problem.counts.y.size == n  # every row distinct: nothing collapses
         return problem
 
@@ -368,16 +410,13 @@ class TestFusedObjective:
         ds = _grouped_sim(n=2000, seed=97) if collapses else _zinb_sim(n=2000, seed=98)
         covariates = ["g", "h"] if collapses else ["x"]
         spec = ModelSpec("zinb", "y", covariates, covariates[:1])
-        X = build_design(ds, spec.count_covariates)
-        Z = build_design(ds, spec.zero_covariates)
-        problem = _Problem(spec, X, Z, ds.response_vector("y"), FitOptions())
+        problem = _Problem(spec, ds, FitOptions())
         assert (problem.counts.y.size < ds.n_rows) == collapses
         for D in (problem.X, problem.Z):
             assert D.values.flags.f_contiguous and D.n_cols > 1
 
     def test_non_finite_gradient_is_inadmissible(self, monkeypatch):
-        X, Z, y = _ll6_pieces()
-        problem = _Problem(ModelSpec("nb", "y", ["x"]), X, None, y, FitOptions())
+        problem = _Problem(ModelSpec("nb", "y", ["x"]), _ll6_dataset(), FitOptions())
         monkeypatch.setattr(
             fitting,
             "_loglik_score",
@@ -587,6 +626,15 @@ class TestNewtonAscent:
         assert len(trials) == 1 + MAX_HALVINGS
         assert min(abs(t) for t in trials[1:]) > 1e12
 
+    def test_iteration_cap_ends_the_ascent_unconverged(self, monkeypatch):
+        ds = _nb_sim(n=2000, seed=27)
+        assert fit(ModelSpec("nb", "y", ["x"]), ds).n_iterations > 2
+        monkeypatch.setattr(optimize, "MAX_ITER", 2)
+        res = fit(ModelSpec("nb", "y", ["x"]), ds)
+        assert not res.converged
+        assert res.n_iterations == 2
+        assert res.message == "iteration cap 2 reached"
+
 
 class TestFarTrialPoints:
     def test_line_search_overflow_leaves_no_warnings(self):
@@ -729,6 +777,46 @@ class TestRowPatterns:
             fit(ModelSpec("nb", "y", ["x"]), ds)
         assert err.value.row == 7
 
+    def test_designs_are_built_on_the_patterns(self, monkeypatch):
+        rows = []
+
+        def recorded(ds, *args):
+            rows.append(ds.n_rows)
+            return build_design(ds, *args)
+
+        monkeypatch.setattr(fitting, "build_design", recorded)
+        ds = _grouped_sim(n=5000, seed=93)
+        res = fit(GROUPED_SPECS["zinb"], ds)
+        assert res.converged and res.n_obs == 5000
+        # one count-part and one zero-part design, each on the patterns
+        assert len(rows) == 2 and rows[0] == rows[1] < 100
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            (
+                ModelSpec("nb", "y", ["nosuch", "g"], reference_levels={"g": "zed"}),
+                "reference level 'zed' not in vocabulary of 'g': ('a', 'b', 'c')",
+            ),
+            (
+                ModelSpec("nb", "y", ["g"], reference_levels={"h": "zed", "nosuch": "a"}),
+                "reference level 'zed' not in vocabulary of 'h': ('p', 'q')",
+            ),
+            (
+                ModelSpec("nb", "y", ["g"], reference_levels={"nosuch": "a"}),
+                "no column named 'nosuch'",
+            ),
+            (ModelSpec("nb", "g", ["nosuch"]), "response column 'g' must be of kind 'count'"),
+            (ModelSpec("nb", "nosuch", ["g"]), "no column named 'nosuch'"),
+            (ModelSpec("zinb", "y", ["h", "nosuch"], ["other"]), "no column named 'nosuch'"),
+            (ModelSpec("zinb", "y", ["g", "h"], ["other"]), "no column named 'other'"),
+        ],
+    )
+    def test_the_first_bad_name_wins_when_rows_repeat(self, spec, message):
+        with pytest.raises(SchemaError) as err:
+            fit(spec, _grouped_sim(n=500, seed=93))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("family", ["nb", "zinb"])
     def test_full_rows_meet_the_criterion(self, family):
         ds = _grouped_sim()
@@ -737,7 +825,7 @@ class TestRowPatterns:
         X = build_design(ds, spec.count_covariates)
         Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
         y = ds.response_vector("y")
-        assert _Problem(spec, X, Z, y, FitOptions()).counts.y.size < 100
+        assert _Problem(spec, ds, FitOptions()).counts.y.size < 100
         assert res.converged, res.message
         ll = log_likelihood(spec, X, Z, y, res.estimates)
         assert ll == pytest.approx(res.log_likelihood, rel=1e-12)
