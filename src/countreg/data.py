@@ -5,6 +5,10 @@ Columns are typed as ``count`` (nonnegative integers), ``categorical``
 always start with an intercept column; each categorical contributes one
 dummy column per non-reference level, in vocabulary order.
 
+`distinct_codes` finds a column's distinct values, row codes and counts
+for the fitter's pattern scan and the screening tables; counts and factor
+codes below the row count index their own table, with no sort.
+
 Both halves of countreg's CSV dialect live here: `load_csv` reads it, and
 `csv_text` writes it, quoting each field by one rule (`csv_field`), for the
 simulated datasets and the ``--format csv`` reports.  `name_reads_back` and
@@ -70,6 +74,28 @@ def csv_text(names, rows) -> str:
     whose fields are written already.  Each line ends in a newline."""
     header = ",".join(map(csv_field, names))
     return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def distinct_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``values``, each row's code (its
+    value's position among them) and each distinct value's count: what
+    ``np.unique(values, return_inverse=True, return_counts=True)`` returns.
+
+    An integer array whose values all lie in [0, n), as counts and factor
+    codes mostly do, indexes its own table: one ``np.bincount`` counts each
+    value, the running count of the occupied ones ranks them, and each row
+    gathers its rank, with no sort.  Any other array goes through
+    ``np.unique``.
+    """
+    n = values.size
+    if values.dtype.kind in "iu" and n and values.min() >= 0 and values.max() < n:
+        index = values.astype(np.intp, copy=False)
+        table = np.bincount(index)
+        occupied = table > 0
+        distinct = np.flatnonzero(occupied)
+        codes = (np.cumsum(occupied) - 1).take(index)
+        return distinct.astype(values.dtype, copy=False), codes, table[distinct]
+    return np.unique(values, return_inverse=True, return_counts=True)
 
 
 @dataclass

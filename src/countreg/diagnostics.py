@@ -2,7 +2,10 @@
 
 The chi-square test carries no continuity correction.  Count columns are
 tabulated at their observed distinct values without binning; categorical
-columns over their declared level vocabulary.
+columns over their declared level vocabulary.  The distinct values of a
+count column and the zero summary's histogram come from
+`data.distinct_codes`: counts below the row count index their own table
+through one ``np.bincount``, and only larger ones are sorted.
 """
 
 from dataclasses import dataclass
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .data import Column, Dataset
+from .data import Column, Dataset, distinct_codes
 from .errors import DegenerateTableError, InsufficientDataError, SchemaError
 from .report import stars_for_p
 
@@ -60,8 +63,7 @@ def _category_codes(col: Column) -> tuple[np.ndarray, list[str]]:
     if col.kind == "categorical":
         return np.asarray(col.values, dtype=np.intp), [str(lv) for lv in col.levels]
     if col.kind == "count":
-        values = np.asarray(col.values)
-        distinct, codes = np.unique(values, return_inverse=True)
+        distinct, codes, _ = distinct_codes(np.asarray(col.values))
         return codes, [str(int(v)) for v in distinct]
     raise SchemaError(f"column '{col.name}' is numeric and cannot be tabulated")
 
@@ -123,8 +125,8 @@ def dispersion_summary(y: np.ndarray) -> DispersionSummary:
 
 def zero_summary(y: np.ndarray, fit_result=None) -> ZeroSummary:
     y = np.asarray(y)
-    observed = float(np.mean(y == 0))
-    distinct, counts = np.unique(y, return_counts=True)
+    distinct, _, counts = distinct_codes(y)
+    observed = float(counts[distinct == 0].sum() / y.size)
     histogram = [(int(v), int(c)) for v, c in zip(distinct, counts)]
     expected = None if fit_result is None else fit_result.expected_zero_fraction
     return ZeroSummary(observed, expected, histogram)

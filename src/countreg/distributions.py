@@ -122,8 +122,12 @@ def nb_draws(rng: np.random.Generator, lam: np.ndarray, tau: float) -> np.ndarra
 
     Exact for every tau > 0 (integer or not) and O(1) per draw: a rate is
     drawn from Gamma(shape=tau, mean=lam), then a Poisson count at that rate.
+    The rates are standard gamma draws times lam / tau, the product that
+    ``rng.gamma(tau, lam / tau)`` forms per draw, so the draws and the
+    generator's state after them are the same, without its per-draw
+    broadcast of the scale.
     """
-    rate = rng.gamma(shape=tau, scale=lam / tau)
+    rate = rng.standard_gamma(tau, size=lam.shape) * (lam / tau)
     return rng.poisson(rate)
 
 

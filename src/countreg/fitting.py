@@ -14,6 +14,8 @@ count, with designs built once on the patterns: with categorical or count
 covariates the likelihood depends on the rows only through those patterns,
 so the weighted sums are the full-data likelihood and score, exact to
 rounding.  Where every row is distinct, the patterns are the given rows.
+The counts and factor codes key the pattern scan by themselves
+(`data.distinct_codes`); only numeric columns are sorted.
 
 Designs are column-major, as `build_design` returns them: the fitter takes
 each design transposed, one contiguous row per column, and the per-row sums
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import _kernels
-from .data import Dataset, DesignMatrix, ModelSpec, build_design
+from .data import Column, Dataset, DesignMatrix, ModelSpec, build_design, distinct_codes
 from .distributions import TAU_MIN
 from .errors import (
     ComparisonError,
@@ -245,28 +247,46 @@ def _zero_probabilities(family, X, Z, params) -> np.ndarray:
     return p + (1.0 - p) * p0
 
 
-def _row_patterns(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+def _digits(column: Column) -> tuple[int, np.ndarray | None]:
+    """The number of distinct values of ``column`` and each row's code, the
+    position of its value among them.
+
+    A count or categorical column takes its codes from `distinct_codes`, so
+    counts and factor codes below the row count index their own table.  A
+    numeric column is read as the float64 that the designs hold and sorted
+    by ``np.unique``; its codes come from ``np.searchsorted``, and are None
+    where every row is distinct, which ends the scan anyway.
+    """
+    if column.kind != "numeric":
+        distinct, codes, _ = distinct_codes(column.values)
+        return distinct.size, codes
+    values = np.asarray(column.values, dtype=np.float64)
+    distinct = np.unique(values)
+    if distinct.size == values.size:
+        return distinct.size, None
+    return distinct.size, np.searchsorted(distinct, values)
+
+
+def _row_patterns(columns: list[Column]) -> tuple[np.ndarray, np.ndarray] | None:
     """The distinct rows of equal-length ``columns``: the index of each
     pattern's first row and the pattern's count, or None if every row is
     distinct.
 
-    Each column is read as the float64 that the designs and counts hold, so
-    ``np.unique`` sorts it (numpy hashes integers, ~10x slower on a few
-    values).  A column with a distinct value per row ends the scan; each
-    other adds its codes, the positions of its values among its distinct
-    ones, to one mixed-radix int64 key, re-coded whenever its range passes
-    the row count, and a key with a distinct value per row ends the scan
-    too.  One counting pass over the final key gives each pattern's count
-    and first row, in key order, which does not depend on the row order.
+    A column with a distinct value per row ends the scan; each other adds
+    its codes (`_digits`) to one mixed-radix int64 key, which starts as the
+    first column's codes and is re-coded whenever its range passes the row
+    count, and a key with a distinct value per row ends the scan too.  One
+    counting pass over the final key gives each pattern's count and first
+    row, in key order, which does not depend on the row order.
     """
-    n = columns[0].size
-    key, size = np.zeros(n, dtype=np.int64), 1
-    for column in (np.asarray(c, dtype=np.float64) for c in columns):
-        values = np.unique(column)
-        if values.size == n:
+    n = columns[0].values.size
+    key, size = None, 1
+    for column in columns:
+        radix, codes = _digits(column)
+        if radix == n:
             return None
-        key = key * values.size + np.searchsorted(values, column)
-        size *= values.size
+        key = codes if key is None else key * radix + codes
+        size *= radix
         if size > n:
             distinct, key = np.unique(key, return_inverse=True)
             size = distinct.size
@@ -292,7 +312,10 @@ class _Problem:
     and ``Z`` and the prepared ``counts``, built on every column of ``ds``
     at the patterns' first rows, each pattern weighted by its count ``w``
     (the scalar 1.0 where every row is distinct), and the map from the
-    optimizer's free vector onto a full ParamVector and back.
+    optimizer's free vector onto a full ParamVector and back.  The patterns
+    are those of the model's own Columns (`_row_patterns`), each covariate
+    once and then the response, so a count response and factor codes key
+    the scan by their values, with no sort.
 
     ``theta`` is the full vector [beta, gamma, log_tau] in the gradient's
     layout, holding the pinned entries of ``FitOptions``; ``mask`` marks
@@ -305,7 +328,7 @@ class _Problem:
         ds.response_vector(spec.response)  # its errors come before the designs'
         model = [*dict.fromkeys([*spec.count_covariates, *spec.zero_covariates]), spec.response]
         # a name not in ds is left to build_design, which raises as it would on ds
-        table = _row_patterns([ds.columns[name].values for name in model if name in ds.columns])
+        table = _row_patterns([ds.columns[name] for name in model if name in ds.columns])
         if table is None:
             self.w = 1.0
         else:

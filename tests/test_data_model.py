@@ -236,6 +236,45 @@ class TestDataset:
         np.testing.assert_array_equal(col.labels(), ["b", "a", "b"])
 
 
+class TestDistinctCodes:
+    """`data.distinct_codes` returns what np.unique does, by its own table
+    where integer values lie below the row count."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([3, 0, 3, 7, 0, 0, 9, 3, 1, 1, 4]),  # gaps, max < n
+            np.arange(6)[::-1],  # every value once, max = n - 1
+            np.array([0]),
+            np.array([5]),  # max >= n
+            np.array([0, 2, 40, 2]),  # max >= n
+            np.array([], dtype=np.int64),
+            np.array([2, 0, 2, 1], dtype=np.int32),
+            np.array([2, 0, 2, 1], dtype=np.uint8),
+            np.array([-1, 0, 2, 0]),  # a negative value
+            np.array([2.0, 0.0, 2.0, -0.0]),
+            np.array([True, False, True]),
+        ],
+    )
+    def test_matches_np_unique(self, values):
+        got = data.distinct_codes(values)
+        want = np.unique(values, return_inverse=True, return_counts=True)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype
+
+    def test_random_counts_match_np_unique(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            n = int(rng.integers(1, 200))
+            values = rng.integers(0, int(rng.integers(1, 2 * n + 2)), n)
+            got = data.distinct_codes(values)
+            want = np.unique(values, return_inverse=True, return_counts=True)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+                assert g.dtype == w.dtype
+
+
 class TestModelSpec:
     def test_zero_part_requires_zinb(self):
         with pytest.raises(SchemaError):

@@ -22,6 +22,8 @@ from countreg import (
     zero_summary,
 )
 
+from countreg.diagnostics import _category_codes
+
 import _oracles
 
 
@@ -208,6 +210,42 @@ class TestDispersionSummary:
     def test_too_few_observations(self):
         with pytest.raises(InsufficientDataError):
             dispersion_summary(np.array([3]))
+
+
+def _tables_reference(y):
+    """Row codes, labels and histogram of a count array by np.unique."""
+    distinct, codes, counts = np.unique(y, return_inverse=True, return_counts=True)
+    labels = [str(int(v)) for v in distinct]
+    return codes, labels, [(int(v), int(c)) for v, c in zip(distinct, counts)]
+
+
+class TestCountTables:
+    """Count columns are tabulated at their distinct values, as np.unique
+    finds them, whether or not the values index a table of their own."""
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.choice([0, 1, 4, 9, 10], 500),  # gaps
+            lambda rng: np.full(50, 3),  # a single value
+            lambda rng: rng.choice([0, 2, 700], 300),  # max >= n
+            lambda rng: rng.permutation(40),  # max = n - 1
+            lambda rng: np.array([6]),  # one row, max >= n
+        ],
+        ids=["gaps", "single value", "max above n", "max n-1", "one row"],
+    )
+    def test_codes_and_histogram_match_np_unique(self, draw):
+        y = draw(np.random.default_rng(121)).astype(np.int64)
+        want_codes, want_labels, want_histogram = _tables_reference(y)
+        codes, labels = _category_codes(Column("y", "count", y))
+        np.testing.assert_array_equal(codes, want_codes)
+        assert codes.dtype == want_codes.dtype
+        assert labels == want_labels
+        summary = zero_summary(y)
+        assert summary.observed_zero_fraction == float(np.mean(y == 0))
+        histogram = summary.histogram
+        assert histogram == want_histogram
+        assert all(type(v) is int and type(c) is int for v, c in histogram)
 
 
 class TestZeroSummary:

@@ -19,6 +19,8 @@ from countreg import (
     zinb_moments,
 )
 
+from countreg.distributions import nb_draws
+
 import _oracles
 
 
@@ -218,6 +220,32 @@ class TestSamplers:
     def test_poisson_sampler_mean(self):
         draws = sample_poisson(2.0, 100_000, seed=107)
         assert abs(draws.mean() - 2.0) < 4 * math.sqrt(2.0 / 100_000)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.3, 1.6270378, 7.5, 1e6])
+    def test_nb_draws_match_the_gamma_form(self, tau):
+        # the reference draws each rate by Generator.gamma(shape, scale)
+        class Recorded:
+            """A generator that records the rates of its Poisson draws."""
+
+            def __init__(self, rng):
+                self.rng, self.rates = rng, []
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def poisson(self, rate):
+                self.rates.append(rate)
+                return self.rng.poisson(rate)
+
+        lam = np.random.default_rng(110).exponential(1.5, 2000)
+        lam[::97] = 0.0
+        for seed in range(20):
+            ours, ref = Recorded(np.random.default_rng(seed)), np.random.default_rng(seed)
+            got = nb_draws(ours, lam, tau)
+            rate = ref.gamma(shape=tau, scale=lam / tau)
+            assert ours.rates[0].tobytes() == rate.tobytes()
+            assert got.tobytes() == ref.poisson(rate).tobytes()
+            assert ours.rng.random() == ref.random()
 
     def test_draws_are_nonnegative_integers(self):
         draws = sample_zinb(ZinbParams(NbParams(2.0, 0.5), 0.2), 5000, seed=108)

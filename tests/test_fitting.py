@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -715,25 +716,79 @@ class TestRowPatterns:
 
     def test_scan_matches_the_reference(self):
         rng = np.random.default_rng(99)
+        factor_levels = tuple("abcdefg")
         kinds = {
-            "int": lambda n: rng.integers(0, 6, n).astype(np.float64),
-            "dummy": lambda n: (rng.random(n) < 0.3).astype(np.float64),
-            "float": lambda n: rng.choice(rng.normal(size=max(n // 3, 1)), n),
-            "signed zero": lambda n: rng.choice([-0.0, 0.0, 1.0], n),
-            "constant": lambda n: np.ones(n),
-            "distinct": lambda n: rng.permutation(n).astype(np.float64),
+            "count": lambda n: Column("c", "count", rng.integers(0, 6, n)),
+            # max + 1 > n unless every draw is 0: the codes come from np.unique
+            "spread count": lambda n: Column("c", "count", rng.integers(0, 3, n) * (n + 5)),
+            "float count": lambda n: Column("c", "count", rng.integers(0, 6, n).astype(np.float64)),
+            "distinct count": lambda n: Column("c", "count", rng.permutation(n)),
+            "constant count": lambda n: Column("c", "count", np.full(n, 4)),
+            # levels b, d and g never occur; int32 codes
+            "factor": lambda n: Column(
+                "f", "categorical", rng.choice([0, 2, 4, 5], n).astype(np.int32), factor_levels
+            ),
+            "dummy": lambda n: Column("x", "numeric", (rng.random(n) < 0.3).astype(np.float64)),
+            "float": lambda n: Column(
+                "x", "numeric", rng.choice(rng.normal(size=max(n // 3, 1)), n)
+            ),
+            "signed zero": lambda n: Column("x", "numeric", rng.choice([-0.0, 0.0, 1.0], n)),
+            "constant": lambda n: Column("x", "numeric", np.ones(n)),
+            "distinct": lambda n: Column("x", "numeric", rng.permutation(n).astype(np.float64)),
         }
         names = list(kinds)
-        for trial in range(200):
-            n = int(rng.integers(1, 300))
+        sizes = [1] * 20 + [int(n) for n in rng.integers(2, 300, 300)]
+        for trial, n in enumerate(sizes):
             picked = rng.choice(names, int(rng.integers(1, 5)))
             columns = [kinds[name](n) for name in picked]
-            want = _row_patterns_reference(columns)
+            want = _row_patterns_reference([np.asarray(c.values, np.float64) for c in columns])
             got = fitting._row_patterns(columns)
             assert (got is None) == (want is None), (trial, picked)
             if want is not None:
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(g, w)
+
+    def test_paper_like_fit_sorts_nothing(self, monkeypatch):
+        # the preset's key is y alone, whose counts index their own table
+        ds = simulate(demo_preset())
+        calls = []
+        for name in ("unique", "searchsorted"):
+            original = getattr(np, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        res = fit(ModelSpec("nb", "y"), ds)
+        assert res.converged
+        assert calls == []
+
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_count_and_numeric_digits_give_the_same_fit(self, family):
+        # a count covariate takes its digits from its own table; declared
+        # numeric, the same values take them from a float sort
+        ds = _grouped_sim(n=5000, seed=95)
+        k = np.random.default_rng(96).poisson(1.0, ds.n_rows)
+        base = GROUPED_SPECS.get(family, ModelSpec("poisson", "y", ["g", "h"]))
+        spec = replace(base, count_covariates=[*base.count_covariates, "k"])
+        datasets = [
+            Dataset({**ds.columns, "k": column}, ds.n_rows)
+            for column in (Column("k", "count", k), Column("k", "numeric", k.astype(np.float64)))
+        ]
+        assert _Problem(spec, datasets[0], FitOptions()).counts.y.size < 1000
+        a, b = (fit(spec, d) for d in datasets)
+        assert a.converged
+        for got, want in (
+            (b.estimates.beta, a.estimates.beta),
+            (b.estimates.gamma, a.estimates.gamma),
+            (b.covariance, a.covariance),
+        ):
+            assert got.tobytes() == want.tobytes()
+        assert b.estimates.log_tau == a.estimates.log_tau
+        assert b.log_likelihood == a.log_likelihood
+        assert b.n_iterations == a.n_iterations
+        assert b.expected_zero_fraction == a.expected_zero_fraction
 
     @staticmethod
     def _rows_per_call(monkeypatch, family):
