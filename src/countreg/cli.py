@@ -242,10 +242,7 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return _RUNNERS[args.subcommand](args)
-    except CountregError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CountregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

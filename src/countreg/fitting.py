@@ -91,7 +91,7 @@ class FitResult:
     converged: bool
     gradient_norm: float
     message: str
-    ll_path: list = field(repr=False, default_factory=list)
+    ll_path: list = field(repr=False, default_factory=list)  # `MaximizeResult.path`
     expected_zero_fraction: float | None = None  # mean fitted P(y = 0)
 
     @property

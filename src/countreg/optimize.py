@@ -4,9 +4,10 @@ The fitter needs tighter control over convergence reporting than generic
 optimizers expose: convergence is declared only when the gradient inf-norm
 falls below ``GRAD_TOL`` AND the relative objective change over the last
 accepted step falls below ``REL_TOL``, within ``MAX_ITER`` iterations; the
-paper fixes all three.  Accepted iterates are recorded so callers can verify
-monotone ascent.  Objective evaluations that return a non-finite value are
-treated as "step too far" by the line search.
+paper fixes all three.  The objective at the start and after every accepted
+step is recorded, so callers can check the ascent.  Objective evaluations
+that return a non-finite value are treated as "step too far" by the line
+search.
 
 Each step solves with -H scaled to a unit diagonal, whatever the columns'
 units, through one eigendecomposition whose eigenvalues are replaced by
@@ -39,7 +40,7 @@ class MaximizeResult:
     n_iter: int
     converged: bool
     message: str
-    path: list = field(default_factory=list, repr=False)  # accepted objective values
+    path: list = field(default_factory=list, repr=False)  # f at the start and each step
 
 
 def equilibrated_eigh(A):
@@ -58,7 +59,10 @@ def maximize_newton(objective, x0):
     objective of ``-inf`` marks an inadmissible point.  Converged means:
     gradient inf-norm below ``GRAD_TOL`` and the last accepted step changed
     the objective by less than ``REL_TOL`` relative.  ``path`` holds the
-    accepted objective values, which are non-decreasing by construction.
+    objective at the start and after each accepted step, ``n_iter + 1``
+    values; each is at least the one before minus that step's band,
+    ``REL_TOL * max(1, |f|)``, since a step with an unresolvable predicted
+    gain may lower f within it.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g, H = objective(x)
@@ -98,8 +102,7 @@ def maximize_newton(objective, x0):
             break
         rel_change = abs(f1 - f) / max(1.0, abs(f1))
         x, f, g, H = trial, f1, g1, H1
-        if f >= path[-1]:  # a terminal step may dip inside its band; keep the path monotone
-            path.append(f)
+        path.append(f)
         n_iter += 1
         if np.max(np.abs(g)) < GRAD_TOL and rel_change < REL_TOL:
             converged = True

@@ -3,12 +3,14 @@
 `fit_report`, `screening_report`, `diagnose_report` and `comparison_report`
 each take the results of their subcommand and a format, ``text``, ``json``
 or ``csv``, and return the report; CSV is written by `data.csv_text`, in
-the dialect `load_csv` reads.  `OUT_FORMAT` names the format that
+the dialect `load_csv` reads.  A report's rows are built once, as tuples in
+the order of one field list: CSV writes them under that list as its header,
+and JSON keys each row object by it.  `OUT_FORMAT` names the format that
 ``--out`` holds where it is not the printed one.  Text tables round IRR and
-SE to 3 decimals; JSON carries full precision.  NaN becomes null in JSON so
-reports stay parseable everywhere.  This module formats plain values and
-duck-typed result objects only; it must not import the fitting or
-diagnostics modules.
+SE to 3 decimals; JSON carries full precision.  Every non-finite number
+(NaN, inf, -inf) becomes null in JSON, at any depth, so reports stay
+parseable everywhere.  This module formats plain values and duck-typed
+result objects only; it must not import the fitting or diagnostics modules.
 """
 
 import json
@@ -17,6 +19,10 @@ import math
 from .data import csv_field, csv_text
 
 OUT_FORMAT = {"fit": "json", "diagnose": "csv"}
+
+_FIT_FIELDS = "label,part,estimate,irr,se,z,p,stars"
+_SCREEN_FIELDS = "covariate,chi2,df,p,stars,min_expected"
+_COMPARE_FIELDS = "family,n_params,log_likelihood,aic"
 
 
 def stars_for_p(p: float) -> str:
@@ -38,15 +44,23 @@ def format_estimate_cell(irr: float, stars: str, se: float) -> str:
     return f"{irr:.3f}{stars}({se_text})"
 
 
-def _clean(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
+def _nulled(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _nulled(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(v) for v in value]
+    return value
 
 
 def _json(payload) -> str:
-    """Canonical JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "), allow_nan=False) + "\n"
+    """Canonical JSON: non-finite numbers as null, sorted keys, fixed
+    separators, trailing newline."""
+    return json.dumps(
+        _nulled(payload), sort_keys=True, separators=(", ", ": "), allow_nan=False
+    ) + "\n"
 
 
 def _lines(lines) -> str:
@@ -57,6 +71,12 @@ def _csv(header: str, rows) -> str:
     """CSV in the dialect `load_csv` reads (`data.csv_text`): each value is
     written by `str`, so a float as its repr, and quoted by `csv_field`."""
     return csv_text(header.split(","), ([csv_field(str(v)) for v in row] for row in rows))
+
+
+def _objects(header: str, rows) -> list:
+    """One JSON object per row, keyed by the CSV ``header``'s names."""
+    names = header.split(",")
+    return [dict(zip(names, row)) for row in rows]
 
 
 def render_fit_text(fit_result, rows) -> str:
@@ -75,18 +95,14 @@ def render_fit_text(fit_result, rows) -> str:
     )
     if fit_result.covariance_error:
         out.append(fit_result.covariance_error)
-    count_rows = [r for r in rows if r.part == "count"]
-    zero_rows = [r for r in rows if r.part == "zero"]
-    if count_rows:
-        out.append("")
-        out.append("IRR (count part)")
-        for r in count_rows:
-            out.append(f"  {r.label:<24s} {format_estimate_cell(r.irr, r.stars, r.std_error)}")
-    if zero_rows:
-        out.append("")
-        out.append("OR (zero part)")
-        for r in zero_rows:
-            out.append(f"  {r.label:<24s} {format_estimate_cell(r.irr, r.stars, r.std_error)}")
+    for part, title in (("count", "IRR (count part)"), ("zero", "OR (zero part)")):
+        part_rows = [r for r in rows if r.part == part]
+        if part_rows:
+            out += ["", title]
+            out.extend(
+                f"  {r.label:<24s} {format_estimate_cell(r.irr, r.stars, r.std_error)}"
+                for r in part_rows
+            )
     return _lines(out)
 
 
@@ -95,34 +111,23 @@ def fit_report(fit_result, rows, dropped_rows: int, fmt: str) -> str:
     the full-precision record."""
     if fmt == "text":
         return render_fit_text(fit_result, rows)
+    records = [
+        (r.label, r.part, r.coefficient, r.irr, r.std_error, r.z_value, r.p_value, r.stars)
+        for r in rows
+    ]
     if fmt == "csv":
-        return _csv("label,part,estimate,irr,se,z,p,stars", (
-            (r.label, r.part, r.coefficient, r.irr, r.std_error, r.z_value, r.p_value, r.stars)
-            for r in rows
-        ))
+        return _csv(_FIT_FIELDS, records)
     return _json({
         "family": fit_result.family,
         "n_obs": fit_result.n_obs,
         "dropped_rows": dropped_rows,
-        "coefficients": [
-            {
-                "label": r.label,
-                "part": r.part,
-                "estimate": _clean(r.coefficient),
-                "irr": _clean(r.irr),
-                "se": _clean(r.std_error),
-                "z": _clean(r.z_value),
-                "p": _clean(r.p_value),
-                "stars": r.stars,
-            }
-            for r in rows
-        ],
-        "tau": _clean(fit_result.estimates.tau) if fit_result.estimates.log_tau is not None else None,
-        "log_likelihood": _clean(fit_result.log_likelihood),
-        "aic": _clean(fit_result.aic),
+        "coefficients": _objects(_FIT_FIELDS, records),
+        "tau": fit_result.estimates.tau,
+        "log_likelihood": fit_result.log_likelihood,
+        "aic": fit_result.aic,
         "converged": fit_result.converged,
         "iterations": fit_result.n_iterations,
-        "gradient_norm": _clean(fit_result.gradient_norm),
+        "gradient_norm": fit_result.gradient_norm,
     })
 
 
@@ -136,28 +141,23 @@ def screening_report(results: dict, fmt: str) -> str:
                 line += f"  [warning: min expected cell {r.min_expected:.2f} < 5]"
             out.append(line)
         return _lines(out)
+    records = [
+        (name, r.chi2, r.df, r.p_value, r.stars, r.min_expected) for name, r in results.items()
+    ]
     if fmt == "csv":
-        return _csv("covariate,chi2,df,p,stars,min_expected", (
-            (name, r.chi2, r.df, r.p_value, r.stars, r.min_expected)
-            for name, r in results.items()
-        ))
+        return _csv(_SCREEN_FIELDS, records)
     return _json({
         "test": "chi-square independence",
         "continuity_correction": "none",
         "results": [
             {
-                "covariate": name,
-                "chi2": _clean(r.chi2),
-                "df": r.df,
-                "p": _clean(r.p_value),
-                "stars": r.stars,
-                "min_expected": _clean(r.min_expected),
+                **record,
                 "low_expected_warning": bool(r.low_expected_warning),
                 "row_labels": list(r.row_labels),
                 "col_labels": list(r.col_labels),
                 "observed": [[int(v) for v in row] for row in r.observed],
             }
-            for name, r in results.items()
+            for record, r in zip(_objects(_SCREEN_FIELDS, records), results.values())
         ],
     })
 
@@ -179,14 +179,14 @@ def diagnose_report(disp, zero, fmt: str) -> str:
         return _csv("value,count", zero.histogram)
     return _json({
         "dispersion": {
-            "mean": _clean(disp.mean),
-            "variance": _clean(disp.variance),
-            "ratio": _clean(disp.ratio),
+            "mean": disp.mean,
+            "variance": disp.variance,
+            "ratio": disp.ratio,
             "verdict": disp.verdict,
         },
         "zeros": {
-            "observed_zero_fraction": _clean(zero.observed_zero_fraction),
-            "expected_zero_fraction": _clean(zero.expected_zero_fraction),
+            "observed_zero_fraction": zero.observed_zero_fraction,
+            "expected_zero_fraction": zero.expected_zero_fraction,
             "histogram": [[int(v), int(c)] for v, c in zero.histogram],
         },
     })
@@ -199,18 +199,7 @@ def comparison_report(rows, fmt: str) -> str:
             f"  {r.family:<8s} k={r.n_params}  logL={r.log_likelihood:.6f}  AIC={r.aic:.6f}"
             for r in rows
         )])
+    records = [(r.family, r.n_params, r.log_likelihood, r.aic) for r in rows]
     if fmt == "csv":
-        return _csv("family,n_params,log_likelihood,aic", (
-            (r.family, r.n_params, r.log_likelihood, r.aic) for r in rows
-        ))
-    return _json({
-        "ranking": [
-            {
-                "family": r.family,
-                "n_params": r.n_params,
-                "log_likelihood": _clean(r.log_likelihood),
-                "aic": _clean(r.aic),
-            }
-            for r in rows
-        ]
-    })
+        return _csv(_COMPARE_FIELDS, records)
+    return _json({"ranking": _objects(_COMPARE_FIELDS, records)})

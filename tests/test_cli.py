@@ -249,6 +249,27 @@ class TestFit:
         row = json.loads(payload.stdout)["coefficients"][1]
         assert row["label"] == "x" and row["irr"] is None and row["se"] > 0
 
+    def test_collinear_covariates_have_null_standard_errors(self, tmp_path, capsys):
+        # x2 repeats x, so the covariance is unavailable: the SEs, z and p
+        # are NaN, which JSON writes as null and CSV as nan
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, 300)
+        y = rng.poisson(np.exp(0.3 + 0.5 * x))
+        path = tmp_path / "collinear.csv"
+        path.write_text("y,x,x2\n" + "".join(f"{a},{b!r},{b!r}\n" for a, b in zip(y, x.tolist())))
+        argv = ["fit", "--input", str(path), "--schema", "y=count,x=numeric,x2=numeric",
+                "--response", "y", "--covariates", "x,x2", "--family", "poisson"]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+        assert [row["label"] for row in coefficients] == ["(intercept)", "x", "x2"]
+        for row in coefficients:
+            assert row["se"] is None and row["z"] is None and row["p"] is None
+            assert math.isfinite(row["estimate"]) and math.isfinite(row["irr"])
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[0] for row in rows[1:]] == ["x", "x2"]
+        assert all(row[4:7] == ["nan", "nan", "nan"] for row in rows[1:])
+
     def test_preset_fit(self):
         res = run_cli(
             "fit", "--preset", "paper-like", "--seed", "7", "--family", "nb",
@@ -797,6 +818,15 @@ class TestUnfittableInput:
         zeros = json.loads(res.stdout)["zeros"]
         assert zeros["observed_zero_fraction"] == 1.0
         assert zeros["histogram"] == [[0, 5]]
+
+    def test_diagnose_json_writes_the_undefined_ratio_as_null(self, all_zero_csv, capsys):
+        # variance / mean is 0 / 0 on an all-zero response
+        argv = ["diagnose", "--input", str(all_zero_csv), "--schema", "y=count,x=numeric",
+                "--response", "y", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        dispersion = json.loads(capsys.readouterr().out)["dispersion"]
+        assert dispersion["mean"] == 0.0 and dispersion["variance"] == 0.0
+        assert dispersion["ratio"] is None
 
 
 class TestNonConvergenceExit:

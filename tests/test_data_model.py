@@ -1,5 +1,6 @@
 """CSV ingestion, typed columns, and design-matrix construction."""
 
+import ast
 import csv
 import io
 import math
@@ -19,7 +20,7 @@ from countreg import (
     load_csv,
     parse_schema,
 )
-from countreg import data
+from countreg import data, report
 from countreg.data import MISSING_TOKENS
 from countreg.report import _csv
 
@@ -617,3 +618,17 @@ class TestCsvWriter:
                 [_random_value(rng) for _ in range(width)] for _ in range(rng.randrange(4))
             ]
             assert _csv(header, rows) == _writer_reference(header, rows), f"trial {trial}"
+
+
+def test_report_imports_only_json_math_and_data():
+    # rendering formats results it is handed; it must not reach into the
+    # fitting or diagnostics modules
+    with open(report.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"json", "math", ".data"}

@@ -478,13 +478,16 @@ class TestFits:
         assert res.free_labels == ["(intercept)", "x", "zero:(intercept)", "log_tau"]
 
     def test_ll_path_is_monotone(self):
-        ds = _zinb_sim(n=2000, seed=23)
-        for family, cov in (("poisson", ["x"]), ("nb", ["x"]), ("zinb", ["x"])):
-            res = fit(ModelSpec(family, "y", cov), ds)
-            path = np.asarray(res.ll_path)
-            assert path.size >= 1
-            assert np.all(np.diff(path) >= 0.0)
-            assert path[-1] == pytest.approx(res.log_likelihood, abs=1e-9)
+        # one entry for the start and one per accepted step; a step whose
+        # predicted gain f cannot resolve may lower f within its band, as the
+        # last step of the seed-25 NB fit does
+        for seed, family in ((23, "poisson"), (23, "nb"), (23, "zinb"), (25, "nb")):
+            res = fit(ModelSpec(family, "y", ["x"]), _zinb_sim(n=2000, seed=seed))
+            path = res.ll_path
+            assert len(path) == res.n_iterations + 1, (seed, family)
+            assert path[-1] == res.log_likelihood
+            for before, after in zip(path, path[1:]):
+                assert after >= before - optimize.REL_TOL * max(1.0, abs(before))
 
     def test_aic_identity(self):
         ds = _nb_sim(n=800, seed=25)
