@@ -164,13 +164,14 @@ def _load_dataset(args):
 
 
 def _write(args, render):
-    """Print ``render(--format)``; write --out in the subcommand's
-    `report.OUT_FORMAT`, or else the printed bytes."""
+    """Print ``render(--format)`` once --out holds the subcommand's
+    `report.OUT_FORMAT`, or else the printed bytes, so that a failed write
+    prints nothing."""
     text = render(args.fmt)
-    sys.stdout.write(text)
     if args.out:
         out_fmt = report.OUT_FORMAT.get(args.subcommand, args.fmt)
         Path(args.out).write_text(text if out_fmt == args.fmt else render(out_fmt))
+    sys.stdout.write(text)
 
 
 def _run_fit(args) -> int:

@@ -25,6 +25,7 @@ a time.  Each block is converted before the next is read, so the loader
 holds the file's bytes, one block and the converted columns.
 """
 
+import codecs
 import csv
 import io
 import math
@@ -260,10 +261,11 @@ def _convert(cells: list[str], kind: str):
 
 
 def _utf8(path) -> bytes:
-    """The bytes of the file at ``path``.  Bytes that are not UTF-8 raise a
-    SchemaError naming the file line of the first bad one."""
+    """The bytes of the file at ``path``, less one leading UTF-8 byte order
+    mark, which is not part of the first header name.  Bytes that are not
+    UTF-8 raise a SchemaError naming the file line of the first bad one."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -390,7 +392,8 @@ def _load(path, schema: dict[str, str], source) -> Dataset:
 
 
 def load_csv(path, schema: dict[str, str]) -> Dataset:
-    """Load declared columns from a UTF-8, header-first CSV file.
+    """Load declared columns from a UTF-8, header-first CSV file; a leading
+    byte order mark is skipped.
 
     Rows with a missing value ("" or "NA") in any declared column are dropped;
     the number of dropped rows is recorded on the returned Dataset.  A

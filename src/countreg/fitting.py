@@ -130,23 +130,28 @@ def _tau_of(params: ParamVector) -> float:
     return math.exp(params.log_tau)
 
 
-def _predictor(part: str, D: DesignMatrix, coef: np.ndarray, out, limit: float) -> np.ndarray:
+def _predictor(
+    part: str, D: DesignMatrix, coef: np.ndarray, out, limit: float, first=None
+) -> np.ndarray:
     """The ``part`` ("count" or "zero") linear predictor D @ coef, written
     into ``out`` (a new array where it is None), checked to be finite and
-    at most ``limit``."""
+    at most ``limit``.  A failure names the first data row at fault: the
+    least ``first`` entry (each design row's first data row) over the
+    failing design rows, or the first failing row where ``first`` is None."""
     s = np.matmul(D.values, coef, out=out)
     hi = s.max(initial=-math.inf)
     # a NaN fails every comparison
     if not (s.min(initial=math.inf) > -math.inf and hi < math.inf and hi <= limit):
         bound = f" or above {limit:g}" if limit < math.inf else ""
+        bad = ~np.isfinite(s) | (s > limit)
         raise EvaluationError(
             f"{part}-part linear predictor is not finite{bound}",
-            int(np.argmax(~np.isfinite(s) | (s > limit))),
+            int(np.argmax(bad) if first is None else first[bad].min()),
         )
     return s
 
 
-def _row_terms(spec, X, Z, counts, params) -> tuple:
+def _row_terms(spec, X, Z, counts, params, first=None) -> tuple:
     """One block whose rows are the row log pmfs, the row derivatives in
     eta, logit(p) and tau and the upper triangle of their second
     derivatives, and the transposed designs [X', Z', tau * 1'] those
@@ -157,7 +162,7 @@ def _row_terms(spec, X, Z, counts, params) -> tuple:
     """
     _check_finite_params(params)
     y, n = counts.y, counts.y.size
-    eta = _predictor("count", X, params.beta, counts.buffer("lam", (n,)), ETA_MAX)
+    eta = _predictor("count", X, params.beta, counts.buffer("lam", (n,)), ETA_MAX, first)
     designs = [X.values.T]
     if spec.family == "poisson":
         block = counts.buffer("rows", (3, n))
@@ -174,7 +179,7 @@ def _row_terms(spec, X, Z, counts, params) -> tuple:
     if spec.family == "nb":
         block = _kernels.nb_loglik_score(counts, lam, tau)
     else:
-        p = _predictor("zero", Z, params.gamma, counts.buffer("p", (n,)), math.inf)
+        p = _predictor("zero", Z, params.gamma, counts.buffer("p", (n,)), math.inf, first)
         block = _kernels.zinb_loglik_score(counts, lam, expit(p, out=p), tau)
         designs.append(Z.values.T)
     designs.append(counts.buffer("tau", (1, n)))
@@ -189,20 +194,22 @@ def _loglik_score(
     counts: _kernels.Counts,
     params: ParamVector,
     w: np.ndarray | float = 1.0,
+    first: np.ndarray | None = None,
 ) -> tuple:
     """Log-likelihood and its analytic gradient and Hessian, from one pass
     over the rows.
 
     Row ``i`` counts ``w[i]`` times: the number of observations that share
     its (y, x, z) pattern, or, where ``w`` is the scalar 1.0, which
-    multiplies nothing, once.  Gradient layout matches the family: [beta]
-    for poisson, [beta, log_tau] for nb, [beta, gamma, log_tau] for zinb.
-    The row derivatives in eta, logit(p) and tau meet the designs
+    multiplies nothing, once; an error names its first data row,
+    ``first[i]`` (`_predictor`).  Gradient layout matches the family:
+    [beta] for poisson, [beta, log_tau] for nb, [beta, gamma, log_tau] for
+    zinb.  The row derivatives in eta, logit(p) and tau meet the designs
     [X, Z, tau * 1] block by block; the log-tau chain term, tau * dl/dtau,
     joins the last diagonal entry.  The weighted designs of the Hessian go
     through one scratch block kept on ``counts``.
     """
-    block, designs = _row_terms(spec, X, Z, counts, params)
+    block, designs = _row_terms(spec, X, Z, counts, params, first)
     if isinstance(w, np.ndarray):
         block *= w
     rows, *terms = block
@@ -299,23 +306,16 @@ def _row_patterns(columns: list[Column]) -> tuple[np.ndarray, np.ndarray] | None
     return None if first.size == n else (first, counts)
 
 
-def _designs(spec: ModelSpec, ds: Dataset) -> tuple[DesignMatrix, DesignMatrix | None]:
-    """The count-part design of ``spec`` on ``ds`` and the zero-part one (zinb only)."""
-    X = build_design(ds, spec.count_covariates, spec.reference_levels)
-    if spec.family != "zinb":
-        return X, None
-    return X, build_design(ds, spec.zero_covariates, spec.reference_levels)
-
-
 class _Problem:
     """The fit of ``spec`` to ``ds`` on its row patterns: the designs ``X``
     and ``Z`` and the prepared ``counts``, built on every column of ``ds``
-    at the patterns' first rows, each pattern weighted by its count ``w``
-    (the scalar 1.0 where every row is distinct), and the map from the
-    optimizer's free vector onto a full ParamVector and back.  The patterns
-    are those of the model's own Columns (`_row_patterns`), each covariate
-    once and then the response, so a count response and factor codes key
-    the scan by their values, with no sort.
+    at the patterns' first rows ``first``, each pattern weighted by its
+    count ``w`` (None and the scalar 1.0 where every row is distinct), and
+    the map from the optimizer's free vector onto a full ParamVector and
+    back.  The patterns are those of the model's own Columns
+    (`_row_patterns`), each covariate once and then the response, so a
+    count response and factor codes key the scan by their values, with no
+    sort.
 
     ``theta`` is the full vector [beta, gamma, log_tau] in the gradient's
     layout, holding the pinned entries of ``FitOptions``; ``mask`` marks
@@ -330,13 +330,15 @@ class _Problem:
         # a name not in ds is left to build_design, which raises as it would on ds
         table = _row_patterns([ds.columns[name] for name in model if name in ds.columns])
         if table is None:
-            self.w = 1.0
+            self.w, self.first = 1.0, None
         else:
-            rows, counts = table
-            columns = {k: replace(c, values=c.values[rows]) for k, c in ds.columns.items()}
-            ds = Dataset(columns, rows.size)
+            self.first, counts = table
+            columns = {k: replace(c, values=c.values[self.first]) for k, c in ds.columns.items()}
+            ds = Dataset(columns, self.first.size)
             self.w = counts.astype(np.float64)
-        self.X, self.Z = _designs(spec, ds)
+        self.X = build_design(ds, spec.count_covariates, spec.reference_levels)
+        zinb = spec.family == "zinb"
+        self.Z = build_design(ds, spec.zero_covariates, spec.reference_levels) if zinb else None
         # parameter-free, so prepared once rather than on every evaluation
         self.counts = _kernels.Counts(ds.response_vector(spec.response))
         self.d = self.X.n_cols
@@ -371,21 +373,32 @@ class _Problem:
 
     def objective(self, theta):
         """Log-likelihood, free gradient and free Hessian, or -inf (with
-        zeros) where any of them is not finite or cannot be evaluated."""
+        zeros) where any of them is not finite or cannot be evaluated.  Such
+        a point records why in ``failure``, worded for the start point, the
+        one `fit` raises it for: the evaluation's own CountregError, or an
+        EvaluationError naming a non-finite log-likelihood, or else the first
+        free parameter whose score or Hessian row is not finite."""
         free = self.mask
         try:
             # a trial point far out (tau or lam near overflow, p -> 1) may
             # produce inf or nan; such a point is inadmissible
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 ll, grad, hess = _loglik_score(
-                    self.spec, self.X, self.Z, self.counts, self.to_params(theta), self.w
+                    self.spec, self.X, self.Z, self.counts, self.to_params(theta), self.w,
+                    self.first,
                 )
-        except CountregError:
-            pass
+        except CountregError as exc:
+            self.failure = exc
         else:
             grad, hess = grad[free], hess[np.ix_(free, free)]
             if math.isfinite(ll) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess)):
                 return ll, grad, hess
+            bad = ~np.isfinite(grad) | ~np.isfinite(hess).all(axis=1)
+            self.failure = EvaluationError(
+                f"log-likelihood is {ll} at the starting point" if not math.isfinite(ll) else
+                "score or Hessian is not finite at the starting point "
+                f"(parameter '{self.free_labels()[np.argmax(bad)]}')"
+            )
         k = int(free.sum())
         return -math.inf, np.zeros(k), np.zeros((k, k))
 
@@ -418,7 +431,8 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
     ``size * eps`` times its largest (numpy's ``matrix_rank`` tolerance),
     the estimates are still returned with the covariance flagged
     unavailable.  A design column that is zero in every row raises
-    `DegenerateCovariateError` before fitting.
+    `DegenerateCovariateError` before fitting, and a start point that
+    cannot be evaluated raises the error the objective recorded there.
     """
     options = options or FitOptions()
     problem = _Problem(spec, ds, options)
@@ -443,26 +457,10 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             f"response '{spec.response}' has no positive counts; its mean cannot be estimated"
         )
 
-    x0 = problem.start()
     try:
-        res = maximize_newton(problem.objective, x0)
-    except ValueError:
-        # the objective reads evaluation errors as -inf: evaluate the start
-        # once on the full rows, letting evaluation errors through, so the
-        # error names the row at fault, or else the first free parameter
-        # whose score or Hessian row is not finite
-        X, Z = _designs(spec, ds)
-        counts = _kernels.Counts(ds.response_vector(spec.response))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ll, grad, hess = _loglik_score(spec, X, Z, counts, problem.to_params(x0))
-        if not math.isfinite(ll):
-            raise EvaluationError(f"log-likelihood is {ll} at the starting point") from None
-        free = problem.mask
-        bad = ~np.isfinite(grad[free]) | ~np.isfinite(hess[np.ix_(free, free)]).all(axis=1)
-        where = f" (parameter '{problem.free_labels()[np.argmax(bad)]}')" if bad.any() else ""
-        raise EvaluationError(
-            f"score or Hessian is not finite at the starting point{where}"
-        ) from None
+        res = maximize_newton(problem.objective, problem.start())
+    except ValueError:  # the start is inadmissible, and the objective kept why
+        raise problem.failure from None
     estimates = problem.to_params(res.x)
 
     covariance = covariance_error = None

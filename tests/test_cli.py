@@ -940,3 +940,27 @@ class TestOutFile:
         out = tmp_path / "report.out"
         text = printed(fmt, "--out", str(out))
         assert out.read_text() == (printed("csv") if command == "diagnose" else text)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--family", "nb"],
+            ["screen"],
+            ["diagnose"],
+            ["diagnose", "--family", "zinb"],
+            ["compare"],
+            ["simulate"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_a_failed_write_prints_nothing(self, tmp_path, capsys, argv, fmt):
+        out = tmp_path / "missing" / "report.out"
+        options = ["--out", str(out)] + (["--format", fmt] if argv[0] != "simulate" else [])
+        assert main([*argv, "--preset", "paper-like", *options]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [
+            stderr.splitlines()[-1]
+        ]
+        assert not out.parent.exists()

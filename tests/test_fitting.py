@@ -849,6 +849,59 @@ class TestRowPatterns:
         # one count-part and one zero-part design, each on the patterns
         assert len(rows) == 2 and rows[0] == rows[1] < 100
 
+    @staticmethod
+    def _nan_dataset(nan_rows):
+        """The recipe of `test_start_point_error_names_the_row`, NaN at ``nan_rows``."""
+        y = np.tile([0, 1, 2, 3], 5).astype(np.int64)
+        x = np.tile([0.0, 1.0], 10)
+        x[nan_rows] = math.nan
+        return Dataset(
+            {"y": Column("y", "count", y), "x": Column("x", "numeric", x)}, n_rows=20
+        )
+
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_start_point_error_names_the_least_failing_row(self, family):
+        spec, ds = ModelSpec(family, "y", ["x"]), self._nan_dataset([3, 9])
+        problem = _Problem(spec, ds, FitOptions())
+        # in key order, pattern (NaN, y=1), first seen at row 9, comes before
+        # pattern (NaN, y=3), first seen at row 3
+        assert list(problem.first[np.isnan(problem.X.values[:, 1])]) == [9, 3]
+        with pytest.raises(EvaluationError) as err:
+            fit(spec, ds)
+        assert err.value.row == 3
+        assert str(err.value) == "count-part linear predictor is not finite or above 700 (row 3)"
+
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_an_unevaluable_start_builds_designs_on_the_patterns(self, family, monkeypatch):
+        rows = []
+
+        def recorded(ds, *args):
+            rows.append(ds.n_rows)
+            return build_design(ds, *args)
+
+        monkeypatch.setattr(fitting, "build_design", recorded)
+        with pytest.raises(EvaluationError) as err:
+            fit(ModelSpec(family, "y", ["x"]), self._nan_dataset([7]))
+        assert err.value.row == 7
+        assert rows and max(rows) < 20
+
+    def test_zero_part_start_error_names_the_row(self):
+        ds = self._nan_dataset([])
+        z = np.tile([0.0, 1.0, 2.0], 7)[:20]
+        z[11] = math.inf
+        ds.columns["z"] = Column("z", "numeric", z)
+        with pytest.raises(EvaluationError) as err:
+            fit(ModelSpec("zinb", "y", ["x"], ["z"]), ds)
+        assert str(err.value) == "zero-part linear predictor is not finite (row 11)"
+
+    def test_a_non_finite_start_log_likelihood_is_named(self, monkeypatch):
+        monkeypatch.setattr(
+            fitting, "_loglik_score", lambda *args: (math.nan, np.zeros(3), np.eye(3))
+        )
+        with pytest.raises(EvaluationError) as err:
+            fit(ModelSpec("nb", "y", ["x"]), _ll6_dataset())
+        assert str(err.value) == "log-likelihood is nan at the starting point"
+
     @pytest.mark.parametrize(
         "spec,message",
         [
