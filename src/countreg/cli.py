@@ -16,7 +16,7 @@ from . import diagnostics, report
 from .data import FAMILIES, ModelSpec, load_csv, parse_schema
 from .errors import ConfigurationError, CountregError
 from .fitting import compare_models, fit, irr_table
-from .simulate import csv_text, demo_preset, simulate
+from .simulate import demo_preset, simulate, write_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -165,13 +165,22 @@ def _load_dataset(args):
 
 def _write(args, render):
     """Print ``render(--format)`` once --out holds the subcommand's
-    `report.OUT_FORMAT`, or else the printed bytes, so that a failed write
-    prints nothing."""
+    `report.OUT_FORMAT`, or else the printed bytes, in UTF-8, so that a
+    failed write prints nothing.  A report that stdout cannot encode is an
+    error, and nothing of it is printed."""
     text = render(args.fmt)
     if args.out:
         out_fmt = report.OUT_FORMAT.get(args.subcommand, args.fmt)
-        Path(args.out).write_text(text if out_fmt == args.fmt else render(out_fmt))
-    sys.stdout.write(text)
+        Path(args.out).write_text(
+            text if out_fmt == args.fmt else render(out_fmt), encoding="utf-8"
+        )
+    try:
+        sys.stdout.write(text)  # encoded whole before any byte is written
+    except UnicodeEncodeError as exc:
+        raise ConfigurationError(
+            f"standard output ({exc.encoding}) cannot encode the report: "
+            f"{exc.object[exc.start]!r} ({exc.reason})"
+        ) from None
 
 
 def _run_fit(args) -> int:
@@ -215,7 +224,7 @@ def _run_simulate(args) -> int:
         simulate(config, args.out)
         print(f"wrote {args.out} and its .truth.json sidecar", file=sys.stderr)
     else:
-        sys.stdout.write(csv_text(simulate(config), config))
+        write_csv(simulate(config), config, sys.stdout)
     return EXIT_OK
 
 

@@ -425,18 +425,16 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
         raise
 
 
-def build_design(
+def _covariate_columns(
     ds: Dataset, covariates: list[str], reference_levels: dict[str, str] | None = None
-) -> DesignMatrix:
-    """Intercept column plus covariate blocks in declaration order.
+):
+    """`build_design`'s checks and column walk: for each covariate in
+    declaration order, its Column, the code of its reference level (None for
+    a count or numeric covariate) and the labels of its design columns.
 
-    Categorical covariates expand to one dummy column per non-reference level
-    ("variable=level" labels, vocabulary order); the reference defaults to the
-    first vocabulary level.  Count and numeric covariates pass through as a
-    single column.  Deterministic: identical inputs give identical columns.
-
-    The values are column-major (Fortran order): each column is contiguous,
-    which is the layout the fitter's per-row sums contract along.
+    The reference-level overrides are checked before the first covariate is
+    yielded, and each covariate as it is reached, so that every design
+    builder raises the same error first.
     """
     reference_levels = reference_levels or {}
     for name, level in reference_levels.items():
@@ -447,26 +445,39 @@ def build_design(
             raise SchemaError(
                 f"reference level {level!r} not in vocabulary of '{name}': {col.levels}"
             )
-
-    columns = [np.ones(ds.n_rows)]
-    labels = [INTERCEPT_LABEL]
     for name in covariates:
         col = ds.column(name)
-        if col.kind == "categorical":
-            if len(col.levels) < 2:
-                raise DegenerateCovariateError(
-                    f"categorical '{name}' has a single level; its dummy block would be all zero"
-                )
-            ref = reference_levels.get(name, col.levels[0])
-            ref_code = col.levels.index(ref)
-            for code, level in enumerate(col.levels):
-                if code == ref_code:
-                    continue
-                columns.append(col.values == code)
-                labels.append(f"{name}={level}")
-        else:
+        if col.kind != "categorical":
+            yield col, None, [name]
+            continue
+        if len(col.levels) < 2:
+            raise DegenerateCovariateError(
+                f"categorical '{name}' has a single level; its dummy block would be all zero"
+            )
+        ref = col.levels.index(reference_levels.get(name, col.levels[0]))
+        yield col, ref, [f"{name}={level}" for code, level in enumerate(col.levels) if code != ref]
+
+
+def build_design(
+    ds: Dataset, covariates: list[str], reference_levels: dict[str, str] | None = None
+) -> DesignMatrix:
+    """Intercept column plus covariate blocks in declaration order.
+
+    Categorical covariates expand to one dummy column per non-reference level
+    ("variable=level" labels, vocabulary order); the reference defaults to the
+    first vocabulary level.  Count and numeric covariates pass through as a
+    single column.  Deterministic: identical inputs give identical columns.
+
+    The values are column-major (Fortran order): each column is contiguous.
+    """
+    columns = [np.ones(ds.n_rows)]
+    labels = [INTERCEPT_LABEL]
+    for col, ref, names in _covariate_columns(ds, covariates, reference_levels):
+        if ref is None:
             columns.append(col.values)
-            labels.append(name)
+        else:
+            columns += [col.values == code for code in range(len(col.levels)) if code != ref]
+        labels += names
     # the columns are the rows of one (d, n) array: its transpose is the
     # design in column-major order, with no second copy
     return DesignMatrix(np.array(columns, dtype=np.float64).T, labels)

@@ -10,36 +10,50 @@ form over the row patterns.
 
 A fit runs on the distinct row patterns of the model's dataset columns (the
 response and the covariates, a factor by its codes), each weighted by its
-count, with designs built once on the patterns: with categorical or count
-covariates the likelihood depends on the rows only through those patterns,
-so the weighted sums are the full-data likelihood and score, exact to
-rounding.  Where every row is distinct, the patterns are the given rows.
-The counts and factor codes key the pattern scan by themselves
-(`data.distinct_codes`); only numeric columns are sorted.
+count: with categorical or count covariates the likelihood depends on the
+rows only through those patterns, so the weighted sums are the full-data
+likelihood and score, exact to rounding.  Where every row is distinct, the
+patterns are the given rows.  The counts and factor codes key the pattern
+scan by themselves (`data.distinct_codes`); only numeric columns are sorted.
 
-Designs are column-major, as `build_design` returns them: the fitter takes
-each design transposed, one contiguous row per column, and the per-row sums
-of the gradient and Hessian are ``np.einsum`` contractions along those rows.
-Their summation order, like that of the numpy reductions, does not depend
-on the BLAS thread count, so repeated fits on identical input are
-bit-identical.  A row-major design gives the same sums to rounding, only
-more slowly.
+The fitter holds each part's design as terms in `build_design`'s column
+order, not as dummy columns: the intercept, each factor as its codes (its
+reference level dropped) and each count or numeric covariate as its column,
+the pattern dataset's own arrays.  The predictor gathers each factor's
+level values by its codes and adds each column times its coefficient.  The
+per-row sums of the score and Hessian contract term by term: a sum for the
+intercept, an ``np.bincount`` over the codes for a factor (over joint codes,
+made once per fit, for two factors), an ``np.einsum`` for two columns, and
+the scalar tau for the shape.  Their summation order, like that of the
+numpy reductions, does not depend on the BLAS thread count, so repeated
+fits on identical input are bit-identical.  The public `log_likelihood` and
+`gradient` contract a DesignMatrix the same way, its columns as columns.
 
 One evaluation allocates no row-sized array.  The predictors, the mean and
-the zero probability, the kernel's output block, the tau design row and one
-scratch block for the weighted designs of the Hessian are buffers kept on
-the fit's ``_kernels.Counts``, made by the first evaluation and overwritten
-by each later one; pattern weights multiply the output block in place.
+the zero probability, the kernel's output block and one scratch row per
+column term (for a column times a row of second derivatives) are buffers
+kept on the fit's ``_kernels.Counts``, made by the first evaluation and
+overwritten by each later one; pattern weights multiply the output block in
+place.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import expit
 
 from . import _kernels
-from .data import Column, Dataset, DesignMatrix, ModelSpec, build_design, distinct_codes
+from .data import (
+    INTERCEPT_LABEL,
+    Column,
+    Dataset,
+    DesignMatrix,
+    ModelSpec,
+    _covariate_columns,
+    distinct_codes,
+)
 from .distributions import TAU_MIN
 from .errors import (
     ComparisonError,
@@ -130,40 +144,119 @@ def _tau_of(params: ParamVector) -> float:
     return math.exp(params.log_tau)
 
 
+@dataclass(eq=False)
+class _Term:
+    """One covariate's block of design columns, labelled ``labels``: the
+    intercept (``values`` its ones, a stride-0 view), a factor (``values``
+    its codes into ``levels`` levels, of which those in ``keep``, all but
+    the reference, have a column) or a column (``values`` its float64
+    values).  A term is equal only to itself, so it keys the caches of one
+    evaluation and ``joint``, which holds this factor's joint codes with
+    another factor, keyed by that factor, for the fit.
+    """
+
+    labels: list[str]
+    values: np.ndarray
+    kind: str = "column"  # "intercept", "factor" or "column"
+    levels: int = 0
+    keep: np.ndarray | None = None
+    joint: dict = field(default_factory=dict)
+
+
+def _as_terms(D):
+    """A design as terms: a DesignMatrix's columns as columns; terms (or
+    None) as given."""
+    if isinstance(D, DesignMatrix):
+        return [_Term([label], column) for label, column in zip(D.labels, D.values.T)]
+    return D
+
+
+def _terms(ds: Dataset, covariates, reference_levels, made: dict) -> list[_Term]:
+    """The design `build_design` makes of ``ds``, as terms, after the same
+    checks: the intercept, then each covariate's term.  A term holds
+    ``ds``'s own array where it needs no conversion.  ``made`` holds the
+    fit's terms by name (the intercept's is None), so the two parts share
+    a covariate's term."""
+    ones = np.broadcast_to(1.0, ds.n_rows)
+    terms = [made.setdefault(None, _Term([INTERCEPT_LABEL], ones, "intercept"))]
+    for col, ref, labels in _covariate_columns(ds, covariates, reference_levels):
+        term = made.get(col.name)
+        if term is None and ref is None:
+            term = _Term(labels, np.asarray(col.values, np.float64))
+        elif term is None:
+            codes, size = np.ascontiguousarray(col.values, np.intp), len(col.levels)
+            term = _Term(labels, codes, "factor", size, np.delete(np.arange(size), ref))
+        terms.append(made.setdefault(col.name, term))
+    return terms
+
+
+def _labels(terms) -> list[str]:
+    return [label for term in terms for label in term.labels]
+
+
+def _spans(sizes) -> list[slice]:
+    """Consecutive slices of the given ``sizes``."""
+    stops = list(accumulate(sizes))
+    return [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
+
+
 def _predictor(
-    part: str, D: DesignMatrix, coef: np.ndarray, out, limit: float, first=None
+    part: str, terms, coef: np.ndarray, out, limit: float, first=None, scratch=None
 ) -> np.ndarray:
-    """The ``part`` ("count" or "zero") linear predictor D @ coef, written
-    into ``out`` (a new array where it is None), checked to be finite and
-    at most ``limit``.  A failure names the first data row at fault: the
-    least ``first`` entry (each design row's first data row) over the
-    failing design rows, or the first failing row where ``first`` is None."""
-    s = np.matmul(D.values, coef, out=out)
-    hi = s.max(initial=-math.inf)
+    """The ``part`` ("count" or "zero") linear predictor, the design of
+    ``terms`` times ``coef``, written into ``out`` with ``scratch`` for the
+    terms added to it (two new rows where ``out`` is None): each factor's
+    level values gathered by its codes, the intercept with the first
+    factor's, then each column times its coefficient.  It is checked to be
+    finite and at most ``limit``.  A failure names the first data row at
+    fault: the least ``first`` entry (each design row's first data row)
+    over the failing design rows, or the first failing row where ``first``
+    is None."""
+    if out is None:
+        out, scratch = np.empty((2, terms[0].values.size))
+    spans = _spans([len(term.labels) for term in terms])
+    base, gathered = 0.0, False
+    for term, span in zip(terms, spans):
+        if term.kind == "intercept":
+            base = coef[span][0]
+        elif term.kind == "factor":
+            table = np.zeros(term.levels)
+            table[term.keep] = coef[span]
+            if gathered:
+                out += np.take(table, term.values, out=scratch, mode="clip")
+            else:
+                np.take(table + base, term.values, out=out, mode="clip")
+                gathered = True
+    if not gathered:
+        out.fill(base)
+    for term, span in zip(terms, spans):
+        if term.kind == "column":
+            out += np.multiply(term.values, coef[span][0], out=scratch)
+    hi = out.max(initial=-math.inf)
     # a NaN fails every comparison
-    if not (s.min(initial=math.inf) > -math.inf and hi < math.inf and hi <= limit):
+    if not (out.min(initial=math.inf) > -math.inf and hi < math.inf and hi <= limit):
         bound = f" or above {limit:g}" if limit < math.inf else ""
-        bad = ~np.isfinite(s) | (s > limit)
+        bad = ~np.isfinite(out) | (out > limit)
         raise EvaluationError(
             f"{part}-part linear predictor is not finite{bound}",
             int(np.argmax(bad) if first is None else first[bad].min()),
         )
-    return s
+    return out
 
 
-def _row_terms(spec, X, Z, counts, params, first=None) -> tuple:
+def _row_terms(spec, X, Z, counts, params, first=None) -> np.ndarray:
     """One block whose rows are the row log pmfs, the row derivatives in
     eta, logit(p) and tau and the upper triangle of their second
-    derivatives, and the transposed designs [X', Z', tau * 1'] those
-    derivatives meet, for the family of ``spec`` at ``params``.
+    derivatives, for the family of ``spec`` at ``params`` on the designs
+    of the terms ``X`` and ``Z``.
 
-    The block and the tau row are buffers kept on ``counts``, which the next
-    call on it overwrites.
+    The block is a buffer kept on ``counts``, which the next call on it
+    overwrites.
     """
     _check_finite_params(params)
     y, n = counts.y, counts.y.size
-    eta = _predictor("count", X, params.beta, counts.buffer("lam", (n,)), ETA_MAX, first)
-    designs = [X.values.T]
+    scratch = counts.buffer(("scratch", 0), (n,))
+    eta = _predictor("count", X, params.beta, counts.buffer("lam", (n,)), ETA_MAX, first, scratch)
     if spec.family == "poisson":
         block = counts.buffer("rows", (3, n))
         rows, u, ee = block
@@ -173,24 +266,79 @@ def _row_terms(spec, X, Z, counts, params, first=None) -> tuple:
         rows -= counts.log_fact
         np.subtract(y, lam, out=u)
         np.negative(lam, out=ee)
-        return block, designs
+        return block
     lam = np.exp(eta, out=eta)
     tau = _tau_of(params)
     if spec.family == "nb":
-        block = _kernels.nb_loglik_score(counts, lam, tau)
-    else:
-        p = _predictor("zero", Z, params.gamma, counts.buffer("p", (n,)), math.inf, first)
-        block = _kernels.zinb_loglik_score(counts, lam, expit(p, out=p), tau)
-        designs.append(Z.values.T)
-    designs.append(counts.buffer("tau", (1, n)))
-    designs[-1].fill(tau)
-    return block, designs
+        return _kernels.nb_loglik_score(counts, lam, tau)
+    p = _predictor("zero", Z, params.gamma, counts.buffer("p", (n,)), math.inf, first, scratch)
+    return _kernels.zinb_loglik_score(counts, lam, expit(p, out=p), tau)
+
+
+def _dot(term: _Term, t: np.ndarray) -> np.ndarray:
+    """The design columns of ``term`` contracted with the row vector ``t``."""
+    if term.kind == "intercept":
+        return t.sum(keepdims=True)
+    if term.kind == "factor":
+        return np.bincount(term.values, t, term.levels)[term.keep]
+    return np.einsum("n,n->", term.values, t).reshape(1)
+
+
+def _joint(a: _Term, b: _Term, h: np.ndarray) -> np.ndarray:
+    """A' diag(h) B of two factors' columns: one bincount over their joint
+    codes, which are made on first use and kept on ``a`` for the fit."""
+    if a in b.joint:
+        return _joint(b, a, h).T
+    if b not in a.joint:
+        a.joint[b] = a.values * b.levels + b.values
+    table = np.bincount(a.joint[b], h, a.levels * b.levels).reshape(a.levels, b.levels)
+    return table[np.ix_(a.keep, b.keep)]
+
+
+def _hessian_block(A, B, h, out, counts, upper: bool):
+    """Write A' diag(h) B of the terms ``A`` and ``B`` into ``out``, term
+    pair by term pair; where ``upper`` (B is A), only its upper triangle.
+    Each term's contraction with ``h`` and each column times ``h`` (in a
+    buffer kept on ``counts``) is made once."""
+    dots, weighted = {}, {}
+
+    def dot(term):
+        if term not in dots:
+            dots[term] = _dot(term, h)
+        return dots[term]
+
+    def times_h(term):
+        if term not in weighted:
+            buffer = counts.buffer(("scratch", len(weighted)), h.shape)
+            weighted[term] = np.multiply(h, term.values, out=buffer)
+        return weighted[term]
+
+    spans_a = _spans([len(term.labels) for term in A])
+    spans_b = _spans([len(term.labels) for term in B])
+    for i, (a, ra) in enumerate(zip(A, spans_a)):
+        for b, rb in list(zip(B, spans_b))[i if upper else 0 :]:
+            sub = out[ra, rb]
+            if a.kind == "intercept":
+                sub[:] = dot(b)
+            elif b.kind == "intercept":
+                sub[:] = dot(a)[:, None]
+            elif a.kind == b.kind == "factor":
+                if a is b:
+                    np.fill_diagonal(sub, dot(a))
+                else:
+                    sub[:] = _joint(a, b, h)
+            elif a.kind == "factor":
+                sub[:] = np.bincount(a.values, times_h(b), a.levels)[a.keep, None]
+            elif b.kind == "factor":
+                sub[:] = np.bincount(b.values, times_h(a), b.levels)[b.keep]
+            else:
+                sub[:] = np.einsum("n,n->", times_h(a), b.values)
 
 
 def _loglik_score(
     spec: ModelSpec,
-    X: DesignMatrix,
-    Z: DesignMatrix | None,
+    X,
+    Z,
     counts: _kernels.Counts,
     params: ParamVector,
     w: np.ndarray | float = 1.0,
@@ -199,39 +347,49 @@ def _loglik_score(
     """Log-likelihood and its analytic gradient and Hessian, from one pass
     over the rows.
 
-    Row ``i`` counts ``w[i]`` times: the number of observations that share
-    its (y, x, z) pattern, or, where ``w`` is the scalar 1.0, which
-    multiplies nothing, once; an error names its first data row,
-    ``first[i]`` (`_predictor`).  Gradient layout matches the family:
-    [beta] for poisson, [beta, log_tau] for nb, [beta, gamma, log_tau] for
-    zinb.  The row derivatives in eta, logit(p) and tau meet the designs
-    [X, Z, tau * 1] block by block; the log-tau chain term, tau * dl/dtau,
-    joins the last diagonal entry.  The weighted designs of the Hessian go
-    through one scratch block kept on ``counts``.
+    ``X`` and ``Z`` are the parts' designs, as terms or DesignMatrix.  Row
+    ``i`` counts ``w[i]`` times: the number of observations that share its
+    (y, x, z) pattern, or, where ``w`` is the scalar 1.0, which multiplies
+    nothing, once; an error names its first data row, ``first[i]``
+    (`_predictor`).  Gradient layout matches the family: [beta] for
+    poisson, [beta, log_tau] for nb, [beta, gamma, log_tau] for zinb.  The
+    row derivatives in eta and logit(p) meet the parts' terms, and those in
+    tau the scalar tau; the log-tau chain term, tau * dl/dtau, joins the
+    last diagonal entry.  The Hessian's upper triangle is filled block by
+    block and mirrored.
     """
-    block, designs = _row_terms(spec, X, Z, counts, params, first)
+    X, Z = _as_terms(X), _as_terms(Z)
+    block = _row_terms(spec, X, Z, counts, params, first)
     if isinstance(w, np.ndarray):
         block *= w
-    rows, *terms = block
-    k = len(designs)
-    ll = float(np.sum(rows))
-    grad = np.concatenate([np.einsum("in,n->i", D, t) for D, t in zip(designs, terms)])
-    scratch = counts.buffer("weighted", (max(D.shape[0] for D in designs), rows.size))
-    blocks = [[None] * k for _ in range(k)]
-    upper = [(a, b) for a in range(k) for b in range(a, k)]
-    for (a, b), h in zip(upper, terms[k:]):
-        weighted = np.multiply(designs[a], h, out=scratch[: designs[a].shape[0]])
-        blocks[a][b] = np.einsum("in,jn->ij", weighted, designs[b])
-        blocks[b][a] = blocks[a][b].T
-    H = np.block(blocks)
-    if spec.family != "poisson":
-        H[-1, -1] += grad[-1]
-    return ll, grad, H
+    rows, *derivs = block
+    parts = [X, Z] if spec.family == "zinb" else [X]
+    tau = None if spec.family == "poisson" else params.tau
+    k = len(parts) + (tau is not None)
+    grad = [np.concatenate([_dot(term, t) for term in P]) for P, t in zip(parts, derivs)]
+    if tau is not None:
+        grad.append(tau * derivs[k - 1].sum(keepdims=True))
+    spans = _spans([g.size for g in grad])
+    grad = np.concatenate(grad)
+    H = np.zeros((grad.size, grad.size))
+    h_rows = iter(derivs[k:])
+    for a in range(k):
+        for b in range(a, k):
+            h, sub = next(h_rows), H[spans[a], spans[b]]
+            if b < len(parts):
+                _hessian_block(parts[a], parts[b], h, sub, counts, a == b)
+            elif a < len(parts):
+                sub[:, 0] = tau * np.concatenate([_dot(term, h) for term in parts[a]])
+            else:
+                sub[0, 0] = tau * tau * h.sum() + grad[-1]
+    H += np.triu(H, 1).T
+    return float(np.sum(rows)), grad, H
 
 
 def log_likelihood(spec, X, Z, y, params) -> float:
     """Sum of per-observation log pmfs under the family of ``spec``."""
-    return float(np.sum(_row_terms(spec, X, Z, _kernels.Counts(y), params)[0][0]))
+    block = _row_terms(spec, _as_terms(X), _as_terms(Z), _kernels.Counts(y), params)
+    return float(np.sum(block[0]))
 
 
 def gradient(spec, X, Z, y, params) -> np.ndarray:
@@ -240,18 +398,31 @@ def gradient(spec, X, Z, y, params) -> np.ndarray:
 
 
 def _zero_probabilities(family, X, Z, params) -> np.ndarray:
-    """P(y = 0) per row of the designs at ``params``, in closed form:
-    exp(-lam) for poisson, P_NB(0) = exp(-tau log1p(lam / tau)), the NB
-    kernel's y = 0 row, for nb, and p + (1 - p) P_NB(0) for zinb."""
-    lam = np.exp(_predictor("count", X, params.beta, None, ETA_MAX))
+    """P(y = 0) per row of the designs (terms or DesignMatrix) at
+    ``params``, in closed form and mostly in place: exp(-lam) for poisson,
+    P_NB(0) = exp(-tau log1p(lam / tau)), the NB kernel's y = 0 row, for
+    nb, and p + (1 - p) P_NB(0) for zinb."""
+    lam = _predictor("count", _as_terms(X), params.beta, None, ETA_MAX)
+    np.exp(lam, out=lam)
     if family == "poisson":
-        return np.exp(-lam)
+        return np.exp(np.negative(lam, out=lam), out=lam)
     tau = params.tau
-    p0 = np.exp(-tau * np.log1p(lam / tau))
+    np.log1p(np.divide(lam, tau, out=lam), out=lam)
+    p0 = np.exp(np.multiply(lam, -tau, out=lam), out=lam)
     if family == "nb":
         return p0
-    p = expit(_predictor("zero", Z, params.gamma, None, math.inf))
-    return p + (1.0 - p) * p0
+    p = _predictor("zero", _as_terms(Z), params.gamma, None, math.inf)
+    expit(p, out=p)
+    p0 *= np.subtract(1.0, p)
+    p0 += p
+    return p0
+
+
+def _live(term: _Term):
+    """Whether each design column of ``term`` is nonzero in some row."""
+    if term.kind == "factor":
+        return np.bincount(term.values, minlength=term.levels)[term.keep] > 0
+    return [np.any(term.values)]
 
 
 def _digits(column: Column) -> tuple[int, np.ndarray | None]:
@@ -308,8 +479,9 @@ def _row_patterns(columns: list[Column]) -> tuple[np.ndarray, np.ndarray] | None
 
 class _Problem:
     """The fit of ``spec`` to ``ds`` on its row patterns: the designs ``X``
-    and ``Z`` and the prepared ``counts``, built on every column of ``ds``
-    at the patterns' first rows ``first``, each pattern weighted by its
+    and ``Z`` as terms (`_terms`, sharing each covariate's term) and the
+    prepared ``counts``, built on every column of ``ds`` at the patterns'
+    first rows ``first``, each pattern weighted by its
     count ``w`` (None and the scalar 1.0 where every row is distinct), and
     the map from the optimizer's free vector onto a full ParamVector and
     back.  The patterns are those of the model's own Columns
@@ -336,16 +508,16 @@ class _Problem:
             columns = {k: replace(c, values=c.values[self.first]) for k, c in ds.columns.items()}
             ds = Dataset(columns, self.first.size)
             self.w = counts.astype(np.float64)
-        self.X = build_design(ds, spec.count_covariates, spec.reference_levels)
+        made = {}
+        self.X = _terms(ds, spec.count_covariates, spec.reference_levels, made)
         zinb = spec.family == "zinb"
-        self.Z = build_design(ds, spec.zero_covariates, spec.reference_levels) if zinb else None
+        self.Z = _terms(ds, spec.zero_covariates, spec.reference_levels, made) if zinb else None
         # parameter-free, so prepared once rather than on every evaluation
         self.counts = _kernels.Counts(ds.response_vector(spec.response))
-        self.d = self.X.n_cols
-        self.q = self.Z.n_cols if self.Z is not None else 0
-        self.labels = list(self.X.labels)
-        if self.q:
-            self.labels += [f"zero:{lab}" for lab in self.Z.labels]
+        self.count_labels = _labels(self.X)
+        self.zero_labels = _labels(self.Z) if zinb else []
+        self.d, self.q = len(self.count_labels), len(self.zero_labels)
+        self.labels = self.count_labels + [f"zero:{lab}" for lab in self.zero_labels]
         if spec.family != "poisson":
             self.labels.append("log_tau")
         self.theta = np.zeros(len(self.labels))
@@ -443,10 +615,10 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         )
     dead = [
         prefix + label
-        for prefix, D in (("", problem.X), ("zero:", problem.Z))
-        if D is not None
-        for label, column in zip(D.labels, D.values.T)
-        if not np.any(column)
+        for prefix, terms in (("", problem.X), ("zero:", problem.Z or []))
+        for term in terms
+        for label, live in zip(term.labels, _live(term))
+        if not live
     ]
     if dead:
         raise DegenerateCovariateError(
@@ -473,11 +645,13 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             f"(eigenvalues {w[0]:.3g} to {w[-1]:.3g})"
         )
 
+    zeros = _zero_probabilities(spec.family, problem.X, problem.Z, estimates)
+    zeros *= problem.w
     return FitResult(
         family=spec.family,
         estimates=estimates,
-        count_labels=list(problem.X.labels),
-        zero_labels=list(problem.Z.labels) if problem.Z is not None else [],
+        count_labels=problem.count_labels,
+        zero_labels=problem.zero_labels,
         free_labels=problem.free_labels(),
         covariance=covariance,
         covariance_error=covariance_error,
@@ -490,9 +664,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
         ll_path=res.path,
         # a numpy reduction rather than a BLAS dot, so the sum does not
         # depend on the thread count
-        expected_zero_fraction=float(
-            np.sum(problem.w * _zero_probabilities(spec.family, problem.X, problem.Z, estimates))
-        ) / problem.n_obs,
+        expected_zero_fraction=float(np.sum(zeros)) / problem.n_obs,
     )
 
 

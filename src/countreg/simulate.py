@@ -6,8 +6,9 @@ Output is deterministic given the seed.  When a CSV path is supplied, a
 ``<stem>.truth.json`` sidecar is written next to it so downstream recovery
 checks read the truth instead of re-deriving it.
 
-The CSV is written by `data.csv_text`, in the dialect `load_csv` reads, and
-`_validate` rejects a config whose CSV would not load back as drawn (names
+The CSV is written in the dialect `load_csv` reads (`data.csv_text`), in
+UTF-8 and `data.BLOCK_ROWS` rows at a time (`write_csv`), and `_validate`
+rejects a config whose CSV would not load back as drawn (names
 must pass `data.name_reads_back` and levels `data.level_reads_back`, no
 level twice, no covariate named like the response) or that numpy could not
 draw from.
@@ -165,6 +166,8 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
 
     Covariates are drawn first in declaration order, then the response, all
     from one seeded generator, so equal configs give byte-identical data.
+    With ``out_path``, the CSV is streamed there in UTF-8 with its truth
+    sidecar beside it (`_write_csv`).
     """
     _validate(config)
     rng = np.random.default_rng(config.seed)
@@ -189,26 +192,36 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
     return out
 
 
-def csv_text(ds: Dataset, config: SimConfig) -> str:
-    """A simulated dataset as CSV (`data.csv_text`): covariates in
-    declaration order, then the response; numbers in full precision, each
-    level quoted once by `csv_field`."""
+def write_csv(ds: Dataset, config: SimConfig, stream):
+    """Write a simulated dataset to the text ``stream`` as CSV
+    (`data.csv_text`): covariates in declaration order, then the response;
+    numbers in full precision, each level quoted once by `csv_field`.  The
+    header goes first, then `data.BLOCK_ROWS` rows per write, so only one
+    block's text is held at a time."""
     names = [c.name for c in config.covariates] + [config.response_name]
-    cols = []
-    for name in names:
-        col = ds.column(name)
-        if col.kind == "categorical":
-            levels = np.asarray([csv_field(v) for v in col.levels], dtype=object)
-            cols.append(levels[col.values].tolist())
-        elif col.kind == "numeric":
-            cols.append(map(repr, col.values.tolist()))
-        else:
-            cols.append(map(str, col.values.tolist()))
-    return data.csv_text(names, zip(*cols))
+    columns = [ds.column(name) for name in names]
+    levels = {
+        col.name: np.asarray([csv_field(v) for v in col.levels], dtype=object)
+        for col in columns
+        if col.kind == "categorical"
+    }
+    stream.write(data.csv_text(names, []))
+    for start in range(0, ds.n_rows, data.BLOCK_ROWS):
+        cells = []
+        for col in columns:
+            values = col.values[start : start + data.BLOCK_ROWS]
+            if col.kind == "categorical":
+                cells.append(levels[col.name][values].tolist())
+            else:
+                cells.append(map(repr if col.kind == "numeric" else str, values.tolist()))
+        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_csv(ds: Dataset, config: SimConfig, path: Path):
-    path.write_text(csv_text(ds, config))
+    """The CSV (`write_csv`) at ``path``, in UTF-8 whatever the locale, as
+    `load_csv` reads it, and the truth sidecar beside it."""
+    with open(path, "w", encoding="utf-8") as stream:
+        write_csv(ds, config, stream)
     truth = {
         "family": config.family,
         "n_rows": config.n_rows,
@@ -220,7 +233,7 @@ def _write_csv(ds: Dataset, config: SimConfig, path: Path):
         "zero_covariates": list(config.zero_covariates),
     }
     sidecar = path.with_name(path.stem + ".truth.json")
-    sidecar.write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n")
+    sidecar.write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def demo_preset() -> SimConfig:

@@ -964,3 +964,57 @@ class TestOutFile:
             stderr.splitlines()[-1]
         ]
         assert not out.parent.exists()
+
+
+class TestUtf8Files:
+    """Files are UTF-8 whatever the locale, and a report that stdout cannot
+    encode ends as one error line with nothing printed."""
+
+    CONFIG = (
+        'SimConfig(n_rows=60, family="poisson", covariates=[CovariateSpec("g", "categorical",'
+        ' levels=("\\u00e9t\\u00e9", "hiver"), probabilities=(0.5, 0.5))],'
+        ' true_beta={"(intercept)": 0.3, "g=hiver": 0.2}, seed=5)'
+    )
+    # an ASCII locale, which Python neither coerces nor overrides with UTF-8 mode
+    ENV = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+
+    def _simulate(self, path):
+        script = (
+            "import codecs, locale, sys\n"
+            "from countreg import CovariateSpec, SimConfig, simulate\n"
+            "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'\n"
+            "assert codecs.lookup(sys.stdout.encoding).name == 'ascii'\n"
+            f"simulate({self.CONFIG}, {str(path)!r})\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script], env=self.ENV, capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+
+    def test_simulated_csv_is_utf8_under_an_ascii_locale(self, tmp_path):
+        from countreg import load_csv
+
+        path = tmp_path / "ete.csv"
+        self._simulate(path)
+        assert "été".encode("utf-8") in path.read_bytes()
+        loaded = load_csv(path, {"g": "categorical", "y": "count"})
+        assert loaded.column("g").levels == ("hiver", "été")
+        assert json.loads((tmp_path / "ete.truth.json").read_text(encoding="utf-8"))["seed"] == 5
+
+    def test_a_report_stdout_cannot_encode_is_one_error_line(self, tmp_path):
+        path, out = tmp_path / "ete.csv", tmp_path / "report.csv"
+        self._simulate(path)
+        argv = [
+            "fit", "--input", str(path), "--schema", "g=categorical,y=count",
+            "--response", "y", "--family", "poisson", "--covariates", "g",
+        ]
+        res = run_cli(*argv, "--format", "csv", env=self.ENV)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        config, error = res.stderr.splitlines()
+        assert config.startswith("config: fit ")
+        assert error.startswith("error: standard output (ascii) cannot encode the report: '\\xe9'")
+        # --out is UTF-8: the same report there, with stdout still refused
+        res = run_cli(*argv, "--format", "json", "--out", str(out), env=self.ENV)
+        assert res.returncode == 0 and res.stdout.isascii()
+        assert json.loads(out.read_text(encoding="utf-8")) == json.loads(res.stdout)

@@ -355,18 +355,22 @@ class TestFusedObjective:
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
     def test_an_evaluation_allocates_no_row(self, family):
         # every row-sized intermediate goes into the buffers the first
-        # evaluation makes; what a later one allocates stays below one row
+        # evaluation makes, the joint codes of two factors too; what a later
+        # one allocates stays below one row
         n = 20_000
-        problem = self._distinct_row_problem(family, n)
-        theta = problem.start()
-        problem.objective(theta)
-        tracemalloc.start()
-        try:
+        ds = _factor_sim(n=n, seed=24)
+        spec = ModelSpec(family, "y", ["g", "h", "x"], ["h", "x"] if family == "zinb" else [])
+        for problem in (self._distinct_row_problem(family, n), _Problem(spec, ds, FitOptions())):
+            assert problem.counts.y.size == n
+            theta = problem.start()
             problem.objective(theta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n
+            tracemalloc.start()
+            try:
+                problem.objective(theta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n
 
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
     def test_evaluations_sharing_buffers_keep_no_state(self, family):
@@ -407,14 +411,24 @@ class TestFusedObjective:
             np.testing.assert_allclose(g, v, rtol=1e-13, atol=1e-13 * np.max(np.abs(v)))
 
     @pytest.mark.parametrize("collapses", [True, False])
-    def test_problem_designs_are_column_major(self, collapses):
+    def test_problem_holds_no_row_by_column_array(self, collapses):
+        # the designs are terms: no float array has a row per observation
+        # and a column per design column, before or after an evaluation
         ds = _grouped_sim(n=2000, seed=97) if collapses else _zinb_sim(n=2000, seed=98)
         covariates = ["g", "h"] if collapses else ["x"]
         spec = ModelSpec("zinb", "y", covariates, covariates[:1])
         problem = _Problem(spec, ds, FitOptions())
         assert (problem.counts.y.size < ds.n_rows) == collapses
-        for D in (problem.X, problem.Z):
-            assert D.values.flags.f_contiguous and D.n_cols > 1
+        problem.objective(problem.start())
+        columns = {problem.d, problem.q}
+        arrays = [
+            *(a for a in vars(problem).values() if isinstance(a, np.ndarray)),
+            *(term.values for term in (*problem.X, *problem.Z)),
+            *problem.counts._buffers.values(),
+        ]
+        assert arrays and not any(
+            a.ndim > 1 and a.dtype.kind == "f" and columns & set(a.shape) for a in arrays
+        )
 
     def test_non_finite_gradient_is_inadmissible(self, monkeypatch):
         problem = _Problem(ModelSpec("nb", "y", ["x"]), _ll6_dataset(), FitOptions())
@@ -427,6 +441,113 @@ class TestFusedObjective:
         assert ll == -math.inf
         np.testing.assert_array_equal(grad, np.zeros(3))
         np.testing.assert_array_equal(hess, np.zeros((3, 3)))
+
+
+def _factor_sim(n=20_000, seed=24, g_levels=3):
+    """NB counts on two factors, g (``g_levels`` levels) and h (two), and
+    two numeric columns x and z, every row distinct; drawn with numpy
+    rather than through a dense design.  A fourth factor u declares levels
+    p to s, of which r never occurs."""
+    rng = np.random.default_rng(seed)
+    g, h = rng.integers(0, g_levels, n), rng.integers(0, 2, n)
+    x, z = rng.uniform(-1.0, 1.0, (2, n))
+    u = rng.choice([0, 1, 3], n)
+    lam = np.exp(0.3 + 0.4 * np.sin(g) + 0.25 * h - 0.5 * x + 0.2 * z)
+    y = rng.negative_binomial(1.5, 1.5 / (1.5 + lam))
+    factors = {
+        "g": (g, [f"g{i:02d}" for i in range(g_levels)]), "h": (h, ["h0", "h1"]),
+        "u": (u, list("pqrs")),
+    }
+    columns = {k: Column(k, "categorical", v, tuple(lv)) for k, (v, lv) in factors.items()}
+    columns |= {name: Column(name, "numeric", v) for name, v in (("x", x), ("z", z))}
+    columns["y"] = Column("y", "count", y)
+    return Dataset(columns, n)
+
+
+def _dense_loglik_score(spec, X, Z, block, tau):
+    """Score and Hessian of the row ``block`` contracted against the dense
+    designs X and Z (and tau * 1) by ``np.einsum``, block by block."""
+    rows, *terms = block
+    designs = [X.values.T, *([Z.values.T] if Z is not None else [])]
+    if tau is not None:
+        designs.append(np.full((1, rows.size), tau))
+    k = len(designs)
+    grad = np.concatenate([np.einsum("in,n->i", D, t) for D, t in zip(designs, terms)])
+    blocks = [[None] * k for _ in range(k)]
+    upper = [(a, b) for a in range(k) for b in range(a, k)]
+    for (a, b), h in zip(upper, terms[k:]):
+        blocks[a][b] = np.einsum("in,jn->ij", designs[a] * h, designs[b])
+        blocks[b][a] = blocks[a][b].T
+    H = np.block(blocks)
+    if tau is not None:
+        H[-1, -1] += grad[-1]
+    return grad, H
+
+
+class TestTermContraction:
+    """The term-wise score and Hessian meet a dense contraction."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        "covariates,refs",
+        [
+            (["g"], {}),  # a factor with itself
+            (["g", "h"], {}),  # two factors
+            (["g", "x"], {}),  # a factor and a column
+            (["x", "z"], {}),  # two columns
+            (["g", "h", "x"], {"g": "g02", "h": "h1"}),  # reference overrides
+            (["u", "x"], {}),  # level r never occurs: its column is zero
+        ],
+        ids=["factor", "two-factors", "factor-column", "two-columns", "ref", "unused-level"],
+    )
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_matches_the_dense_contraction(self, family, covariates, refs, weighted):
+        ds = _factor_sim(n=600, seed=31, g_levels=4)
+        # the zero part takes the count part's covariates in reverse order,
+        # so a factor meets itself and the other factor across the parts
+        zero = covariates[::-1] if family == "zinb" else []
+        spec = ModelSpec(family, "y", covariates, zero, refs)
+        made = {}
+        X = fitting._terms(ds, covariates, refs, made)
+        Z = fitting._terms(ds, zero, refs, made) if family == "zinb" else None
+        dense_X = build_design(ds, covariates, refs)
+        dense_Z = build_design(ds, zero, refs) if family == "zinb" else None
+        rng = np.random.default_rng(32)
+        params = ParamVector(
+            rng.normal(0.0, 0.3, dense_X.n_cols),
+            rng.normal(0.0, 0.3, dense_Z.n_cols) if Z is not None else np.empty(0),
+            None if family == "poisson" else math.log(1.3),
+        )
+        w = rng.integers(1, 5, ds.n_rows).astype(np.float64) if weighted else 1.0
+        counts = _kernels.Counts(ds.response_vector("y"))
+        block = fitting._row_terms(spec, X, Z, counts, params) * w
+        want = _dense_loglik_score(spec, dense_X, dense_Z, block, params.tau)
+        ll, *got = fitting._loglik_score(spec, X, Z, counts, params, w)
+        assert ll == float(np.sum(block[0]))
+        for g, v in zip(got, want):
+            assert g.shape == v.shape
+            assert np.max(np.abs(g - v)) <= 1e-12 * np.max(np.abs(v))
+        # the DesignMatrix's columns, contracted as columns, agree too
+        got = fitting._loglik_score(spec, dense_X, dense_Z, _kernels.Counts(counts.y), params, w)
+        for g, v in zip(got[1:], want):
+            assert np.max(np.abs(g - v)) <= 1e-12 * np.max(np.abs(v))
+
+    def test_a_fit_peaks_below_one_dense_design(self):
+        # 1e5 distinct rows and a 64-level factor: the dense design alone
+        # would take n * d * 8 bytes
+        n = 100_000
+        ds = _factor_sim(n=n, seed=33, g_levels=64)
+        spec = ModelSpec("nb", "y", ["g", "x"])
+        d = 1 + 63 + 1
+        fit(spec, _factor_sim(n=2000, seed=34, g_levels=64))  # imports and warm-ups
+        tracemalloc.start()
+        try:
+            res = fit(spec, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and len(res.count_labels) == d
+        assert peak < n * d * 8
 
 
 def _nb_sim(n=4000, seed=21):
@@ -835,14 +956,20 @@ class TestRowPatterns:
             fit(ModelSpec("nb", "y", ["x"]), ds)
         assert err.value.row == 7
 
-    def test_designs_are_built_on_the_patterns(self, monkeypatch):
-        rows = []
+    @staticmethod
+    def _record_term_rows(monkeypatch):
+        """The row count of each dataset the fitter builds its terms on."""
+        rows, terms = [], fitting._terms
 
         def recorded(ds, *args):
             rows.append(ds.n_rows)
-            return build_design(ds, *args)
+            return terms(ds, *args)
 
-        monkeypatch.setattr(fitting, "build_design", recorded)
+        monkeypatch.setattr(fitting, "_terms", recorded)
+        return rows
+
+    def test_designs_are_built_on_the_patterns(self, monkeypatch):
+        rows = self._record_term_rows(monkeypatch)
         ds = _grouped_sim(n=5000, seed=93)
         res = fit(GROUPED_SPECS["zinb"], ds)
         assert res.converged and res.n_obs == 5000
@@ -865,7 +992,7 @@ class TestRowPatterns:
         problem = _Problem(spec, ds, FitOptions())
         # in key order, pattern (NaN, y=1), first seen at row 9, comes before
         # pattern (NaN, y=3), first seen at row 3
-        assert list(problem.first[np.isnan(problem.X.values[:, 1])]) == [9, 3]
+        assert list(problem.first[np.isnan(problem.X[1].values)]) == [9, 3]
         with pytest.raises(EvaluationError) as err:
             fit(spec, ds)
         assert err.value.row == 3
@@ -873,13 +1000,7 @@ class TestRowPatterns:
 
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
     def test_an_unevaluable_start_builds_designs_on_the_patterns(self, family, monkeypatch):
-        rows = []
-
-        def recorded(ds, *args):
-            rows.append(ds.n_rows)
-            return build_design(ds, *args)
-
-        monkeypatch.setattr(fitting, "build_design", recorded)
+        rows = self._record_term_rows(monkeypatch)
         with pytest.raises(EvaluationError) as err:
             fit(ModelSpec(family, "y", ["x"]), self._nan_dataset([7]))
         assert err.value.row == 7

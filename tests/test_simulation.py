@@ -1,14 +1,19 @@
 """Synthetic data generation: determinism, moments, truth sidecar, round-trip."""
 
+import importlib.util
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from countreg import (
+    Column,
     ConfigurationError,
     CovariateSpec,
+    Dataset,
     NbParams,
     SimConfig,
     ZinbParams,
@@ -19,6 +24,10 @@ from countreg import (
     simulate,
     zinb_moments,
 )
+from countreg import data
+from countreg.cli import main
+from countreg.data import csv_field
+from countreg.simulate import _write_csv, write_csv
 
 
 def _numeric(name="x", low=-1.0, high=1.0):
@@ -341,6 +350,98 @@ class TestCsvOutput:
             reason = "would not load back|lists a level twice|named like the response"
             with pytest.raises(ConfigurationError, match=reason):
                 simulate(config, out_path=tmp_path / "sim.csv")
+
+
+def _csv_reference(ds, config):
+    """A simulated dataset's CSV as one string, every cell formatted at
+    once: levels by `csv_field`, numbers by `repr` and counts by `str`."""
+    names = [c.name for c in config.covariates] + [config.response_name]
+    cols = []
+    for name in names:
+        col = ds.column(name)
+        if col.kind == "categorical":
+            cols.append([csv_field(col.levels[code]) for code in col.values.tolist()])
+        else:
+            cols.append(list(map(repr if col.kind == "numeric" else str, col.values.tolist())))
+    return data.csv_text(names, zip(*cols))
+
+
+def _workloads():
+    """The benchmark's workload module, whose configs are the recipes here."""
+    path = Path(__file__).resolve().parent.parent / "fitbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("fitbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestStreamedCsv:
+    """The CSV goes out `data.BLOCK_ROWS` rows per write, with the bytes of
+    the whole text formatted at once."""
+
+    @staticmethod
+    def _edge_dataset(n):
+        levels = ("a,b", 'say "hi"', "plain")
+        rng = np.random.default_rng(n)
+        x = np.resize([-0.0, 1e16, 5e-324, 0.1, -2.5e-7, 3.0], n)
+        columns = {
+            "g,r": Column("g,r", "categorical", rng.integers(0, 3, n), levels),
+            "x": Column("x", "numeric", x),
+            "y": Column("y", "count", rng.integers(0, 40, n)),
+        }
+        config = SimConfig(
+            n_rows=n,
+            family="poisson",
+            covariates=[_categorical("g,r", levels, (0.2, 0.3, 0.5)), _numeric()],
+            true_beta={},
+        )
+        return Dataset(columns, n), config
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+    def test_blocks_write_the_whole_text(self, n, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        ds, config = self._edge_dataset(n)
+        want = _csv_reference(ds, config)
+        stream = _CountedWrites()
+        write_csv(ds, config, stream)
+        assert stream.getvalue() == want
+        assert stream.writes == 1 + -(-n // 3)  # the header, then one write per block
+        path = tmp_path / "edge.csv"
+        _write_csv(ds, config, path)
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_stdout_writes_the_whole_text(self, monkeypatch, capsys):
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        config = demo_preset()
+        config.seed = 3
+        want = _csv_reference(simulate(config), config)
+        capsys.readouterr()
+        assert main(["simulate", "--preset", "paper-like", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("recipe", ["paper-like", "cli-csv", "zinb-rows"])
+    def test_recipes_write_the_whole_text(self, recipe, tmp_path):
+        import countreg
+
+        workloads = _workloads()
+        config = {
+            "paper-like": demo_preset,
+            "cli-csv": lambda: workloads._csv_config(countreg, 200_000, 300),
+            "zinb-rows": lambda: workloads._zinb_config(countreg, 20_000, 300),
+        }[recipe]()
+        path = tmp_path / "recipe.csv"
+        ds = simulate(config, path)
+        assert path.read_bytes() == _csv_reference(ds, config).encode("utf-8")
 
 
 class TestDemoPreset:
