@@ -18,8 +18,9 @@ parameters: the counts as float64, each row's index into the count table
 below, the rows past that table, the rows where y = 0, and log(y!) per row,
 which the Poisson, NB and ZINB log pmfs all subtract.  log(y!) is that
 table's L at tau = 1, sum_{j<y} log1p(j) = log(y!), with the series past K,
-which is Stirling's there; it is the one log(y!) of the package.  The fitter
-builds one ``Counts`` per fit.
+which is Stirling's there; it is the one log(y!) of the package, with D
+and T written into one row that is dropped.  The fitter builds one
+``Counts`` per fit.
 
 A ``Counts`` also keeps the row buffers of its evaluations (`Counts.buffer`),
 made on first use and reused by every later call: the kernel's output block,
@@ -30,7 +31,7 @@ itself, which the next call on the same ``Counts`` overwrites.
 
 Every other count-only term comes from one table per call over
 k = 0..min(max y, K), gathered at y into the output block before either
-backend runs:
+backend runs (`_count_terms`; the first row then subtracts log(y!)):
 
     L[k] = sum_{j<k} log1p(j / tau)
          = lgamma(k + tau) - lgamma(tau) - k log(tau)
@@ -114,10 +115,8 @@ class Counts:
         self.k_all = np.arange(self.k.max(initial=0) + 1.0)
         self.zeros = np.flatnonzero(self.y == 0.0)
         self._buffers = {}
-        log_fact = np.empty(self.y.size)
-        self.log_fact = 0.0  # so that L[y] at tau = 1 comes back whole
-        _count_terms(self, 1.0, [log_fact])
-        self.log_fact = log_fact
+        log_fact, dropped = np.empty(self.y.size), np.empty(self.y.size)  # D, then T
+        self.log_fact = _count_terms(self, 1.0, [log_fact, dropped, dropped])[0]
 
     def buffer(self, name, shape, dtype=np.float64):
         """An uninitialized array of ``shape``, made on the first request for
@@ -129,8 +128,8 @@ class Counts:
 
 
 def _count_terms(counts, tau, out):
-    """Write L[y] - log(y!) per row of ``counts`` into ``out[0]`` and, where
-    ``out`` has three rows, D[y] and T[y] into the other two; see above.
+    """Write L[y], D[y] and T[y] per row of ``counts`` into the three rows
+    ``out`` and return them; see above.
 
     A row past the table adds to its entry at K the differences of the
     asymptotic series (`_series_tails`) between x0 = K + tau and x1 = y + tau.
@@ -138,10 +137,8 @@ def _count_terms(counts, tau, out):
     written in r = 1/x, no power of tau can overflow.
     """
     k, j = counts.k, counts.k_all[:-1]
-    tables = [_prefix_sums(np.log1p(j / tau))]
-    if len(out) > 1:
-        recip = 1.0 / (tau + j)
-        tables += [_prefix_sums(recip), _prefix_sums(recip * recip)]
+    recip = 1.0 / (tau + j)
+    tables = [_prefix_sums(np.log1p(j / tau)), _prefix_sums(recip), _prefix_sums(recip * recip)]
     for table, row in zip(tables, out):
         np.take(table, k, out=row, mode="clip")  # k is in range; "clip" takes no copy
     big = counts.big
@@ -153,10 +150,9 @@ def _count_terms(counts, tau, out):
         (g0, h0, q0), (g1, h1, q1) = _series_tails(r0), _series_tails(r1)
         c = math.log1p(_TABLE_MAX / tau) - 1.0
         out[0][big] = tables[0][-1] + ((yb + (tau - 0.5)) * lq + m * c - dr / 12 - (g1 - g0))
-        if len(out) > 1:
-            out[1][big] = tables[1][-1] + (lq + dr / 2 + h0 - h1)
-            out[2][big] = tables[2][-1] + (dr + q0 - q1)
-    out[0] -= counts.log_fact
+        out[1][big] = tables[1][-1] + (lq + dr / 2 + h0 - h1)
+        out[2][big] = tables[2][-1] + (dr + q0 - q1)
+    return out
 
 
 def _prefix_sums(terms):
@@ -350,7 +346,7 @@ def _output_block(counts, tau, rows, dt):
     L[y] - log(y!) in its first row, D[y] in row ``dt`` and T[y] in its
     last row."""
     out = counts.buffer("rows", (rows, counts.y.size))
-    _count_terms(counts, tau, [out[0], out[dt], out[-1]])
+    _count_terms(counts, tau, [out[0], out[dt], out[-1]])[0] -= counts.log_fact
     return out
 
 

@@ -1,9 +1,11 @@
-"""Dataset container, the CSV dialect, and design-matrix construction.
+"""Dataset container, the CSV dialect, and design construction.
 
 Columns are typed as ``count`` (nonnegative integers), ``categorical``
-(integer codes into a level vocabulary), or ``numeric``.  Design matrices
-always start with an intercept column; each categorical contributes one
-dummy column per non-reference level, in vocabulary order.
+(integer codes into a level vocabulary), or ``numeric``.  A design always
+starts with an intercept column; each categorical contributes one dummy
+column per non-reference level, in vocabulary order.  `design_terms` alone
+decides this: it returns the design as terms, which the fitter evaluates
+and `build_design` expands into a dense DesignMatrix.
 
 `distinct_codes` finds a column's distinct values, row codes and counts
 for the fitter's pattern scan and the screening tables; counts and factor
@@ -22,7 +24,8 @@ the csv field size limit) goes to `_split_source`, which splits the text of
 `BLOCK_ROWS` lines at a time in one call and makes no list per row; every
 other file goes to `_csv_source`, one `csv.reader` read `BLOCK_ROWS` rows at
 a time.  Each block is converted before the next is read, so the loader
-holds the file's bytes, one block and the converted columns.
+holds the file's bytes, one block and the converted columns.  A number must
+be `_plain`: a block whose text passes one scan for that is checked no more.
 """
 
 import codecs
@@ -230,6 +233,12 @@ def _cell_ok(cell: str, kind: str) -> bool:
         return False
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII with no "_", as a number must be: `int` and
+    `float` also read digit underscores and non-ASCII digits."""
+    return text.isascii() and "_" not in text
+
+
 def _convert(cells: list[str], kind: str):
     """A count or numeric column's values (0 in a missing cell), its missing
     mask, and the index of its first bad present cell or None.
@@ -299,14 +308,15 @@ def _line_stops(data: bytes) -> np.ndarray | None:
 
 def _split_source(data: bytes, stops: np.ndarray):
     """The header's cells, then for each block of `BLOCK_ROWS` data lines
-    its cells in row order with the number of fields per row: one `split`
-    of the block's text, its newlines read as commas, and no list per row."""
+    its cells in row order, the number of fields per row and whether its
+    text is `_plain`: one `split` of the block's text, its newlines read as
+    commas, and no list per row."""
     header = data[: stops[0]].decode("utf-8").split(",")
     yield header
     for first in range(1, len(stops), BLOCK_ROWS):
         last = min(first + BLOCK_ROWS, len(stops)) - 1
         text = data[stops[first - 1] + 1 : stops[last]].decode("utf-8")
-        yield text.replace("\n", ",").split(","), len(header)
+        yield text.replace("\n", ",").split(","), len(header), _plain(text)
 
 
 def _csv_source(path, data: bytes):
@@ -321,7 +331,8 @@ def _csv_source(path, data: bytes):
             width = max(1, *map(len, rows))
             if min(map(len, rows)) < width:
                 rows = [row + [""] * (width - len(row)) for row in rows]
-            yield list(chain.from_iterable(rows)), width
+            cells = list(chain.from_iterable(rows))
+            yield cells, width, _plain("".join(cells))
     except csv.Error as exc:
         raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from None
 
@@ -340,12 +351,13 @@ def _positions(path, header: list[str] | None, schema: dict[str, str]) -> list[i
     return [header.index(name) for name in schema]
 
 
-def _convert_block(cells, width, rows_before, schema, positions, levels):
+def _convert_block(cells, width, plain, rows_before, schema, positions, levels):
     """One block's kept-row mask and each declared column's values over all
     its rows.  A categorical column's values are codes from ``levels`` (its
     dict of level to code), which numbers each level in the block where it
     first appears.  The block's first bad cell, in row order and then
-    declaration order, raises a RowParseError."""
+    declaration order, raises a RowParseError; a count or numeric cell that
+    is not `_plain` is bad, unless ``plain`` clears the whole block."""
     m = len(cells) // width
     gaps, values, bad = [np.zeros(m, bool)], {}, []
     for position, ((name, kind), pos) in enumerate(zip(schema.items(), positions)):
@@ -358,6 +370,9 @@ def _convert_block(cells, width, rows_before, schema, positions, levels):
             gaps.append(np.isin(values[name], [seen.get(token, -1) for token in MISSING_TOKENS]))
             continue
         values[name], gap, first = _convert(col, kind)
+        if not plain and not _plain("".join(col)):  # a bad cell that parses
+            end = m if first is None else first
+            first = next((i for i in range(end) if not _plain(col[i].strip())), first)
         gaps.append(gap)
         if first is not None:
             bad.append((rows_before + first + 1, position, name, col[first].strip()))
@@ -374,8 +389,8 @@ def _load(path, schema: dict[str, str], source) -> Dataset:
     parts = {name: [np.empty(0, _DTYPES[kind])] for name, kind in schema.items()}
     levels = {name: {} for name, kind in schema.items() if kind == "categorical"}
     n = n_rows = 0
-    for cells, width in source:
-        keep, values = _convert_block(cells, width, n, schema, positions, levels)
+    for cells, width, plain in source:
+        keep, values = _convert_block(cells, width, plain, n, schema, positions, levels)
         for name, col in values.items():
             parts[name].append(col[keep])
         n += keep.size
@@ -399,11 +414,11 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
     the number of dropped rows is recorded on the returned Dataset.  A
     non-missing cell that does not parse under its declared kind (a count
     must be a nonnegative integer that fits in int64; a numeric cell must be
-    finite) raises a RowParseError naming the 1-based data row: the first
-    such cell in row order, then declaration order, even in a row that is
-    dropped.  Level vocabularies for categorical columns are collected over
-    every non-missing cell, so levels seen only in dropped rows still enter
-    the vocabulary.  Cells are stripped of surrounding whitespace, and a row
+    finite; either must be ASCII with no "_") raises a RowParseError naming
+    the 1-based data row: the first such cell in row order, then declaration
+    order, even in a row that is dropped.  Level vocabularies for categorical
+    columns are collected over every non-missing cell, so levels seen only in
+    dropped rows still enter the vocabulary.  Cells are stripped of surrounding whitespace, and a row
     too short to hold a column reads "" there.  Text that `csv` cannot parse
     is an error wherever it stands, even after a bad cell.
 
@@ -425,18 +440,39 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
         raise
 
 
-def _covariate_columns(
-    ds: Dataset, covariates: list[str], reference_levels: dict[str, str] | None = None
-):
-    """`build_design`'s checks and column walk: for each covariate in
-    declaration order, its Column, the code of its reference level (None for
-    a count or numeric covariate) and the labels of its design columns.
+@dataclass(eq=False)
+class _Term:
+    """One covariate's block of design columns, labelled ``labels``: the
+    intercept (``values`` its ones, a stride-0 view), a factor (``values``
+    its codes into ``levels`` levels, of which those in ``keep``, all but
+    the reference, have a column) or a column (``values`` its float64
+    values).  A term is equal only to itself, so it keys the caches of one
+    evaluation and ``joint``, which holds this factor's joint codes with
+    another factor, keyed by that factor, for the fit.
+    """
 
-    The reference-level overrides are checked before the first covariate is
-    yielded, and each covariate as it is reached, so that every design
-    builder raises the same error first.
+    labels: list[str]
+    values: np.ndarray
+    kind: str = "column"  # "intercept", "factor" or "column"
+    levels: int = 0
+    keep: np.ndarray | None = None
+    joint: dict = field(default_factory=dict)
+
+
+def design_terms(
+    ds: Dataset, covariates: list[str], reference_levels: dict | None = None, made=None
+) -> list[_Term]:
+    """The design of ``covariates`` on ``ds`` as terms: the intercept, then
+    each covariate's term in declaration order.  A term holds ``ds``'s own
+    array where it needs no conversion.
+
+    The reference-level overrides are checked first, and each covariate as
+    it is reached, so that every design raises the same error first.
+    ``made`` holds terms by covariate name (the intercept's is None), so
+    that two parts built with one ``made`` share a covariate's term.
     """
     reference_levels = reference_levels or {}
+    made = {} if made is None else made
     for name, level in reference_levels.items():
         col = ds.column(name)
         if col.kind != "categorical":
@@ -445,17 +481,26 @@ def _covariate_columns(
             raise SchemaError(
                 f"reference level {level!r} not in vocabulary of '{name}': {col.levels}"
             )
+    ones = np.broadcast_to(1.0, ds.n_rows)
+    terms = [made.setdefault(None, _Term([INTERCEPT_LABEL], ones, "intercept"))]
     for name in covariates:
         col = ds.column(name)
-        if col.kind != "categorical":
-            yield col, None, [name]
-            continue
-        if len(col.levels) < 2:
+        if name in made:
+            term = made[name]
+        elif col.kind != "categorical":
+            term = _Term([name], np.asarray(col.values, np.float64))
+        elif len(col.levels) < 2:
             raise DegenerateCovariateError(
                 f"categorical '{name}' has a single level; its dummy block would be all zero"
             )
-        ref = col.levels.index(reference_levels.get(name, col.levels[0]))
-        yield col, ref, [f"{name}={level}" for code, level in enumerate(col.levels) if code != ref]
+        else:
+            ref = col.levels.index(reference_levels.get(name, col.levels[0]))
+            keep = np.delete(np.arange(len(col.levels)), ref)
+            labels = [f"{name}={col.levels[code]}" for code in keep]
+            codes = np.ascontiguousarray(col.values, np.intp)
+            term = _Term(labels, codes, "factor", len(col.levels), keep)
+        terms.append(made.setdefault(name, term))
+    return terms
 
 
 def build_design(
@@ -470,14 +515,13 @@ def build_design(
 
     The values are column-major (Fortran order): each column is contiguous.
     """
-    columns = [np.ones(ds.n_rows)]
-    labels = [INTERCEPT_LABEL]
-    for col, ref, names in _covariate_columns(ds, covariates, reference_levels):
-        if ref is None:
-            columns.append(col.values)
+    columns, labels = [], []
+    for term in design_terms(ds, covariates, reference_levels):
+        if term.kind == "factor":
+            columns += [term.values == code for code in term.keep]
         else:
-            columns += [col.values == code for code in range(len(col.levels)) if code != ref]
-        labels += names
+            columns.append(term.values)
+        labels += term.labels
     # the columns are the rows of one (d, n) array: its transpose is the
     # design in column-major order, with no second copy
     return DesignMatrix(np.array(columns, dtype=np.float64).T, labels)

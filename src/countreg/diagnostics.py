@@ -11,7 +11,6 @@ through one ``np.bincount``, and only larger ones are sorted.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .data import Column, Dataset, distinct_codes
 from .errors import DegenerateTableError, InsufficientDataError, SchemaError
@@ -56,6 +55,8 @@ def chi_square_sf(x: float, df: int) -> float:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

@@ -16,13 +16,13 @@ likelihood and score, exact to rounding.  Where every row is distinct, the
 patterns are the given rows.  The counts and factor codes key the pattern
 scan by themselves (`data.distinct_codes`); only numeric columns are sorted.
 
-The fitter holds each part's design as terms in `build_design`'s column
-order, not as dummy columns: the intercept, each factor as its codes (its
-reference level dropped) and each count or numeric covariate as its column,
-the pattern dataset's own arrays.  The predictor gathers each factor's
-level values by its codes and adds each column times its coefficient.  The
-per-row sums of the score and Hessian contract term by term: a sum for the
-intercept, an ``np.bincount`` over the codes for a factor (over joint codes,
+The fitter holds each part's design as the terms of `data.design_terms`,
+which `build_design` expands into dummy columns: the intercept, each factor
+as its codes (its reference level dropped) and each count or numeric
+covariate as its column.  The predictor is the intercept plus each factor's
+level values gathered by its codes, then each column times its coefficient.
+The per-row sums of the score and Hessian contract term by term: a sum for
+the intercept, an ``np.bincount`` over a factor's codes (over joint codes,
 made once per fit, for two factors), an ``np.einsum`` for two columns, and
 the scalar tau for the shape.  Their summation order, like that of the
 numpy reductions, does not depend on the BLAS thread count, so repeated
@@ -34,7 +34,7 @@ the zero probability, the kernel's output block and one scratch row per
 column term (for a column times a row of second derivatives) are buffers
 kept on the fit's ``_kernels.Counts``, made by the first evaluation and
 overwritten by each later one; pattern weights multiply the output block in
-place.
+place, and the P(y = 0) pass after the ascent writes into them too.
 """
 
 import math
@@ -42,16 +42,15 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import expit
 
 from . import _kernels
 from .data import (
-    INTERCEPT_LABEL,
     Column,
     Dataset,
     DesignMatrix,
     ModelSpec,
-    _covariate_columns,
+    _Term,
+    design_terms,
     distinct_codes,
 )
 from .distributions import TAU_MIN
@@ -144,50 +143,12 @@ def _tau_of(params: ParamVector) -> float:
     return math.exp(params.log_tau)
 
 
-@dataclass(eq=False)
-class _Term:
-    """One covariate's block of design columns, labelled ``labels``: the
-    intercept (``values`` its ones, a stride-0 view), a factor (``values``
-    its codes into ``levels`` levels, of which those in ``keep``, all but
-    the reference, have a column) or a column (``values`` its float64
-    values).  A term is equal only to itself, so it keys the caches of one
-    evaluation and ``joint``, which holds this factor's joint codes with
-    another factor, keyed by that factor, for the fit.
-    """
-
-    labels: list[str]
-    values: np.ndarray
-    kind: str = "column"  # "intercept", "factor" or "column"
-    levels: int = 0
-    keep: np.ndarray | None = None
-    joint: dict = field(default_factory=dict)
-
-
 def _as_terms(D):
     """A design as terms: a DesignMatrix's columns as columns; terms (or
     None) as given."""
     if isinstance(D, DesignMatrix):
         return [_Term([label], column) for label, column in zip(D.labels, D.values.T)]
     return D
-
-
-def _terms(ds: Dataset, covariates, reference_levels, made: dict) -> list[_Term]:
-    """The design `build_design` makes of ``ds``, as terms, after the same
-    checks: the intercept, then each covariate's term.  A term holds
-    ``ds``'s own array where it needs no conversion.  ``made`` holds the
-    fit's terms by name (the intercept's is None), so the two parts share
-    a covariate's term."""
-    ones = np.broadcast_to(1.0, ds.n_rows)
-    terms = [made.setdefault(None, _Term([INTERCEPT_LABEL], ones, "intercept"))]
-    for col, ref, labels in _covariate_columns(ds, covariates, reference_levels):
-        term = made.get(col.name)
-        if term is None and ref is None:
-            term = _Term(labels, np.asarray(col.values, np.float64))
-        elif term is None:
-            codes, size = np.ascontiguousarray(col.values, np.intp), len(col.levels)
-            term = _Term(labels, codes, "factor", size, np.delete(np.arange(size), ref))
-        terms.append(made.setdefault(col.name, term))
-    return terms
 
 
 def _labels(terms) -> list[str]:
@@ -201,34 +162,23 @@ def _spans(sizes) -> list[slice]:
 
 
 def _predictor(
-    part: str, terms, coef: np.ndarray, out, limit: float, first=None, scratch=None
+    part: str, terms, coef: np.ndarray, out, scratch, limit: float, first=None
 ) -> np.ndarray:
     """The ``part`` ("count" or "zero") linear predictor, the design of
     ``terms`` times ``coef``, written into ``out`` with ``scratch`` for the
-    terms added to it (two new rows where ``out`` is None): each factor's
-    level values gathered by its codes, the intercept with the first
-    factor's, then each column times its coefficient.  It is checked to be
-    finite and at most ``limit``.  A failure names the first data row at
-    fault: the least ``first`` entry (each design row's first data row)
-    over the failing design rows, or the first failing row where ``first``
-    is None."""
-    if out is None:
-        out, scratch = np.empty((2, terms[0].values.size))
+    terms added to it: the intercept, then each factor's level values
+    gathered by its codes, then each column times its coefficient.  It is
+    checked to be finite and at most ``limit``.  A failure names the first
+    data row at fault: the least ``first`` entry (each design row's first
+    data row) over the failing design rows, or the first failing row where
+    ``first`` is None."""
     spans = _spans([len(term.labels) for term in terms])
-    base, gathered = 0.0, False
+    out.fill(coef[0] if terms[0].kind == "intercept" else 0.0)
     for term, span in zip(terms, spans):
-        if term.kind == "intercept":
-            base = coef[span][0]
-        elif term.kind == "factor":
+        if term.kind == "factor":
             table = np.zeros(term.levels)
             table[term.keep] = coef[span]
-            if gathered:
-                out += np.take(table, term.values, out=scratch, mode="clip")
-            else:
-                np.take(table + base, term.values, out=out, mode="clip")
-                gathered = True
-    if not gathered:
-        out.fill(base)
+            out += np.take(table, term.values, out=scratch, mode="clip")
     for term, span in zip(terms, spans):
         if term.kind == "column":
             out += np.multiply(term.values, coef[span][0], out=scratch)
@@ -256,7 +206,7 @@ def _row_terms(spec, X, Z, counts, params, first=None) -> np.ndarray:
     _check_finite_params(params)
     y, n = counts.y, counts.y.size
     scratch = counts.buffer(("scratch", 0), (n,))
-    eta = _predictor("count", X, params.beta, counts.buffer("lam", (n,)), ETA_MAX, first, scratch)
+    eta = _predictor("count", X, params.beta, counts.buffer("lam", (n,)), scratch, ETA_MAX, first)
     if spec.family == "poisson":
         block = counts.buffer("rows", (3, n))
         rows, u, ee = block
@@ -271,7 +221,9 @@ def _row_terms(spec, X, Z, counts, params, first=None) -> np.ndarray:
     tau = _tau_of(params)
     if spec.family == "nb":
         return _kernels.nb_loglik_score(counts, lam, tau)
-    p = _predictor("zero", Z, params.gamma, counts.buffer("p", (n,)), math.inf, first, scratch)
+    from scipy.special import expit
+
+    p = _predictor("zero", Z, params.gamma, counts.buffer("p", (n,)), scratch, math.inf, first)
     return _kernels.zinb_loglik_score(counts, lam, expit(p, out=p), tau)
 
 
@@ -397,13 +349,15 @@ def gradient(spec, X, Z, y, params) -> np.ndarray:
     return _loglik_score(spec, X, Z, _kernels.Counts(y), params)[1]
 
 
-def _zero_probabilities(family, X, Z, params) -> np.ndarray:
+def _zero_probabilities(family, X, Z, counts, params) -> np.ndarray:
     """P(y = 0) per row of the designs (terms or DesignMatrix) at
-    ``params``, in closed form and mostly in place: exp(-lam) for poisson,
-    P_NB(0) = exp(-tau log1p(lam / tau)), the NB kernel's y = 0 row, for
-    nb, and p + (1 - p) P_NB(0) for zinb."""
-    lam = _predictor("count", _as_terms(X), params.beta, None, ETA_MAX)
-    np.exp(lam, out=lam)
+    ``params``, in closed form and in the buffers kept on ``counts``:
+    exp(-lam) for poisson, P_NB(0) = exp(-tau log1p(lam / tau)), the NB
+    kernel's y = 0 row, for nb, and p + (1 - p) P_NB(0) for zinb.  The
+    result is the ``lam`` buffer, which the next evaluation overwrites."""
+    n = counts.y.size
+    lam, scratch = counts.buffer("lam", (n,)), counts.buffer(("scratch", 0), (n,))
+    np.exp(_predictor("count", _as_terms(X), params.beta, lam, scratch, ETA_MAX), out=lam)
     if family == "poisson":
         return np.exp(np.negative(lam, out=lam), out=lam)
     tau = params.tau
@@ -411,9 +365,11 @@ def _zero_probabilities(family, X, Z, params) -> np.ndarray:
     p0 = np.exp(np.multiply(lam, -tau, out=lam), out=lam)
     if family == "nb":
         return p0
-    p = _predictor("zero", _as_terms(Z), params.gamma, None, math.inf)
+    from scipy.special import expit
+
+    p = _predictor("zero", _as_terms(Z), params.gamma, counts.buffer("p", (n,)), scratch, math.inf)
     expit(p, out=p)
-    p0 *= np.subtract(1.0, p)
+    p0 *= np.subtract(1.0, p, out=scratch)
     p0 += p
     return p0
 
@@ -479,10 +435,10 @@ def _row_patterns(columns: list[Column]) -> tuple[np.ndarray, np.ndarray] | None
 
 class _Problem:
     """The fit of ``spec`` to ``ds`` on its row patterns: the designs ``X``
-    and ``Z`` as terms (`_terms`, sharing each covariate's term) and the
-    prepared ``counts``, built on every column of ``ds`` at the patterns'
-    first rows ``first``, each pattern weighted by its
-    count ``w`` (None and the scalar 1.0 where every row is distinct), and
+    and ``Z`` as terms (`data.design_terms`, sharing each covariate's term)
+    and the prepared ``counts``, built on every column of ``ds`` at the
+    patterns' first rows ``first``, each pattern weighted by its count
+    ``w`` (None and the scalar 1.0 where every row is distinct), and
     the map from the optimizer's free vector onto a full ParamVector and
     back.  The patterns are those of the model's own Columns
     (`_row_patterns`), each covariate once and then the response, so a
@@ -509,9 +465,9 @@ class _Problem:
             ds = Dataset(columns, self.first.size)
             self.w = counts.astype(np.float64)
         made = {}
-        self.X = _terms(ds, spec.count_covariates, spec.reference_levels, made)
-        zinb = spec.family == "zinb"
-        self.Z = _terms(ds, spec.zero_covariates, spec.reference_levels, made) if zinb else None
+        refs, zinb = spec.reference_levels, spec.family == "zinb"
+        self.X = design_terms(ds, spec.count_covariates, refs, made)
+        self.Z = design_terms(ds, spec.zero_covariates, refs, made) if zinb else None
         # parameter-free, so prepared once rather than on every evaluation
         self.counts = _kernels.Counts(ds.response_vector(spec.response))
         self.count_labels = _labels(self.X)
@@ -645,7 +601,7 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             f"(eigenvalues {w[0]:.3g} to {w[-1]:.3g})"
         )
 
-    zeros = _zero_probabilities(spec.family, problem.X, problem.Z, estimates)
+    zeros = _zero_probabilities(spec.family, problem.X, problem.Z, problem.counts, estimates)
     zeros *= problem.w
     return FitResult(
         family=spec.family,

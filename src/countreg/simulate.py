@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import data
 from .data import (
@@ -181,6 +180,8 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
     elif config.family == "nb":
         y = nb_draws(rng, lam, config.true_tau)
     else:
+        from scipy.special import expit
+
         p = expit(_predictor(ds, config.zero_covariates, config.true_gamma, "zero-part"))
         y = zinb_draws(rng, lam, p, config.true_tau)
     columns[config.response_name] = Column(

@@ -6,6 +6,9 @@ import csv
 import io
 import math
 import random
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +159,45 @@ class TestLoadCsv:
         with pytest.raises(RowParseError) as err:
             load_csv(path, SCHEMA)
         assert (err.value.row, err.value.column, err.value.value) == (2, "age", "oops")
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["quote-free", "quoted"])
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("y", "1_0"), ("y", "\uff12"), ("age", "1_5.5"), ("age", "\u0663.5"), ("age", "1e1_0")],
+    )
+    def test_a_number_is_ascii_without_underscores(self, tmp_path, quote, column, cell):
+        # int and float read digit underscores and non-ASCII digits
+        row = {"y": "3", "grp": "a", "age": "1.5", column: cell}
+        line = ",".join(quote + row[name] + quote for name in SCHEMA)
+        path = _write(tmp_path, f"y,grp,age\n0,a,1.5\n{line}\n")
+        with pytest.raises(RowParseError) as err:
+            load_csv(path, SCHEMA)
+        assert (err.value.row, err.value.column, err.value.value) == (2, column, cell)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("y,grp,age\n0,a,oops\n1_0,b,1\n", (1, "age", "oops")),
+            ("y,grp,age\n0,a,1_0\nx,b,1\n", (1, "age", "1_0")),
+            ("y,grp,age\n1,a,\uff11\n1_0,b,1\n", (1, "age", "\uff11")),
+        ],
+    )
+    def test_a_number_with_underscores_is_one_more_bad_cell(self, tmp_path, text, want):
+        # the first bad cell in row order, then declaration order, of any kind
+        with pytest.raises(RowParseError) as err:
+            load_csv(_write(tmp_path, text), SCHEMA)
+        assert (err.value.row, err.value.column, err.value.value) == want
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["quote-free", "quoted"])
+    def test_underscores_and_non_ascii_load_outside_numbers(self, tmp_path, quote):
+        # in a header name or a level, and a non-breaking space around a number
+        q = quote
+        text = f"y_n,grp_\u00e9,age\n1,{q}a_\u00e9{q},{q}\u00a01.5\u00a0{q}\n{q}\u00a02{q},b,2\n"
+        schema = {"y_n": "count", "grp_\u00e9": "categorical", "age": "numeric"}
+        ds = load_csv(_write(tmp_path, text), schema)
+        assert ds.column("grp_\u00e9").levels == ("a_\u00e9", "b")
+        assert ds.column("y_n").values.tolist() == [1, 2]
+        assert ds.column("age").values.tolist() == [1.5, 2.0]
 
     def test_undeclared_columns_ignored(self, tmp_path):
         path = _write(tmp_path, "y,extra,grp,age\n0,junk,a,1.5\n")
@@ -397,8 +439,8 @@ INT64_MAX = 2**63 - 1
 def _row_loop_load_csv(path, schema):
     """Reference loader: a dict of parsed cells per row, one Python call per
     cell, raising on the first bad cell in row order; a count must fit in
-    int64.  `load_csv` converts column by column and must agree with it
-    exactly."""
+    int64, and a number's text must be ASCII with no "_".  `load_csv`
+    converts column by column and must agree with it exactly."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = [h.strip() for h in next(reader)]
@@ -420,6 +462,8 @@ def _row_loop_load_csv(path, schema):
                     level_sets[name].add(cell)
                     continue
                 try:
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(cell)
                     value = int(cell) if kind == "count" else float(cell)
                 except ValueError:
                     raise RowParseError(row_idx, name, cell) from None
@@ -448,13 +492,19 @@ def _row_loop_load_csv(path, schema):
 
 # raw CSV fields, some quoted with a comma inside
 GOOD_CELLS = {
-    "count": ["0", "3", "12", " 7 ", "+4", "1_000", "007", '"5"', "9223372036854775807"],
-    "numeric": ["1.5", " -0.25 ", "1e3", "+4", "1_000.5", "-0", ".5", '"2.75"', "7"],
+    "count": ["0", "3", "12", " 7 ", "+4", "\u00a06\u00a0", "007", '"5"', "9223372036854775807"],
+    "numeric": ["1.5", " -0.25 ", "1e3", "+4", "\u00a02.5", "-0", ".5", '"2.75"', "7"],
     "categorical": ["a", "b", " c ", '"x,y"', '" q "', "B", "1"],
 }
 BAD_CELLS = {
-    "count": ["2.5", "-1", "1e3", "x", "99999999999999999999", "1__0", '"3,4"', "nan"],
-    "numeric": ["oops", "nan", "inf", "-inf", "1e400", '"1,5"', "1.2.3", "0x1p3"],
+    "count": [
+        "2.5", "-1", "1e3", "x", "99999999999999999999", "1__0", '"3,4"', "nan", "1_000",
+        "\uff12",
+    ],
+    "numeric": [
+        "oops", "nan", "inf", "-inf", "1e400", '"1,5"', "1.2.3", "0x1p3", "1_000.5",
+        "\u0663.5",
+    ],
 }
 MISSING_CELLS = ["", "NA", " NA ", "  ", '""']
 UNDECLARED_CELLS = ["junk", '"u,v,w"', "", "NA", "-1", "oops"]
@@ -654,8 +704,10 @@ def test_report_imports_only_json_math_and_data():
 
 
 def test_package_imports_from_scipy_only_expit_and_gammaincc():
-    # scipy.special is most of the import time of `countreg`; a new scipy
-    # import adds to it, so allowing one is a decision, not a side effect
+    # scipy.special takes longer to import than the rest of `countreg`; the
+    # walk reaches the imports inside functions too, where the two names are
+    # loaded on first use, so allowing a new one is a decision, not a side
+    # effect
     imported = set()
     for path in sorted(Path(report.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -665,3 +717,33 @@ def test_package_imports_from_scipy_only_expit_and_gammaincc():
                 imported.update((node.module, alias.name) for alias in node.names)
     from_scipy = {(module, name) for module, name in imported if module.split(".")[0] == "scipy"}
     assert from_scipy <= {("scipy.special", "expit"), ("scipy.special", "gammaincc")}
+
+
+def test_scipy_loads_only_where_it_is_used():
+    # neither `import countreg` nor the NB headline loads scipy; a ZINB fit
+    # and the chi-square p-value load it when they run.  numba is blocked,
+    # so that only countreg's own imports count, on either backend
+    code = textwrap.dedent(
+        """
+        import contextlib, io, math, sys
+        sys.modules["numba"] = None
+        import countreg
+        from countreg import cli
+        assert "scipy" not in sys.modules, "import countreg"
+        argv = ["fit", "--preset", "paper-like", "--family", "nb", "--format", "json"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert "scipy" not in sys.modules, "the NB headline"
+        config = countreg.SimConfig(
+            n_rows=2000, family="zinb", seed=5, true_tau=1.5,
+            covariates=[countreg.CovariateSpec("x", "numeric", low=-1.0, high=1.0)],
+            true_beta={"(intercept)": 0.5, "x": -0.4}, true_gamma={"(intercept)": -0.7},
+        )
+        ds = countreg.simulate(config)
+        assert countreg.fit(countreg.ModelSpec("zinb", "y", ["x"]), ds).converged
+        assert math.isclose(countreg.chi_square_sf(3.841458820694124, 1), 0.05, rel_tol=1e-9)
+        assert "scipy.special" in sys.modules
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

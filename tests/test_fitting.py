@@ -35,6 +35,7 @@ from countreg import (
 )
 from countreg import _kernels
 from countreg import fitting, optimize
+from countreg.data import design_terms
 from countreg.fitting import _Problem
 from countreg.optimize import MAX_HALVINGS
 
@@ -373,6 +374,25 @@ class TestFusedObjective:
             assert peak < 8 * n
 
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_zero_probabilities_allocate_no_row(self, family):
+        # the pass after the ascent writes P(y = 0) into the buffers the
+        # evaluations made, the ZINB 1 - p too
+        n = 20_000
+        problem = self._distinct_row_problem(family, n)
+        theta = problem.start()
+        problem.objective(theta)
+        params = problem.to_params(theta)
+        tracemalloc.start()
+        try:
+            zeros = fitting._zero_probabilities(
+                family, problem.X, problem.Z, problem.counts, params
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert zeros.shape == (n,) and peak < 8 * n
+
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
     def test_evaluations_sharing_buffers_keep_no_state(self, family):
         problem = self._distinct_row_problem(family, 3000)
         theta = problem.start()
@@ -508,8 +528,8 @@ class TestTermContraction:
         zero = covariates[::-1] if family == "zinb" else []
         spec = ModelSpec(family, "y", covariates, zero, refs)
         made = {}
-        X = fitting._terms(ds, covariates, refs, made)
-        Z = fitting._terms(ds, zero, refs, made) if family == "zinb" else None
+        X = design_terms(ds, covariates, refs, made)
+        Z = design_terms(ds, zero, refs, made) if family == "zinb" else None
         dense_X = build_design(ds, covariates, refs)
         dense_Z = build_design(ds, zero, refs) if family == "zinb" else None
         rng = np.random.default_rng(32)
@@ -632,8 +652,11 @@ class TestFits:
         lam, p, y0 = np.exp(eta), 1.0 / (1.0 + np.exp(-s)), np.zeros(61)
         assert p[0] < 1e-300 and 1.0 - p[-1] < 1e-15
         poisson = ParamVector(np.array([0.0, 1.0]), np.empty(0), None)
+        counts = _kernels.Counts(y0)
         np.testing.assert_allclose(
-            fitting._zero_probabilities("poisson", X, None, poisson), np.exp(-lam), rtol=1e-13
+            fitting._zero_probabilities("poisson", X, None, counts, poisson),
+            np.exp(-lam),
+            rtol=1e-13,
         )
         for tau in (0.5, 1.5, 1e6):
             with np.errstate(over="ignore", invalid="ignore"):  # scores at eta -> ETA_MAX
@@ -641,10 +664,10 @@ class TestFits:
                 zinb = np.exp(_kernels.zinb_logpmf(y0, lam, p, tau))
             params = ParamVector(np.array([0.0, 1.0]), np.array([0.0, 1.0]), math.log(tau))
             np.testing.assert_allclose(
-                fitting._zero_probabilities("nb", X, None, params), nb, rtol=1e-13, atol=0
+                fitting._zero_probabilities("nb", X, None, counts, params), nb, rtol=1e-13, atol=0
             )
             np.testing.assert_allclose(
-                fitting._zero_probabilities("zinb", X, Z, params), zinb, rtol=1e-13, atol=0
+                fitting._zero_probabilities("zinb", X, Z, counts, params), zinb, rtol=1e-13, atol=0
             )
 
     def test_heavy_tail_recipe_converges(self):
@@ -959,13 +982,13 @@ class TestRowPatterns:
     @staticmethod
     def _record_term_rows(monkeypatch):
         """The row count of each dataset the fitter builds its terms on."""
-        rows, terms = [], fitting._terms
+        rows, terms = [], fitting.design_terms
 
         def recorded(ds, *args):
             rows.append(ds.n_rows)
             return terms(ds, *args)
 
-        monkeypatch.setattr(fitting, "_terms", recorded)
+        monkeypatch.setattr(fitting, "design_terms", recorded)
         return rows
 
     def test_designs_are_built_on_the_patterns(self, monkeypatch):
@@ -1093,7 +1116,8 @@ class TestRowPatterns:
         res = fit(spec, ds)
         X = build_design(ds, spec.count_covariates)
         Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
-        full = np.mean(fitting._zero_probabilities(family, X, Z, res.estimates))
+        counts = _kernels.Counts(ds.response_vector(spec.response))
+        full = np.mean(fitting._zero_probabilities(family, X, Z, counts, res.estimates))
         assert res.expected_zero_fraction == pytest.approx(full, rel=1e-12)
 
 

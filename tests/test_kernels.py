@@ -71,8 +71,9 @@ def _runners(nb_kernel, zinb_kernel, takes_counts):
 
 def _count_terms(y, tau):
     """L[y] - log(y!), D[y] and T[y], as rows."""
-    out = np.empty((3, len(y)))
-    _kernels._count_terms(_kernels.Counts(y), tau, out)
+    counts = _kernels.Counts(y)
+    out = _kernels._count_terms(counts, tau, np.empty((3, len(y))))
+    out[0] -= counts.log_fact
     return out
 
 
@@ -149,16 +150,12 @@ class TestNumpyKernels:
             np.testing.assert_allclose(got, want, rtol=2e-14, atol=0)
 
     def test_count_terms_fill_the_rows_given(self):
-        # L alone, as log(y!) takes it, or L, D and T, and no row past them;
-        # L is the same either way, past the table too
+        # L, D and T, past the table too, and no row past them
         y, _, _, tau = _random_grid(21)
         y[:2] = (K + 1.0, 5e3)
-        counts = _kernels.Counts(y)
-        full, alone = np.full((4, y.size), np.nan), np.full((2, y.size), np.nan)
-        _kernels._count_terms(counts, tau, full[:3])
-        _kernels._count_terms(counts, tau, alone[:1])
+        full = np.full((4, y.size), np.nan)
+        _kernels._count_terms(_kernels.Counts(y), tau, full[:3])
         assert np.isfinite(full[:3]).all() and np.isnan(full[3]).all()
-        assert np.array_equal(alone[0], full[0]) and np.isnan(alone[1]).all()
 
     def test_digamma_and_trigamma_diffs_on_a_random_grid(self):
         # D and T to a few units of the last place at every tau and count:
