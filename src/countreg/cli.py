@@ -203,6 +203,11 @@ def _run_screen(args) -> int:
             for name, col in ds.columns.items()
             if name != response and col.kind != "numeric"
         ]
+        if not covariates:
+            raise ConfigurationError(
+                f"no covariate to screen: no column but the response '{response}' "
+                "is categorical or count"
+            )
     results = diagnostics.screen(ds, covariates, response)
     _write(args, lambda fmt: report.screening_report(results, fmt))
     return EXIT_OK

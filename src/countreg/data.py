@@ -4,8 +4,8 @@ Columns are typed as ``count`` (nonnegative integers), ``categorical``
 (integer codes into a level vocabulary), or ``numeric``.  A design always
 starts with an intercept column; each categorical contributes one dummy
 column per non-reference level, in vocabulary order.  `design_terms` alone
-decides this: it returns the design as terms, which the fitter evaluates
-and `build_design` expands into a dense DesignMatrix.
+decides this: its terms are what `linear_predictor` evaluates, for the
+fitter and the simulator, and what `build_design` expands into a DesignMatrix.
 
 `distinct_codes` finds a column's distinct values, row codes and counts
 for the fitter's pattern scan and the screening tables; counts and factor
@@ -34,7 +34,7 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
+from itertools import accumulate, chain, count, islice
 
 import numpy as np
 
@@ -501,6 +501,23 @@ def design_terms(
             term = _Term(labels, codes, "factor", len(col.levels), keep)
         terms.append(made.setdefault(name, term))
     return terms
+
+
+def linear_predictor(terms: list[_Term], coef: np.ndarray, out, scratch) -> np.ndarray:
+    """The design of ``terms`` times ``coef``, into ``out`` with ``scratch``
+    for each added term: the intercept, then each factor's level values
+    gathered by its codes, then each column times its coefficient."""
+    starts = list(accumulate((len(term.labels) for term in terms), initial=0))
+    out.fill(coef[0] if terms[0].kind == "intercept" else 0.0)
+    for term, start in zip(terms, starts):
+        if term.kind == "factor":
+            table = np.zeros(term.levels)
+            table[term.keep] = coef[start : start + term.keep.size]
+            out += np.take(table, term.values, out=scratch, mode="clip")
+    for term, start in zip(terms, starts):
+        if term.kind == "column":
+            out += np.multiply(term.values, coef[start], out=scratch)
+    return out
 
 
 def build_design(

@@ -19,8 +19,8 @@ scan by themselves (`data.distinct_codes`); only numeric columns are sorted.
 The fitter holds each part's design as the terms of `data.design_terms`,
 which `build_design` expands into dummy columns: the intercept, each factor
 as its codes (its reference level dropped) and each count or numeric
-covariate as its column.  The predictor is the intercept plus each factor's
-level values gathered by its codes, then each column times its coefficient.
+covariate as its column.  The predictor (`data.linear_predictor`, which
+`simulate` shares) adds each factor's gathered level values, then each column.
 The per-row sums of the score and Hessian contract term by term: a sum for
 the intercept, an ``np.bincount`` over a factor's codes (over joint codes,
 made once per fit, for two factors), an ``np.einsum`` for two columns, and
@@ -52,6 +52,7 @@ from .data import (
     _Term,
     design_terms,
     distinct_codes,
+    linear_predictor,
 )
 from .distributions import TAU_MIN
 from .errors import (
@@ -164,24 +165,11 @@ def _spans(sizes) -> list[slice]:
 def _predictor(
     part: str, terms, coef: np.ndarray, out, scratch, limit: float, first=None
 ) -> np.ndarray:
-    """The ``part`` ("count" or "zero") linear predictor, the design of
-    ``terms`` times ``coef``, written into ``out`` with ``scratch`` for the
-    terms added to it: the intercept, then each factor's level values
-    gathered by its codes, then each column times its coefficient.  It is
-    checked to be finite and at most ``limit``.  A failure names the first
-    data row at fault: the least ``first`` entry (each design row's first
-    data row) over the failing design rows, or the first failing row where
-    ``first`` is None."""
-    spans = _spans([len(term.labels) for term in terms])
-    out.fill(coef[0] if terms[0].kind == "intercept" else 0.0)
-    for term, span in zip(terms, spans):
-        if term.kind == "factor":
-            table = np.zeros(term.levels)
-            table[term.keep] = coef[span]
-            out += np.take(table, term.values, out=scratch, mode="clip")
-    for term, span in zip(terms, spans):
-        if term.kind == "column":
-            out += np.multiply(term.values, coef[span][0], out=scratch)
+    """The ``part`` ("count" or "zero") linear predictor of ``terms`` at
+    ``coef`` (`data.linear_predictor`), checked to be finite and at most
+    ``limit``.  A failure names the first data row at fault: the least
+    failing ``first`` entry, or the first failing row where it is None."""
+    linear_predictor(terms, coef, out, scratch)
     hi = out.max(initial=-math.inf)
     # a NaN fails every comparison
     if not (out.min(initial=math.inf) > -math.inf and hi < math.inf and hi <= limit):
@@ -455,7 +443,7 @@ class _Problem:
         self.n_obs = ds.n_rows
         ds.response_vector(spec.response)  # its errors come before the designs'
         model = [*dict.fromkeys([*spec.count_covariates, *spec.zero_covariates]), spec.response]
-        # a name not in ds is left to build_design, which raises as it would on ds
+        # a name not in ds is left to design_terms, which raises as it would on ds
         table = _row_patterns([ds.columns[name] for name in model if name in ds.columns])
         if table is None:
             self.w, self.first = 1.0, None

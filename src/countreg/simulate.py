@@ -28,7 +28,6 @@ from .data import (
     MISSING_TOKENS,
     Column,
     Dataset,
-    build_design,
     csv_field,
     level_reads_back,
     name_reads_back,
@@ -143,20 +142,21 @@ def _draw_columns(config: SimConfig, rng) -> dict:
 
 def _predictor(ds, names, coef_by_label, part):
     """The linear predictor of one part, whose coefficients are keyed by the
-    labels of its design columns."""
-    design = build_design(ds, names, {})
-    if sorted(coef_by_label) != sorted(design.labels):
+    labels of its design columns, evaluated as the fitter evaluates it; a
+    non-finite coefficient is rejected even on a level that no row draws."""
+    terms = data.design_terms(ds, names, {})
+    labels = [label for term in terms for label in term.labels]
+    if sorted(coef_by_label) != sorted(labels):
         raise ConfigurationError(
-            f"{part} coefficients {sorted(coef_by_label)} do not match design columns "
-            f"{design.labels}"
+            f"{part} coefficients {sorted(coef_by_label)} do not match design columns {labels}"
         )
-    coefs = np.array([coef_by_label[lab] for lab in design.labels])
-    eta = design.values @ coefs
+    coefs = np.array([coef_by_label[lab] for lab in labels])
+    if not np.all(np.isfinite(coefs)):
+        raise ConfigurationError(f"{part} coefficients {coef_by_label} are not all finite")
+    eta = data.linear_predictor(terms, coefs, np.empty(ds.n_rows), np.empty(ds.n_rows))
     worst = float(np.max(np.abs(eta)))
-    if not worst <= ETA_LIMIT:  # NaN too, from a NaN coefficient
-        raise ConfigurationError(
-            f"{part} linear predictor reaches |{worst:.1f}| > {ETA_LIMIT:.0f}"
-        )
+    if not worst <= ETA_LIMIT:  # NaN too
+        raise ConfigurationError(f"{part} linear predictor reaches |{worst:.1f}| > {ETA_LIMIT:.0f}")
     return eta
 
 
@@ -170,11 +170,8 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
     """
     _validate(config)
     rng = np.random.default_rng(config.seed)
-    columns = _draw_columns(config, rng)
-    names = [c.name for c in config.covariates]
-    # temporary dataset without the response, just to reuse the design builder
-    ds = Dataset(columns=dict(columns), n_rows=config.n_rows)
-    lam = np.exp(_predictor(ds, names, config.true_beta, "count-part"))
+    ds = Dataset(columns=_draw_columns(config, rng), n_rows=config.n_rows)
+    lam = np.exp(_predictor(ds, list(ds.columns), config.true_beta, "count-part"))
     if config.family == "poisson":
         y = rng.poisson(lam)
     elif config.family == "nb":
@@ -184,10 +181,8 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
 
         p = expit(_predictor(ds, config.zero_covariates, config.true_gamma, "zero-part"))
         y = zinb_draws(rng, lam, p, config.true_tau)
-    columns[config.response_name] = Column(
-        config.response_name, "count", y.astype(np.int64)
-    )
-    out = Dataset(columns=columns, n_rows=config.n_rows)
+    y = Column(config.response_name, "count", y.astype(np.int64))
+    out = Dataset(columns={**ds.columns, y.name: y}, n_rows=config.n_rows)
     if out_path is not None:
         _write_csv(out, config, Path(out_path))
     return out

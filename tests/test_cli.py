@@ -396,6 +396,25 @@ class TestScreen:
         assert 0.0 <= row["p"] <= 1.0
         assert row["observed"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_nothing_to_tabulate_is_an_error(self, fmt, tmp_path):
+        path = tmp_path / "numeric.csv"
+        path.write_text("y,x\n0,0.5\n2,-1.25\n1,3.0\n", encoding="utf-8")
+        res = run_cli(
+            "screen",
+            "--input", str(path),
+            "--schema", "y=count,x=numeric",
+            "--response", "y",
+            "--format", fmt,
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        errors = [line for line in res.stderr.splitlines() if line.startswith("error: ")]
+        assert errors == [
+            "error: no covariate to screen: no column but the response 'y' "
+            "is categorical or count"
+        ]
+
 
 class TestDiagnose:
     def test_json_with_fitted_family(self, data_csv):

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,32 @@ class TestSimulate:
         y = simulate(config).response_vector("y")
         mean, var = zinb_moments(ZinbParams(NbParams(lam, tau), p))
         assert float(y.mean()) == pytest.approx(mean, abs=5 * math.sqrt(var / y.size))
+
+    def test_many_level_factor_draws_without_a_dense_design(self):
+        """The predictor gathers a factor's level values by its codes, so a
+        64-level factor costs no dummy column: the draw peaks at a few rows
+        of float64, where the dense design alone would be 65."""
+        n, levels = 200_000, tuple(f"d{i:02d}" for i in range(64))
+        beta = {"(intercept)": 0.1, "x": 0.3}
+        beta |= {f"district={lv}": 0.01 * i for i, lv in enumerate(levels) if i}
+        config = SimConfig(
+            n_rows=n,
+            family="nb",
+            covariates=[
+                _categorical("district", levels, (1 / 64,) * 64),
+                _numeric(),
+            ],
+            true_beta=beta,
+            true_tau=1.5,
+            seed=216,
+        )
+        tracemalloc.start()
+        try:
+            simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * n, f"peak {peak / 1e6:.1f} MB"
 
     def test_response_column_is_count_kind(self):
         config = SimConfig(
@@ -226,8 +253,19 @@ class TestValidation:
             {"low": -math.inf},
             {"coefficient": math.nan},
             {"true_tau": math.inf},
+            # a coefficient on a level that no row draws touches no row's predictor
+            {"probabilities": (1.0, 0.0), "coefficient": math.nan},
+            {"probabilities": (1.0, 0.0), "coefficient": -math.inf},
         ],
-        ids=["negative-seed", "nan-probability", "infinite-low", "nan-coefficient", "infinite-tau"],
+        ids=[
+            "negative-seed",
+            "nan-probability",
+            "infinite-low",
+            "nan-coefficient",
+            "infinite-tau",
+            "nan-coefficient-on-undrawn-level",
+            "infinite-coefficient-on-undrawn-level",
+        ],
     )
     def test_values_numpy_cannot_draw_from(self, change):
         config = SimConfig(

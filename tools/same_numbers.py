@@ -1,10 +1,13 @@
-"""Record a fixed grid of fits and CLI runs, and compare two such records.
+"""Record a fixed grid of simulated datasets, fits and CLI runs, and compare
+two such records.
 
     python3 tools/same_numbers.py record OUT.jsonl [--src DIR]
     python3 tools/same_numbers.py compare BEFORE.jsonl AFTER.jsonl
 
 ``record`` imports countreg from ``--src`` (default: this checkout's
-``src/``), runs every case and writes one JSON line per case.  A fit case
+``src/``), runs every case and writes one JSON line per case.  A simulate
+case, ``simulate/<recipe>``, records a hash of each drawn column's bytes for
+every recipe the grid draws (and the ``cli-csv`` benchmark config).  A fit case
 records converged, iterations, message, logL, gradient norm,
 ``expected_zero_fraction``, the estimates and standard errors, and hashes of
 the estimate and covariance bytes.  A CLI case runs ``countreg.cli.main``
@@ -23,7 +26,7 @@ each JSON report.
   scale, the scale of the estimates they come from; the gradient norm, which
   is rounding noise at convergence, is not compared).  The ridge fits in raw
   units may move their iteration count;
-* changed: anything else.
+* changed: anything else, such as a simulate case with a differing hash.
 
 The last bits of a fit depend on the machine's numpy SIMD and libm, so the
 two records must come from one machine, and none is committed.  The grid's
@@ -155,8 +158,9 @@ def _cli_input(cr):
     )
 
 
-def fit_cases(cr):
-    """(name, spec, dataset) of every fit case, the datasets made lazily."""
+def fit_cases(cr, draw):
+    """(name, spec, dataset) of every fit case, the datasets made lazily by
+    ``draw(recipe, config)``."""
     w = _workloads()
     grouped = {
         "poisson": cr.ModelSpec("poisson", "y", ["g", "h"]),
@@ -164,20 +168,20 @@ def fit_cases(cr):
         "zinb": cr.ModelSpec("zinb", "y", ["g", "h"], ["g"]),
     }
     for seed in range(1, 13):
-        ds = cr.simulate(_grouped(cr, seed))
+        ds = draw(f"grouped/{seed}", _grouped(cr, seed))
         for family, spec in grouped.items():
             yield f"grouped/{seed}/{family}", spec, ds
     for seed in range(300, 306):
         spec = cr.ModelSpec("zinb", "y", ["x", "g"], ["x"])
-        yield f"zinb-rows/{seed}", spec, cr.simulate(w._zinb_config(cr, 20_000, seed))
-    preset = cr.simulate(cr.demo_preset())
+        yield f"zinb-rows/{seed}", spec, draw(f"zinb-rows/{seed}", w._zinb_config(cr, 20_000, seed))
+    preset = draw("paper-like", cr.demo_preset())
     for family in ("nb", "zinb"):
         yield f"paper-like/{family}", cr.ModelSpec(family, "y"), preset
-    paper = cr.simulate(_paper_shaped(cr))
+    paper = draw("paper-shaped", _paper_shaped(cr))
     for family in ("nb", "zinb"):
         yield f"paper-shaped/{family}", cr.ModelSpec(family, "y", ["district", "w", "x"]), paper
     for seed in range(81, 91):
-        ds = cr.simulate(_ridge(cr, seed))
+        ds = draw(f"ridge/{seed}", _ridge(cr, seed))
         spec = cr.ModelSpec("zinb", "y", ["g", "x"], ["g"])
         yield f"ridge/{seed}/unit", spec, ds
         raw = cr.Dataset(dict(ds.columns), ds.n_rows)
@@ -186,7 +190,7 @@ def fit_cases(cr):
         yield f"ridge/{seed}/raw", spec, raw
     for seed in range(1, 9):
         spec = cr.ModelSpec("nb", "y", ["x"])
-        yield f"heavy-tail/{seed}", spec, cr.simulate(_heavy_tail(cr, seed))
+        yield f"heavy-tail/{seed}", spec, draw(f"heavy-tail/{seed}", _heavy_tail(cr, seed))
 
 
 def cli_cases():
@@ -233,6 +237,12 @@ def cli_cases():
 
 # ---------------------------------------------------------------------------
 # record
+
+
+def record_simulated(recipe, ds) -> dict:
+    columns = {name: _sha(np.ascontiguousarray(col.values).tobytes())
+               for name, col in ds.columns.items()}
+    return {"case": f"simulate/{recipe}", "kind": "simulate", "columns": columns}
 
 
 def record_fit(cr, name, spec, ds) -> dict:
@@ -324,13 +334,19 @@ def record(args):
         def put(rec):
             sink.write(json.dumps(rec, sort_keys=True) + "\n")
 
-        for name, spec, ds in fit_cases(cr):
+        def draw(recipe, config, path=None):
+            ds = cr.simulate(config, path)
+            put(record_simulated(recipe, ds))
+            return ds
+
+        for name, spec, ds in fit_cases(cr, draw):
             put(record_fit(cr, name, spec, ds))
+        draw("cli-csv", _workloads()._csv_config(cr, 200_000, 300))
         here = os.getcwd()
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
-                cr.simulate(_cli_input(cr), "input.csv")
+                draw("cli-input", _cli_input(cr), "input.csv")
                 for name, argv, out in cli_cases():
                     put(record_cli(cr, name, argv, out))
             finally:
@@ -369,6 +385,10 @@ def classify(a: dict, b: dict) -> tuple[str, str]:
     """The class of one case recorded as ``a`` and then as ``b``, and why."""
     if a == b:
         return "bit-identical", ""
+    if a["kind"] == "simulate":
+        columns = a["columns"].keys() | b["columns"].keys()
+        moved = sorted(k for k in columns if a["columns"].get(k) != b["columns"].get(k))
+        return "changed", f"drawn columns {moved}"
     if a["kind"] == "cli":
         if a["exit"] != b["exit"] or a["stderr_sha"] != b["stderr_sha"]:
             return "changed", "exit code or stderr"
