@@ -18,9 +18,9 @@ parameters: the counts as float64, each row's index into the count table
 below, the rows past that table, the rows where y = 0, and log(y!) per row,
 which the Poisson, NB and ZINB log pmfs all subtract.  log(y!) is that
 table's L at tau = 1, sum_{j<y} log1p(j) = log(y!), with the series past K,
-which is Stirling's there; it is the one log(y!) of the package, with D
-and T written into one row that is dropped.  The fitter builds one
-``Counts`` per fit.
+which is Stirling's there; it is the one log(y!) of the package, and
+``Counts`` asks the table for L alone.  The fitter builds one ``Counts``
+per fit.
 
 A ``Counts`` also keeps the row buffers of its evaluations (`Counts.buffer`),
 made on first use and reused by every later call: the kernel's output block,
@@ -115,8 +115,7 @@ class Counts:
         self.k_all = np.arange(self.k.max(initial=0) + 1.0)
         self.zeros = np.flatnonzero(self.y == 0.0)
         self._buffers = {}
-        log_fact, dropped = np.empty(self.y.size), np.empty(self.y.size)  # D, then T
-        self.log_fact = _count_terms(self, 1.0, [log_fact, dropped, dropped])[0]
+        self.log_fact = _count_terms(self, 1.0, [np.empty(self.y.size)])[0]
 
     def buffer(self, name, shape, dtype=np.float64):
         """An uninitialized array of ``shape``, made on the first request for
@@ -128,8 +127,8 @@ class Counts:
 
 
 def _count_terms(counts, tau, out):
-    """Write L[y], D[y] and T[y] per row of ``counts`` into the three rows
-    ``out`` and return them; see above.
+    """Write L[y] per row of ``counts`` into ``out[0]`` and, when ``out``
+    holds three rows, D[y] and T[y] into the other two; see above.
 
     A row past the table adds to its entry at K the differences of the
     asymptotic series (`_series_tails`) between x0 = K + tau and x1 = y + tau.
@@ -150,8 +149,9 @@ def _count_terms(counts, tau, out):
         (g0, h0, q0), (g1, h1, q1) = _series_tails(r0), _series_tails(r1)
         c = math.log1p(_TABLE_MAX / tau) - 1.0
         out[0][big] = tables[0][-1] + ((yb + (tau - 0.5)) * lq + m * c - dr / 12 - (g1 - g0))
-        out[1][big] = tables[1][-1] + (lq + dr / 2 + h0 - h1)
-        out[2][big] = tables[2][-1] + (dr + q0 - q1)
+        if len(out) > 1:
+            out[1][big] = tables[1][-1] + (lq + dr / 2 + h0 - h1)
+            out[2][big] = tables[2][-1] + (dr + q0 - q1)
     return out
 
 

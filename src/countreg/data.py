@@ -200,10 +200,10 @@ def parse_schema(text: str) -> dict[str, str]:
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise SchemaError(f"schema entry {item!r} is not of the form name=kind")
-        name, kind = item.split("=", 1)
+        name, eq, kind = item.partition("=")
         name, kind = name.strip(), kind.strip()
+        if not eq or not name:
+            raise SchemaError(f"schema entry {item!r} is not of the form name=kind")
         if kind not in COLUMN_KINDS:
             raise SchemaError(f"unknown column kind {kind!r} for '{name}'")
         if name in schema:
@@ -427,9 +427,11 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
     other is read by `_csv_source`; both serve `BLOCK_ROWS` rows at a time,
     and each block is converted before the next is read.
     """
-    for kind in schema.values():
+    for name, kind in schema.items():
         if kind not in COLUMN_KINDS:
             raise SchemaError(f"unknown column kind {kind!r}")
+        if not name:
+            raise SchemaError(f"schema entry {'=' + kind!r} is not of the form name=kind")
     data = _utf8(path)
     stops = _line_stops(data)
     source = _csv_source(path, data) if stops is None else _split_source(data, stops)

@@ -81,6 +81,8 @@ _LEVEL_RULE = f"{_NAME_RULE}, and not a missing token {sorted(MISSING_TOKENS)}"
 def _validate(config: SimConfig):
     """Reject, as a ConfigurationError, a config that numpy's draws would
     fail on or whose CSV `load_csv` would not read back as simulated."""
+    if not isinstance(config.n_rows, numbers.Integral):
+        raise ConfigurationError(f"n_rows must be a positive integer, got {config.n_rows!r}")
     if config.n_rows < 1:
         raise ConfigurationError("n_rows must be positive")
     if not isinstance(config.seed, numbers.Integral) or config.seed < 0:

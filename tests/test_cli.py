@@ -603,6 +603,19 @@ class TestErrors:
         assert out == ""
         assert err.splitlines()[-1] == "error: schema entry 'g' is not of the form name=kind"
 
+    def test_schema_entry_without_a_name(self, tmp_path, capsys):
+        # a trailing comma in the header makes an empty cell, which no entry names
+        path = tmp_path / "trailing.csv"
+        path.write_text("y,\n1,0.5\n0,\n")
+        argv = ["fit", "--input", str(path), "--schema", "y=count,=numeric",
+                "--response", "y", "--family", "poisson"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: schema entry '=numeric' is not of the form name=kind"
+        ]
+
     @pytest.mark.parametrize(
         "option, family", [("--covariates", "nb"), ("--zero-covariates", "zinb")]
     )

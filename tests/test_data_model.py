@@ -64,6 +64,11 @@ class TestParseSchema:
         with pytest.raises(SchemaError, match="column 'y' is declared twice"):
             parse_schema("y=count,y=numeric")
 
+    def test_entry_without_a_name(self):
+        # no header cell reads back as the empty name
+        with pytest.raises(SchemaError, match="schema entry '=numeric' is not of the form"):
+            parse_schema("y=count,=numeric")
+
 
 ONE_COLUMN = {"y": "count"}
 # name: (file text, schema, error text or None to match the row loop)
@@ -86,6 +91,12 @@ EDGE_CASES = {
         "y,grp,age\nx,a,1.5\n3,b," + "9" * 200_000 + "\n",
         SCHEMA,
         "{path}, line 3: field larger than field limit (131072)",
+    ),
+    # a trailing comma makes an empty header cell, which is no column's name
+    "declared-empty-name": (
+        "y,\n0,1.5\n1,\n",
+        {"y": "count", "": "numeric"},
+        "schema entry '=numeric' is not of the form name=kind",
     ),
 }
 

@@ -1,16 +1,20 @@
 """Backend kernels: numpy/numba agreement, scores vs finite differences."""
 
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import digamma, expit, gammaln
 
-from countreg import _kernels
+import countreg
+from countreg import _kernels, simulate
 from countreg.distributions import NbParams, nb_log_pmf
 
 import _oracles
@@ -27,6 +31,15 @@ def _random_grid(seed, n=64):
 
 LARGE_TAUS = (1e8, 1e12, 1e15)  # near the Poisson limit, where lgamma differences cancel
 K = _kernels._TABLE_MAX  # the count table's last entry, the anchor of the series past it
+
+
+def _same_numbers():
+    """`tools/same_numbers.py`, for its recipes."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_numbers.py"
+    spec = importlib.util.spec_from_file_location("same_numbers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _numpy_kernels():
@@ -156,6 +169,32 @@ class TestNumpyKernels:
         full = np.full((4, y.size), np.nan)
         _kernels._count_terms(_kernels.Counts(y), tau, full[:3])
         assert np.isfinite(full[:3]).all() and np.isnan(full[3]).all()
+
+    @pytest.mark.parametrize("recipe", ["below-the-table", "heavy-tail"])
+    def test_one_row_is_the_first_of_three(self, recipe):
+        # L alone, as `Counts` asks for it, is bit for bit the L of the full call
+        if recipe == "heavy-tail":
+            y = simulate(_same_numbers()._heavy_tail(countreg, 1)).response_vector("y")
+            assert (y > K).any()
+        else:
+            y = _random_grid(22, n=500)[0]
+        counts = _kernels.Counts(y)
+        for tau in (1.0, 0.5, 1e8):
+            one = _kernels._count_terms(counts, tau, [np.empty(y.size)])
+            three = _kernels._count_terms(counts, tau, np.empty((3, y.size)))
+            assert len(one) == 1 and one[0].tobytes() == three[0].tobytes()
+
+    def test_counts_build_log_factorial_alone(self):
+        # y as float64, k, log(y!) and the y = 0 indices: no D or T row is made
+        n = 200_000
+        y = np.random.default_rng(5).poisson(1.0, n).astype(np.float64)
+        tracemalloc.start()
+        try:
+            _kernels.Counts(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n
 
     def test_digamma_and_trigamma_diffs_on_a_random_grid(self):
         # D and T to a few units of the last place at every tau and count:

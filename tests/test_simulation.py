@@ -256,6 +256,9 @@ class TestValidation:
             # a coefficient on a level that no row draws touches no row's predictor
             {"probabilities": (1.0, 0.0), "coefficient": math.nan},
             {"probabilities": (1.0, 0.0), "coefficient": -math.inf},
+            {"n_rows": 10.5},
+            {"n_rows": 10.0},
+            {"n_rows": "100"},
         ],
         ids=[
             "negative-seed",
@@ -265,11 +268,14 @@ class TestValidation:
             "infinite-tau",
             "nan-coefficient-on-undrawn-level",
             "infinite-coefficient-on-undrawn-level",
+            "fractional-n-rows",
+            "float-n-rows",
+            "string-n-rows",
         ],
     )
     def test_values_numpy_cannot_draw_from(self, change):
         config = SimConfig(
-            n_rows=100,
+            n_rows=change.get("n_rows", 100),
             family="nb",
             covariates=[
                 _categorical(probabilities=change.get("probabilities", (0.6, 0.4))),
