@@ -26,8 +26,9 @@ A ``Counts`` also keeps the row buffers of its evaluations (`Counts.buffer`),
 made on first use and reused by every later call: the kernel's output block,
 the numpy kernels' work rows, and the fitter's predictors and weighted
 designs.  Every n-sized intermediate is written into them with ``out=``, so
-an evaluation allocates no row-sized array.  A kernel's result is its block
-itself, which the next call on the same ``Counts`` overwrites.
+an evaluation allocates no row-sized array but the series' temporaries past
+the count table below (the size of the rows it misses).  A kernel's result
+is its block itself, which the next call on the same ``Counts`` overwrites.
 
 Every other count-only term comes from one table per call over
 k = 0..min(max y, K), gathered at y into the output block before either
@@ -146,12 +147,12 @@ def _count_terms(counts, tau, out):
         m, r0, r1 = yb - _TABLE_MAX, 1.0 / (_TABLE_MAX + tau), 1.0 / (yb + tau)
         dr = m * r0 * r1  # r0 - r1
         lq = np.log1p(m * r0)  # log((y + tau) / (K + tau))
-        (g0, h0, q0), (g1, h1, q1) = _series_tails(r0), _series_tails(r1)
-        c = math.log1p(_TABLE_MAX / tau) - 1.0
-        out[0][big] = tables[0][-1] + ((yb + (tau - 0.5)) * lq + m * c - dr / 12 - (g1 - g0))
-        if len(out) > 1:
-            out[1][big] = tables[1][-1] + (lq + dr / 2 + h0 - h1)
-            out[2][big] = tables[2][-1] + (dr + q0 - q1)
+        tails0, tails1 = _series_tails(r0), _series_tails(r1)
+        c, g = math.log1p(_TABLE_MAX / tau) - 1.0, next(tails1) - next(tails0)
+        out[0][big] = tables[0][-1] + ((yb + (tau - 0.5)) * lq + m * c - dr / 12 - g)
+        if len(out) > 1:  # h, then q
+            out[1][big] = tables[1][-1] + (lq + dr / 2 + next(tails0) - next(tails1))
+            out[2][big] = tables[2][-1] + (dr + next(tails0) - next(tails1))
     return out
 
 
@@ -166,14 +167,13 @@ def _prefix_sums(terms):
 
 
 def _series_tails(r):
-    """(g, h, q) at r = 1/x in the asymptotic series (Abramowitz & Stegun 6.1.41,
-    6.3.18, 6.4.12) psi(x) = log x - r/2 - h, psi'(x) = r + q and
-    lgamma(x) = (x - 1/2) log x - x + log(2 pi)/2 + r/12 - g."""
+    """Yield g, h and q at r = 1/x, each when it is asked for, of the asymptotic series
+    (Abramowitz & Stegun 6.1.41, 6.3.18, 6.4.12) psi(x) = log x - r/2 - h, psi'(x) = r + q
+    and lgamma(x) = (x - 1/2) log x - x + log(2 pi)/2 + r/12 - g."""
     r2 = r * r
-    g = r * r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))
-    h = r2 * (1 / 12 - r2 * (1 / 120 - r2 / 252))
-    q = r2 * (0.5 + r * (1 / 6 - r2 * (1 / 30 - r2 * (1 / 42 - r2 / 30))))
-    return g, h, q
+    yield r * r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))
+    yield r2 * (1 / 12 - r2 * (1 / 120 - r2 / 252))
+    yield r2 * (0.5 + r * (1 / 6 - r2 * (1 / 30 - r2 * (1 / 42 - r2 / 30))))
 
 
 # ---------------------------------------------------------------------------

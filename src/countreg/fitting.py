@@ -29,12 +29,14 @@ numpy reductions, does not depend on the BLAS thread count, so repeated
 fits on identical input are bit-identical.  The public `log_likelihood` and
 `gradient` contract a DesignMatrix the same way, its columns as columns.
 
-One evaluation allocates no row-sized array.  The predictors, the mean and
-the zero probability, the kernel's output block and one scratch row per
-column term (for a column times a row of second derivatives) are buffers
-kept on the fit's ``_kernels.Counts``, made by the first evaluation and
-overwritten by each later one; pattern weights multiply the output block in
-place, and the P(y = 0) pass after the ascent writes into them too.
+One evaluation allocates no row-sized array but the temporaries of the
+series for counts past the kernels' table (`_kernels`), which are the size
+of those rows.  The predictors, the mean and the zero probability, the
+kernel's output block and one scratch row per column term (for a column
+times a row of second derivatives) are buffers kept on the fit's
+``_kernels.Counts``, made by the first evaluation and overwritten by each
+later one; pattern weights multiply the output block in place, and the
+P(y = 0) pass after the ascent writes into them too.
 """
 
 import math
@@ -238,41 +240,35 @@ def _joint(a: _Term, b: _Term, h: np.ndarray) -> np.ndarray:
 def _hessian_block(A, B, h, out, counts, upper: bool):
     """Write A' diag(h) B of the terms ``A`` and ``B`` into ``out``, term
     pair by term pair; where ``upper`` (B is A), only its upper triangle.
-    Each term's contraction with ``h`` and each column times ``h`` (in a
-    buffer kept on ``counts``) is made once."""
-    dots, weighted = {}, {}
 
-    def dot(term):
-        if term not in dots:
-            dots[term] = _dot(term, h)
-        return dots[term]
-
-    def times_h(term):
-        if term not in weighted:
-            buffer = counts.buffer(("scratch", len(weighted)), h.shape)
-            weighted[term] = np.multiply(h, term.values, out=buffer)
-        return weighted[term]
-
+    Two tables come first: each term's `_dot` with ``h``, which gives the
+    intercept pairs and a factor's own diagonal, and each column term's
+    weighted row h * values, in a buffer kept on ``counts``.  Two different
+    factors then meet by `_joint`, and a pair with a column term by `_dot`
+    of the other term with that column's weighted row."""
+    dots = {term: _dot(term, h) for term in dict.fromkeys([*A, *B])}
+    columns = [term for term in dots if term.kind == "column"]
+    weighted = {
+        term: np.multiply(h, term.values, out=counts.buffer(("scratch", i), h.shape))
+        for i, term in enumerate(columns)
+    }
     spans_a = _spans([len(term.labels) for term in A])
     spans_b = _spans([len(term.labels) for term in B])
     for i, (a, ra) in enumerate(zip(A, spans_a)):
         for b, rb in list(zip(B, spans_b))[i if upper else 0 :]:
             sub = out[ra, rb]
             if a.kind == "intercept":
-                sub[:] = dot(b)
+                sub[:] = dots[b]
             elif b.kind == "intercept":
-                sub[:] = dot(a)[:, None]
-            elif a.kind == b.kind == "factor":
-                if a is b:
-                    np.fill_diagonal(sub, dot(a))
-                else:
-                    sub[:] = _joint(a, b, h)
-            elif a.kind == "factor":
-                sub[:] = np.bincount(a.values, times_h(b), a.levels)[a.keep, None]
-            elif b.kind == "factor":
-                sub[:] = np.bincount(b.values, times_h(a), b.levels)[b.keep]
+                sub[:] = dots[a][:, None]
+            elif a in weighted:
+                sub[:] = _dot(b, weighted[a])
+            elif b in weighted:
+                sub[:] = _dot(a, weighted[b])[:, None]
+            elif a is b:
+                np.fill_diagonal(sub, dots[a])
             else:
-                sub[:] = np.einsum("n,n->", times_h(a), b.values)
+                sub[:] = _joint(a, b, h)
 
 
 def _loglik_score(

@@ -81,7 +81,7 @@ _LEVEL_RULE = f"{_NAME_RULE}, and not a missing token {sorted(MISSING_TOKENS)}"
 def _validate(config: SimConfig):
     """Reject, as a ConfigurationError, a config that numpy's draws would
     fail on or whose CSV `load_csv` would not read back as simulated."""
-    if not isinstance(config.n_rows, numbers.Integral):
+    if not isinstance(config.n_rows, numbers.Integral) or isinstance(config.n_rows, bool):
         raise ConfigurationError(f"n_rows must be a positive integer, got {config.n_rows!r}")
     if config.n_rows < 1:
         raise ConfigurationError("n_rows must be positive")

@@ -509,23 +509,29 @@ class TestTermContraction:
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize(
-        "covariates,refs",
+        "covariates,refs,zero",
         [
-            (["g"], {}),  # a factor with itself
-            (["g", "h"], {}),  # two factors
-            (["g", "x"], {}),  # a factor and a column
-            (["x", "z"], {}),  # two columns
-            (["g", "h", "x"], {"g": "g02", "h": "h1"}),  # reference overrides
-            (["u", "x"], {}),  # level r never occurs: its column is zero
+            (["g"], {}, None),  # a factor with itself
+            (["g", "h"], {}, None),  # two factors
+            (["g", "x"], {}, None),  # a factor and a column
+            (["x", "z"], {}, None),  # two columns
+            (["g", "h", "x"], {"g": "g02", "h": "h1"}, None),  # reference overrides
+            (["u", "x"], {}, None),  # level r never occurs: its column is zero
+            # the count-zero block meets only the zero part's intercept
+            (["g", "h", "x"], {}, []),
         ],
-        ids=["factor", "two-factors", "factor-column", "two-columns", "ref", "unused-level"],
+        ids=[
+            "factor", "two-factors", "factor-column", "two-columns", "ref", "unused-level",
+            "intercept-only-zero",
+        ],
     )
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
-    def test_matches_the_dense_contraction(self, family, covariates, refs, weighted):
+    def test_matches_the_dense_contraction(self, family, covariates, refs, zero, weighted):
         ds = _factor_sim(n=600, seed=31, g_levels=4)
-        # the zero part takes the count part's covariates in reverse order,
-        # so a factor meets itself and the other factor across the parts
-        zero = covariates[::-1] if family == "zinb" else []
+        # unless given, the zero part takes the count part's covariates in
+        # reverse order, so a factor meets itself and the other factor
+        # across the parts
+        zero = (covariates[::-1] if zero is None else zero) if family == "zinb" else []
         spec = ModelSpec(family, "y", covariates, zero, refs)
         made = {}
         X = design_terms(ds, covariates, refs, made)

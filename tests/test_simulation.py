@@ -259,6 +259,7 @@ class TestValidation:
             {"n_rows": 10.5},
             {"n_rows": 10.0},
             {"n_rows": "100"},
+            {"n_rows": True},  # a bool is a numbers.Integral
         ],
         ids=[
             "negative-seed",
@@ -271,6 +272,7 @@ class TestValidation:
             "fractional-n-rows",
             "float-n-rows",
             "string-n-rows",
+            "bool-n-rows",
         ],
     )
     def test_values_numpy_cannot_draw_from(self, change):
