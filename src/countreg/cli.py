@@ -125,8 +125,10 @@ def _parse_refs(pairs: list[str]) -> dict[str, str]:
     for pair in pairs:
         if "=" not in pair:
             raise ConfigurationError(f"--ref expects COL=LEVEL, got '{pair}'")
-        col, level = pair.split("=", 1)
-        refs[col.strip()] = level.strip()
+        col, level = (part.strip() for part in pair.split("=", 1))
+        if col in refs:
+            raise ConfigurationError(f"--ref names column '{col}' twice")
+        refs[col] = level
     return refs
 
 

@@ -174,13 +174,17 @@ class ModelSpec:
         if self.zero_covariates and self.family != "zinb":
             raise SchemaError("zero-part covariates are only valid for the zinb family")
         for part, names in (("count", self.count_covariates), ("zero", self.zero_covariates)):
-            if self.response in names:
-                raise SchemaError(
-                    f"the response '{self.response}' cannot be a covariate of the {part} part"
-                )
-            repeated = next((name for name in names if names.count(name) > 1), None)
-            if repeated is not None:
-                raise SchemaError(f"covariate '{repeated}' is listed twice in the {part} part")
+            check_covariates(names, self.response, f"the {part} part")
+
+
+def check_covariates(names: list[str], response: str, where: str):
+    """Reject the response listed among the covariate ``names``, or a name
+    listed twice; ``where`` names the list in the SchemaError."""
+    if response in names:
+        raise SchemaError(f"the response '{response}' cannot be a covariate of {where}")
+    repeated = next((name for name in names if names.count(name) > 1), None)
+    if repeated is not None:
+        raise SchemaError(f"covariate '{repeated}' is listed twice in {where}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Column, Dataset, distinct_codes
+from .data import Column, Dataset, check_covariates, distinct_codes
 from .errors import DegenerateTableError, InsufficientDataError, SchemaError
 from .report import stars_for_p
 
@@ -104,7 +104,10 @@ def chi_square_independence(ds: Dataset, covariate: str, response: str) -> Conti
 
 
 def screen(ds: Dataset, covariates: list[str], response: str) -> dict:
-    """Run the independence test per covariate; results keyed by name."""
+    """Run the independence test per covariate; results keyed by name.  The
+    response listed as a covariate, or a covariate listed twice, is a
+    SchemaError, as in a `ModelSpec`."""
+    check_covariates(covariates, response, "the screen")
     return {name: chi_square_independence(ds, name, response) for name in covariates}
 
 

@@ -283,18 +283,16 @@ def _loglik_score(
     """Log-likelihood and its analytic gradient and Hessian, from one pass
     over the rows.
 
-    ``X`` and ``Z`` are the parts' designs, as terms or DesignMatrix.  Row
-    ``i`` counts ``w[i]`` times: the number of observations that share its
-    (y, x, z) pattern, or, where ``w`` is the scalar 1.0, which multiplies
-    nothing, once; an error names its first data row, ``first[i]``
-    (`_predictor`).  Gradient layout matches the family: [beta] for
-    poisson, [beta, log_tau] for nb, [beta, gamma, log_tau] for zinb.  The
-    row derivatives in eta and logit(p) meet the parts' terms, and those in
-    tau the scalar tau; the log-tau chain term, tau * dl/dtau, joins the
-    last diagonal entry.  The Hessian's upper triangle is filled block by
-    block and mirrored.
+    ``X`` and ``Z`` are the parts' designs, as terms.  Row ``i`` counts
+    ``w[i]`` times: the number of observations that share its (y, x, z)
+    pattern, or, where ``w`` is the scalar 1.0, which multiplies nothing,
+    once; an error names its first data row, ``first[i]`` (`_predictor`).
+    Gradient layout matches the family: [beta] for poisson, [beta, log_tau]
+    for nb, [beta, gamma, log_tau] for zinb.  The row derivatives in eta
+    and logit(p) meet the parts' terms, and those in tau the scalar tau;
+    the log-tau chain term, tau * dl/dtau, joins the last diagonal entry.
+    The Hessian's upper triangle is filled block by block and mirrored.
     """
-    X, Z = _as_terms(X), _as_terms(Z)
     block = _row_terms(spec, X, Z, counts, params, first)
     if isinstance(w, np.ndarray):
         block *= w
@@ -330,18 +328,18 @@ def log_likelihood(spec, X, Z, y, params) -> float:
 
 def gradient(spec, X, Z, y, params) -> np.ndarray:
     """Analytic gradient of the log-likelihood, laid out as in `_loglik_score`."""
-    return _loglik_score(spec, X, Z, _kernels.Counts(y), params)[1]
+    return _loglik_score(spec, _as_terms(X), _as_terms(Z), _kernels.Counts(y), params)[1]
 
 
 def _zero_probabilities(family, X, Z, counts, params) -> np.ndarray:
-    """P(y = 0) per row of the designs (terms or DesignMatrix) at
-    ``params``, in closed form and in the buffers kept on ``counts``:
-    exp(-lam) for poisson, P_NB(0) = exp(-tau log1p(lam / tau)), the NB
-    kernel's y = 0 row, for nb, and p + (1 - p) P_NB(0) for zinb.  The
-    result is the ``lam`` buffer, which the next evaluation overwrites."""
+    """P(y = 0) per row of the designs' terms at ``params``, in closed form
+    and in the buffers kept on ``counts``: exp(-lam) for poisson, P_NB(0) =
+    exp(-tau log1p(lam / tau)), the NB kernel's y = 0 row, for nb, and
+    p + (1 - p) P_NB(0) for zinb.  The result is the ``lam`` buffer, which
+    the next evaluation overwrites."""
     n = counts.y.size
     lam, scratch = counts.buffer("lam", (n,)), counts.buffer(("scratch", 0), (n,))
-    np.exp(_predictor("count", _as_terms(X), params.beta, lam, scratch, ETA_MAX), out=lam)
+    np.exp(_predictor("count", X, params.beta, lam, scratch, ETA_MAX), out=lam)
     if family == "poisson":
         return np.exp(np.negative(lam, out=lam), out=lam)
     tau = params.tau
@@ -351,7 +349,7 @@ def _zero_probabilities(family, X, Z, counts, params) -> np.ndarray:
         return p0
     from scipy.special import expit
 
-    p = _predictor("zero", _as_terms(Z), params.gamma, counts.buffer("p", (n,)), scratch, math.inf)
+    p = _predictor("zero", Z, params.gamma, counts.buffer("p", (n,)), scratch, math.inf)
     expit(p, out=p)
     p0 *= np.subtract(1.0, p, out=scratch)
     p0 += p
@@ -483,36 +481,36 @@ class _Problem:
     def free_labels(self) -> list[str]:
         return [lab for lab, free in zip(self.labels, self.mask) if free]
 
-    def objective(self, theta):
-        """Log-likelihood, free gradient and free Hessian, or -inf (with
-        zeros) where any of them is not finite or cannot be evaluated.  Such
-        a point records why in ``failure``, worded for the start point, the
-        one `fit` raises it for: the evaluation's own CountregError, or an
-        EvaluationError naming a non-finite log-likelihood, or else the first
-        free parameter whose score or Hessian row is not finite."""
+    def evaluate(self, theta):
+        """Log-likelihood, free gradient and free Hessian at ``theta``.
+        Where they cannot be had it raises why, worded for the start point,
+        which `fit` evaluates here: the evaluation's own CountregError, or an
+        EvaluationError naming a non-finite log-likelihood, or else the
+        first free parameter whose score or Hessian row is not finite."""
         free = self.mask
-        try:
-            # a trial point far out (tau or lam near overflow, p -> 1) may
-            # produce inf or nan; such a point is inadmissible
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                ll, grad, hess = _loglik_score(
-                    self.spec, self.X, self.Z, self.counts, self.to_params(theta), self.w,
-                    self.first,
-                )
-        except CountregError as exc:
-            self.failure = exc
-        else:
-            grad, hess = grad[free], hess[np.ix_(free, free)]
-            if math.isfinite(ll) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess)):
-                return ll, grad, hess
-            bad = ~np.isfinite(grad) | ~np.isfinite(hess).all(axis=1)
-            self.failure = EvaluationError(
-                f"log-likelihood is {ll} at the starting point" if not math.isfinite(ll) else
-                "score or Hessian is not finite at the starting point "
-                f"(parameter '{self.free_labels()[np.argmax(bad)]}')"
+        # a point far out (tau or lam near overflow, p -> 1) may produce inf
+        # or nan, which the check below reports rather than numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ll, grad, hess = _loglik_score(
+                self.spec, self.X, self.Z, self.counts, self.to_params(theta), self.w, self.first
             )
-        k = int(free.sum())
-        return -math.inf, np.zeros(k), np.zeros((k, k))
+        grad, hess = grad[free], hess[np.ix_(free, free)]
+        if math.isfinite(ll) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess)):
+            return ll, grad, hess
+        bad = ~np.isfinite(grad) | ~np.isfinite(hess).all(axis=1)
+        raise EvaluationError(
+            f"log-likelihood is {ll} at the starting point" if not math.isfinite(ll) else
+            "score or Hessian is not finite at the starting point "
+            f"(parameter '{self.free_labels()[np.argmax(bad)]}')"
+        )
+
+    def objective(self, theta):
+        """`evaluate` for the line search: -inf, with zeros, where it raises."""
+        try:
+            return self.evaluate(theta)
+        except CountregError:
+            k = int(self.mask.sum())
+            return -math.inf, np.zeros(k), np.zeros((k, k))
 
     def start(self) -> np.ndarray:
         """Free vector of the single start point, shared by every family.
@@ -543,8 +541,9 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
     ``size * eps`` times its largest (numpy's ``matrix_rank`` tolerance),
     the estimates are still returned with the covariance flagged
     unavailable.  A design column that is zero in every row raises
-    `DegenerateCovariateError` before fitting, and a start point that
-    cannot be evaluated raises the error the objective recorded there.
+    `DegenerateCovariateError` before fitting.  The start point is
+    evaluated once, before the ascent, and one that cannot be evaluated
+    raises its own error there (`_Problem.evaluate`).
     """
     options = options or FitOptions()
     problem = _Problem(spec, ds, options)
@@ -569,10 +568,8 @@ def fit(spec: ModelSpec, ds: Dataset, options: FitOptions | None = None) -> FitR
             f"response '{spec.response}' has no positive counts; its mean cannot be estimated"
         )
 
-    try:
-        res = maximize_newton(problem.objective, problem.start())
-    except ValueError:  # the start is inadmissible, and the objective kept why
-        raise problem.failure from None
+    x0 = problem.start()
+    res = maximize_newton(problem.objective, x0, problem.evaluate(x0))
     estimates = problem.to_params(res.x)
 
     covariance = covariance_error = None

@@ -5,9 +5,10 @@ optimizers expose: convergence is declared only when the gradient inf-norm
 falls below ``GRAD_TOL`` AND the relative objective change over the last
 accepted step falls below ``REL_TOL``, within ``MAX_ITER`` iterations; the
 paper fixes all three.  The objective at the start and after every accepted
-step is recorded, so callers can check the ascent.  Objective evaluations
-that return a non-finite value are treated as "step too far" by the line
-search.
+step is recorded, so callers can check the ascent.  The caller evaluates
+the start point and passes that evaluation in; an admissible start is its
+precondition.  Trial points whose objective is not finite are treated as
+"step too far" by the line search.
 
 Each step solves with -H scaled to a unit diagonal, whatever the columns'
 units, through one eigendecomposition whose eigenvalues are replaced by
@@ -52,11 +53,13 @@ def equilibrated_eigh(A):
     return s, w, V
 
 
-def maximize_newton(objective, x0):
-    """Maximize by modified-Newton steps on the exact Hessian.
+def maximize_newton(objective, x0, start):
+    """Maximize by modified-Newton steps on the exact Hessian, from ``x0``.
 
     ``objective(x)`` returns the objective, its gradient and its Hessian; an
-    objective of ``-inf`` marks an inadmissible point.  Converged means:
+    objective of ``-inf`` marks an inadmissible point.  ``start`` is that
+    triple at ``x0``, evaluated by the caller, who has checked that it is
+    finite: the ascent neither evaluates nor checks ``x0``.  Converged means:
     gradient inf-norm below ``GRAD_TOL`` and the last accepted step changed
     the objective by less than ``REL_TOL`` relative.  ``path`` holds the
     objective at the start and after each accepted step, ``n_iter + 1``
@@ -65,9 +68,7 @@ def maximize_newton(objective, x0):
     gain may lower f within it.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g, H = objective(x)
-    if not np.isfinite(f):
-        raise ValueError("objective is not finite at the starting point")
+    f, g, H = start
     path = [f]
     converged = bool(np.max(np.abs(g)) < GRAD_TOL) if x.size else True
     message = "gradient below tolerance at start" if converged else ""

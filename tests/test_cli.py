@@ -415,6 +415,21 @@ class TestScreen:
             "is categorical or count"
         ]
 
+    @pytest.mark.parametrize(
+        "covariates,message",
+        [
+            ("grp,grp", "covariate 'grp' is listed twice in the screen"),
+            ("grp,y", "the response 'y' cannot be a covariate of the screen"),
+        ],
+    )
+    def test_covariate_list_is_checked(self, data_csv, capsys, covariates, message):
+        argv = ["screen", "--input", str(data_csv), "--schema", SCHEMA, "--response", "y",
+                "--covariates", covariates]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: {message}"
+
 
 class TestDiagnose:
     def test_json_with_fitted_family(self, data_csv):
@@ -566,6 +581,14 @@ class TestErrors:
         )
         assert res.returncode == 1
         assert "COL=LEVEL" in res.stderr
+
+    def test_ref_naming_a_column_twice(self, data_csv, capsys):
+        argv = ["fit", "--input", str(data_csv), "--schema", SCHEMA, "--response", "y",
+                "--covariates", "grp", "--family", "nb", "--ref", "grp=a", "--ref", "grp = b"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "error: --ref names column 'grp' twice"
 
     @pytest.mark.parametrize("command", ["fit", "screen", "diagnose", "compare"])
     def test_missing_response(self, data_csv, capsys, command):
@@ -810,6 +833,24 @@ class TestUnfittableInput:
         assert res.stderr.splitlines()[-1].startswith("error: ")
         assert "g=c" in res.stderr
         assert res.stdout == ""
+
+    @pytest.mark.parametrize(
+        "text,schema,column",
+        [
+            ("y,g\n1,a\n2,b\n0,a\nNA,c\n3,b\n1,a\n4,b\n", "y=count,g=categorical", "g=c"),
+            ("y,x\n1,0\n2,0.0\n0,-0\n3,0\n1,0\n", "y=count,x=numeric", "x"),
+        ],
+        ids=["level-only-in-a-dropped-row", "all-zero-numeric"],
+    )
+    def test_design_column_zero_in_every_row(self, tmp_path, capsys, text, schema, column):
+        path = tmp_path / "dead.csv"
+        path.write_text(text)
+        argv = ["fit", "--input", str(path), "--schema", schema, "--response", "y",
+                "--covariates", column.split("=")[0], "--family", "nb"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: design column(s) {column} are zero in every row"
 
     @pytest.fixture
     def all_zero_csv(self, tmp_path):

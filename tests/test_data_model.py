@@ -210,6 +210,11 @@ class TestLoadCsv:
         assert ds.column("y_n").values.tolist() == [1, 2]
         assert ds.column("age").values.tolist() == [1.5, 2.0]
 
+    def test_dict_schema_with_an_unknown_kind(self, tmp_path):
+        path = _write(tmp_path, "y,grp,age\n0,a,1.5\n")
+        with pytest.raises(SchemaError, match="unknown column kind 'integer'"):
+            load_csv(path, {"y": "integer", "grp": "categorical"})
+
     def test_undeclared_columns_ignored(self, tmp_path):
         path = _write(tmp_path, "y,extra,grp,age\n0,junk,a,1.5\n")
         ds = load_csv(path, SCHEMA)
@@ -303,6 +308,24 @@ class TestDataset:
     def test_categorical_code_out_of_range(self):
         with pytest.raises(SchemaError):
             Column("grp", "categorical", np.array([0, 2]), levels=("a", "b"))
+
+    @pytest.mark.parametrize(
+        "kind,values,levels,message",
+        [
+            ("ordinal", [0, 1], None, "unknown column kind 'ordinal' for 'c'"),
+            ("categorical", [0, 1], None, "categorical column 'c' needs a vocabulary"),
+            ("count", [0, -1], None, "count column 'c' has negative values"),
+        ],
+        ids=["unknown-kind", "no-vocabulary", "negative-count"],
+    )
+    def test_invalid_column_rejected(self, kind, values, levels, message):
+        with pytest.raises(SchemaError) as err:
+            Column("c", kind, np.array(values), levels=levels)
+        assert str(err.value) == message
+
+    def test_labels_need_a_categorical_column(self):
+        with pytest.raises(SchemaError, match="column 'x' is not categorical"):
+            Column("x", "numeric", np.array([0.5, 1.5])).labels()
 
     def test_labels_decode(self):
         col = Column("grp", "categorical", np.array([1, 0, 1]), levels=("a", "b"))

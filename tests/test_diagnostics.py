@@ -180,6 +180,19 @@ class TestChiSquareIndependence:
         assert set(out) == {"grp"}
         assert out["grp"].chi2 == pytest.approx(20.0 / 3.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "covariates,message",
+        [
+            (["grp", "grp"], "covariate 'grp' is listed twice in the screen"),
+            (["y"], "the response 'y' cannot be a covariate of the screen"),
+        ],
+    )
+    def test_screen_checks_its_covariate_list(self, covariates, message):
+        ds = _table_dataset([[20, 10], [10, 20]])
+        with pytest.raises(SchemaError) as err:
+            screen(ds, covariates, "y")
+        assert str(err.value) == message
+
 
 class TestDispersionSummary:
     def test_repeating_triple(self):

@@ -116,6 +116,11 @@ class TestPoissonLogPmf:
             math.log(_oracles.poisson_pmf(y, lam)), abs=1e-11
         )
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_an_invalid_mean(self, lam):
+        with pytest.raises(ParameterDomainError, match="mean must be finite and positive"):
+            poisson_log_pmf(1, lam)
+
 
 class TestMoments:
     def test_nb_direct_substitution(self):
@@ -216,6 +221,27 @@ class TestSamplers:
         c = sample_zinb(ZinbParams(NbParams(1.5, 0.8), 0.4), 1000, seed=9)
         d = sample_zinb(ZinbParams(NbParams(1.5, 0.8), 0.4), 1000, seed=9)
         assert np.array_equal(c, d)
+
+    @pytest.mark.parametrize(
+        "draw,message",
+        [
+            (lambda: sample_poisson(2.0, 0, seed=1), "sample size must be at least 1, got 0"),
+            (lambda: sample_poisson(0.0, 10, seed=1), "mean must be finite and positive, got 0.0"),
+            (
+                lambda: sample_poisson(math.nan, 10, seed=1),
+                "mean must be finite and positive, got nan",
+            ),
+            (lambda: sample_nb(NbParams(1.0, 1.0), 0, seed=1), "sample size must be at least 1"),
+            (
+                lambda: sample_zinb(ZinbParams(NbParams(1.0, 1.0), 0.2), -3, seed=1),
+                "sample size must be at least 1, got -3",
+            ),
+        ],
+        ids=["poisson-n", "poisson-zero-mean", "poisson-nan-mean", "nb-n", "zinb-n"],
+    )
+    def test_samplers_reject_invalid_arguments(self, draw, message):
+        with pytest.raises(ParameterDomainError, match=message):
+            draw()
 
     def test_poisson_sampler_mean(self):
         draws = sample_poisson(2.0, 100_000, seed=107)

@@ -424,8 +424,9 @@ class TestFusedObjective:
             return None if D is None else DesignMatrix(np.ascontiguousarray(D.values), D.labels)
 
         assert X.values.flags.f_contiguous and not c_order(X).values.flags.f_contiguous
-        want = fitting._loglik_score(spec, X, Z, counts, params, w)
-        got = fitting._loglik_score(spec, c_order(X), c_order(Z), counts, params, w)
+        terms = fitting._as_terms
+        want = fitting._loglik_score(spec, terms(X), terms(Z), counts, params, w)
+        got = fitting._loglik_score(spec, terms(c_order(X)), terms(c_order(Z)), counts, params, w)
         assert got[0] == pytest.approx(want[0], rel=1e-13)
         for g, v in zip(got[1:], want[1:]):
             np.testing.assert_allclose(g, v, rtol=1e-13, atol=1e-13 * np.max(np.abs(v)))
@@ -554,6 +555,7 @@ class TestTermContraction:
             assert g.shape == v.shape
             assert np.max(np.abs(g - v)) <= 1e-12 * np.max(np.abs(v))
         # the DesignMatrix's columns, contracted as columns, agree too
+        dense_X, dense_Z = fitting._as_terms(dense_X), fitting._as_terms(dense_Z)
         got = fitting._loglik_score(spec, dense_X, dense_Z, _kernels.Counts(counts.y), params, w)
         for g, v in zip(got[1:], want):
             assert np.max(np.abs(g - v)) <= 1e-12 * np.max(np.abs(v))
@@ -653,8 +655,10 @@ class TestFits:
         # eta up to ETA_MAX, p from ~1e-304 to 1 - 2e-16
         eta = np.linspace(-30.0, fitting.ETA_MAX - 0.5, 61)
         s = np.linspace(-700.0, 36.0, 61)
-        X = DesignMatrix(np.column_stack([np.ones(61), eta]), ["(intercept)", "eta"])
-        Z = DesignMatrix(np.column_stack([np.ones(61), s]), ["(intercept)", "s"])
+        X = fitting._as_terms(
+            DesignMatrix(np.column_stack([np.ones(61), eta]), ["(intercept)", "eta"])
+        )
+        Z = fitting._as_terms(DesignMatrix(np.column_stack([np.ones(61), s]), ["(intercept)", "s"]))
         lam, p, y0 = np.exp(eta), 1.0 / (1.0 + np.exp(-s)), np.zeros(61)
         assert p[0] < 1e-300 and 1.0 - p[-1] < 1e-15
         poisson = ParamVector(np.array([0.0, 1.0]), np.empty(0), None)
@@ -707,6 +711,27 @@ class TestFits:
         assert res.converged
         assert len(runs) == 1
 
+    @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
+    def test_the_start_point_is_evaluated_once(self, family, monkeypatch):
+        spec, ds = ModelSpec(family, "y", ["x"]), _zinb_sim(n=500, seed=27)
+        problem = _Problem(spec, ds, FitOptions())
+        x0 = problem.to_params(problem.start())
+        real = fitting._loglik_score
+        points = []
+
+        def recorded(spec, X, Z, counts, params, *args):
+            points.append((params.beta.copy(), params.gamma.copy(), params.log_tau))
+            return real(spec, X, Z, counts, params, *args)
+
+        monkeypatch.setattr(fitting, "_loglik_score", recorded)
+        assert fit(spec, ds).converged
+        at_start = [
+            np.array_equal(beta, x0.beta) and np.array_equal(gamma, x0.gamma)
+            and log_tau == x0.log_tau
+            for beta, gamma, log_tau in points
+        ]
+        assert at_start[0] and sum(at_start) == 1
+
     def test_raw_units_zinb_with_a_vanishing_zero_part_converges(self):
         # NB data, so the ZINB zero part on g runs off towards p = 0 along a
         # flat ridge; with x in raw units too the ascent must still meet the
@@ -756,7 +781,8 @@ class TestNewtonAscent:
             trials.append(float(x[0]))
             return 0.0, np.array([1e-3]), np.array([[-1.0]])
 
-        res = fitting.maximize_newton(objective, np.array([1e12]))
+        x0 = np.array([1e12])
+        res = fitting.maximize_newton(objective, x0, objective(x0))
         assert not res.converged
         assert res.message == "stopped at the objective's float resolution"
         assert 1 < len(trials) <= 7
@@ -773,7 +799,8 @@ class TestNewtonAscent:
                 return -math.inf, np.zeros(1), np.zeros((1, 1))
             return -x[0] ** 2, -2.0 * x, np.array([[-1e-30]])
 
-        res = fitting.maximize_newton(objective, np.array([0.5]))
+        x0 = np.array([0.5])
+        res = fitting.maximize_newton(objective, x0, objective(x0))
         assert not res.converged
         assert res.n_iter == 0 and res.x[0] == 0.5
         assert res.message == "no admissible point found along the step"
@@ -1120,8 +1147,8 @@ class TestRowPatterns:
         ds = _grouped_sim()
         spec = GROUPED_SPECS.get(family, ModelSpec("poisson", "y", ["g", "h"]))
         res = fit(spec, ds)
-        X = build_design(ds, spec.count_covariates)
-        Z = build_design(ds, spec.zero_covariates) if family == "zinb" else None
+        X = fitting._as_terms(build_design(ds, spec.count_covariates))
+        Z = fitting._as_terms(build_design(ds, spec.zero_covariates)) if family == "zinb" else None
         counts = _kernels.Counts(ds.response_vector(spec.response))
         full = np.mean(fitting._zero_probabilities(family, X, Z, counts, res.estimates))
         assert res.expected_zero_fraction == pytest.approx(full, rel=1e-12)

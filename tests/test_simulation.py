@@ -260,6 +260,11 @@ class TestValidation:
             {"n_rows": 10.0},
             {"n_rows": "100"},
             {"n_rows": True},  # a bool is a numbers.Integral
+            {"n_rows": 0, "message": "n_rows must be positive"},
+            {"family": "gamma", "message": "unknown family 'gamma'"},
+            {"levels": (), "message": "'grp' declares no levels"},
+            {"levels": ("a", "b", "c"), "message": "'grp' probabilities do not match levels"},
+            {"kind": "ordinal", "message": "'x' has unknown kind 'ordinal'"},
         ],
         ids=[
             "negative-seed",
@@ -273,22 +278,31 @@ class TestValidation:
             "float-n-rows",
             "string-n-rows",
             "bool-n-rows",
+            "zero-n-rows",
+            "unknown-family",
+            "no-levels",
+            "probabilities-not-matching-levels",
+            "unknown-kind",
         ],
     )
     def test_values_numpy_cannot_draw_from(self, change):
         config = SimConfig(
             n_rows=change.get("n_rows", 100),
-            family="nb",
+            family=change.get("family", "nb"),
             covariates=[
-                _categorical(probabilities=change.get("probabilities", (0.6, 0.4))),
-                _numeric(low=change.get("low", -1.0)),
+                _categorical(
+                    levels=change.get("levels", ("a", "b")),
+                    probabilities=change.get("probabilities", (0.6, 0.4)),
+                ),
+                CovariateSpec("x", change.get("kind", "numeric"), low=change.get("low", -1.0)),
             ],
             true_beta={"(intercept)": 0.0, "grp=b": change.get("coefficient", 0.1), "x": 0.2},
             true_tau=change.get("true_tau", 1.0),
             seed=change.get("seed", 215),
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as err:
             simulate(config)
+        assert str(err.value) == change.get("message", str(err.value))
 
     def test_zero_covariates_must_be_declared(self):
         with pytest.raises(ConfigurationError):
