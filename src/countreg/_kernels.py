@@ -1,8 +1,9 @@
 """Fused per-observation likelihood kernels: numba backend, numpy fallback.
 
-Each family has one kernel that returns the row log pmf with its first
-and second derivatives in a single pass over the rows, as the rows of one
-2-D block:
+NB and ZINB each have one kernel that returns the row log pmf with its
+first and second derivatives in a single pass over the rows, as the rows of
+one 2-D block (Poisson's three rows, [rows, u, ee], are formed by numpy in
+`fitting._row_terms`, for both backends):
 
     nb_loglik_score(counts, lam, tau)      -> [rows, u, dt, ee, et, tt]
     zinb_loglik_score(counts, lam, p, tau) -> [rows, u, v, dt, ee, es, et, ss, st, tt]

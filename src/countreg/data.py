@@ -24,8 +24,9 @@ the csv field size limit) goes to `_split_source`, which splits the text of
 `BLOCK_ROWS` lines at a time in one call and makes no list per row; every
 other file goes to `_csv_source`, one `csv.reader` read `BLOCK_ROWS` rows at
 a time.  Each block is converted before the next is read, so the loader
-holds the file's bytes, one block and the converted columns.  A number must
-be `_plain`: a block whose text passes one scan for that is checked no more.
+holds the file's bytes, one block and the converted columns.  `_cell_ok`
+alone says which count or numeric cell is bad; it reads no cell of a column
+that converts and passes its range check in a block whose text is `_plain`.
 """
 
 import codecs
@@ -178,8 +179,11 @@ class ModelSpec:
 
 
 def check_covariates(names: list[str], response: str, where: str):
-    """Reject the response listed among the covariate ``names``, or a name
-    listed twice; ``where`` names the list in the SchemaError."""
+    """Reject covariate ``names`` that are not a list or tuple of strings,
+    the response among them, or a name listed twice; ``where`` names the
+    list in the SchemaError."""
+    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"the covariates of {where} must be a list of names, not {names!r}")
     if response in names:
         raise SchemaError(f"the response '{response}' cannot be a covariate of {where}")
     repeated = next((name for name in names if names.count(name) > 1), None)
@@ -227,12 +231,13 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _cell_ok(cell: str, kind: str) -> bool:
-    """Whether a present cell parses under its kind: an int64 count that is
-    not negative, or a finite number (float() accepts "nan" and "inf")."""
+    """Whether a present, stripped count or numeric cell is good, the one
+    rule for a bad one: it is `_plain`, and it is an int64 count that is not
+    negative or a finite number (float() accepts "nan" and "inf")."""
     try:
         if kind == "count":
-            return 0 <= int(cell) <= INT64_MAX
-        return math.isfinite(float(cell))
+            return _plain(cell) and 0 <= int(cell) <= INT64_MAX
+        return _plain(cell) and math.isfinite(float(cell))
     except ValueError:
         return False
 
@@ -245,15 +250,11 @@ def _plain(text: str) -> bool:
 
 def _convert(cells: list[str], kind: str):
     """A count or numeric column's values (0 in a missing cell), its missing
-    mask, and the index of its first bad present cell or None.
-
-    Where `int` or `float` accepts a raw cell it gives the value of the
-    stripped cell (surrounding whitespace is ignored), and it accepts no
-    missing cell, so one C-level conversion of the raw cells serves a column
-    with no missing cell.  Only a column whose conversion raises is stripped
-    and masked, and only one whose present cells still do not convert is
-    scanned cell by cell.
-    """
+    mask, and whether its present cells all converted and passed the range
+    check (a count not negative, a number finite).  `int` and `float` give a
+    raw cell the value of the stripped cell and accept no missing cell, so
+    one C-level conversion of the raw cells serves a column with no missing
+    cell; only a column whose conversion raises is stripped and masked."""
     parse, dtype = _PARSERS[kind], _DTYPES[kind]
     gaps = np.zeros(len(cells), bool)
     try:
@@ -267,10 +268,9 @@ def _convert(cells: list[str], kind: str):
         try:
             values[rows] = np.fromiter(map(parse, present), dtype, count=len(present))
         except (ValueError, OverflowError):
-            first = next(i for i, cell in enumerate(present) if not _cell_ok(cell, kind))
-            return values, gaps, int(rows[first])
-    bad = values < 0 if kind == "count" else ~np.isfinite(values)
-    return values, gaps, (int(np.argmax(bad)) if bad.any() else None)
+            return values, gaps, False
+    ok = values.min(initial=0) >= 0 if kind == "count" else np.isfinite(values).all()
+    return values, gaps, ok
 
 
 def _utf8(path) -> bytes:
@@ -360,8 +360,9 @@ def _convert_block(cells, width, plain, rows_before, schema, positions, levels):
     its rows.  A categorical column's values are codes from ``levels`` (its
     dict of level to code), which numbers each level in the block where it
     first appears.  The block's first bad cell, in row order and then
-    declaration order, raises a RowParseError; a count or numeric cell that
-    is not `_plain` is bad, unless ``plain`` clears the whole block."""
+    declaration order, raises a RowParseError: a count or numeric column
+    that `_convert` does not pass, or whose text is not `_plain` where
+    ``plain`` does not clear the block, is scanned once through `_cell_ok`."""
     m = len(cells) // width
     gaps, values, bad = [np.zeros(m, bool)], {}, []
     for position, ((name, kind), pos) in enumerate(zip(schema.items(), positions)):
@@ -373,13 +374,13 @@ def _convert_block(cells, width, plain, rows_before, schema, positions, levels):
             values[name] = np.fromiter(map(seen.__getitem__, col), np.int64, count=m)
             gaps.append(np.isin(values[name], [seen.get(token, -1) for token in MISSING_TOKENS]))
             continue
-        values[name], gap, first = _convert(col, kind)
-        if not plain and not _plain("".join(col)):  # a bad cell that parses
-            end = m if first is None else first
-            first = next((i for i in range(end) if not _plain(col[i].strip())), first)
+        values[name], gap, ok = _convert(col, kind)
         gaps.append(gap)
-        if first is not None:
-            bad.append((rows_before + first + 1, position, name, col[first].strip()))
+        if not ok or not (plain or _plain("".join(col))):  # name the first bad cell
+            for row, cell in enumerate(map(str.strip, col), rows_before + 1):
+                if cell not in MISSING_TOKENS and not _cell_ok(cell, kind):
+                    bad.append((row, position, name, cell))
+                    break
     if bad:
         row, _, name, cell = min(bad)
         raise RowParseError(row, name, cell)
@@ -414,17 +415,15 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
     """Load declared columns from a UTF-8, header-first CSV file; a leading
     byte order mark is skipped.
 
-    Rows with a missing value ("" or "NA") in any declared column are dropped;
-    the number of dropped rows is recorded on the returned Dataset.  A
-    non-missing cell that does not parse under its declared kind (a count
-    must be a nonnegative integer that fits in int64; a numeric cell must be
-    finite; either must be ASCII with no "_") raises a RowParseError naming
-    the 1-based data row: the first such cell in row order, then declaration
-    order, even in a row that is dropped.  Level vocabularies for categorical
-    columns are collected over every non-missing cell, so levels seen only in
-    dropped rows still enter the vocabulary.  Cells are stripped of surrounding whitespace, and a row
-    too short to hold a column reads "" there.  Text that `csv` cannot parse
-    is an error wherever it stands, even after a bad cell.
+    Rows with a missing value ("" or "NA") in any declared column are
+    dropped and counted on the Dataset.  Cells are stripped of surrounding
+    whitespace; a row too short to hold a column reads "" there.  A present
+    count or numeric cell that `_cell_ok` rejects (a count is a nonnegative
+    int64, a numeric cell finite, either ASCII with no "_") raises a
+    RowParseError naming the 1-based data row of the first such cell in row
+    order, then declaration order, even in a dropped row.  Categorical levels
+    are collected over every non-missing cell, those of dropped rows too.
+    Text that `csv` cannot parse is an error anywhere, even after a bad cell.
 
     The file is read once, as bytes.  One that `csv.reader` would split on
     "," and "\n" alone (`_line_stops`) is split by `_split_source`, any

@@ -242,12 +242,14 @@ def _hessian_block(A, B, h, out, counts, upper: bool):
     pair by term pair; where ``upper`` (B is A), only its upper triangle.
 
     Two tables come first: each term's `_dot` with ``h``, which gives the
-    intercept pairs and a factor's own diagonal, and each column term's
-    weighted row h * values, in a buffer kept on ``counts``.  Two different
-    factors then meet by `_joint`, and a pair with a column term by `_dot`
-    of the other term with that column's weighted row."""
+    intercept pairs and a factor's own diagonal, and, where both sides hold
+    a term besides the intercept, each column term's weighted row
+    h * values, in a buffer kept on ``counts``.  Two different factors then
+    meet by `_joint`, and a pair with a column term by `_dot` of the other
+    term with that column's weighted row."""
     dots = {term: _dot(term, h) for term in dict.fromkeys([*A, *B])}
-    columns = [term for term in dots if term.kind == "column"]
+    paired = all(any(term.kind != "intercept" for term in side) for side in (A, B))
+    columns = [term for term in dots if term.kind == "column"] if paired else []
     weighted = {
         term: np.multiply(h, term.values, out=counts.buffer(("scratch", i), h.shape))
         for i, term in enumerate(columns)

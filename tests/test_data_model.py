@@ -191,12 +191,28 @@ class TestLoadCsv:
             ("y,grp,age\n0,a,oops\n1_0,b,1\n", (1, "age", "oops")),
             ("y,grp,age\n0,a,1_0\nx,b,1\n", (1, "age", "1_0")),
             ("y,grp,age\n1,a,\uff11\n1_0,b,1\n", (1, "age", "\uff11")),
+            # within one column, bad cells of every kind, in either order
+            ("y,grp,age\n2,a,1\n1_0,b,1\n-1,a,1\n", (2, "y", "1_0")),
+            ("y,grp,age\n2,a,1\n\u0663,b,1\n-1,a,1\n", (2, "y", "\u0663")),
+            ("y,grp,age\n2,a,1\n-1,b,1\n1_0,a,1\n", (2, "y", "-1")),
+            ("y,grp,age\n2,a,1\n1_0,b,1\nx,a,1\n", (2, "y", "1_0")),
+            ("y,grp,age\n2,NA,1\nNA,b,\uff11\n3,a,oops\n", (2, "age", "\uff11")),
+            ("y,grp,age\n2,a,1\n3,b,inf\n4,a,1_0\n", (2, "age", "inf")),
+            ("y,grp,age\n2,a,1\n3,b,1_0\n4,a,-inf\n", (2, "age", "1_0")),
+            # a no-break space around a number is stripped, in a column with
+            # a missing cell too
+            ("y,grp,age\n2,a,\u00a01.5\n3,b,NA\n\u00a04\u00a0,a,2\n", None),
         ],
     )
     def test_a_number_with_underscores_is_one_more_bad_cell(self, tmp_path, text, want):
         # the first bad cell in row order, then declaration order, of any kind
+        path = _write(tmp_path, text)
+        if want is None:
+            ascii_path = _write(tmp_path, text.replace("\u00a0", ""), "ascii.csv")
+            _assert_same_dataset(load_csv(path, SCHEMA), load_csv(ascii_path, SCHEMA))
+            return
         with pytest.raises(RowParseError) as err:
-            load_csv(_write(tmp_path, text), SCHEMA)
+            load_csv(path, SCHEMA)
         assert (err.value.row, err.value.column, err.value.value) == want
 
     @pytest.mark.parametrize("quote", ["", '"'], ids=["quote-free", "quoted"])
@@ -393,6 +409,23 @@ class TestModelSpec:
             ModelSpec("nb", "y", ["grp", "y"])
         with pytest.raises(SchemaError, match="response 'y' cannot be a covariate of the zero"):
             ModelSpec("zinb", "y", ["grp"], ["y"])
+
+    @pytest.mark.parametrize(
+        "family, count, zero, message",
+        [
+            ("poisson", "ab", [], "of the count part must be a list of names, not 'ab'"),
+            ("nb", "xy", [], "of the count part must be a list of names, not 'xy'"),
+            ("nb", ["x"], None, "of the zero part must be a list of names, not None"),
+            ("zinb", ["x"], ["x", 1], "of the zero part must be a list of names, not ['x', 1]"),
+        ],
+        ids=["string", "string-holding-the-response", "none", "not-a-string"],
+    )
+    def test_covariates_are_a_list_of_names(self, family, count, zero, message):
+        # a bare string is not read as its characters
+        with pytest.raises(SchemaError) as err:
+            ModelSpec(family, "y", count, zero)
+        assert str(err.value) == "the covariates " + message
+        ModelSpec(family, "y", ("grp", "age"))  # a tuple is a list of names
 
 
 class TestBuildDesign:

@@ -185,6 +185,9 @@ class TestChiSquareIndependence:
         [
             (["grp", "grp"], "covariate 'grp' is listed twice in the screen"),
             (["y"], "the response 'y' cannot be a covariate of the screen"),
+            # a bare string is not read as its characters
+            ("gh", "the covariates of the screen must be a list of names, not 'gh'"),
+            (None, "the covariates of the screen must be a list of names, not None"),
         ],
     )
     def test_screen_checks_its_covariate_list(self, covariates, message):

@@ -373,6 +373,45 @@ class TestFusedObjective:
                 tracemalloc.stop()
             assert peak < 8 * n
 
+    def test_an_evaluation_allocates_only_past_the_count_table(self):
+        # the series past the count table take temporaries the size of the
+        # rows they serve: 4000 counts past K, with ever more counts below it
+        big = 4000
+        peaks = []
+        for small in (0, 4000, 36_000):
+            rng = np.random.default_rng(27)
+            y = np.concatenate([rng.integers(300, 5000, big), rng.poisson(2.0, small)])
+            x = Column("x", "numeric", rng.uniform(-1.0, 1.0, y.size))
+            ds = Dataset({"y": Column("y", "count", y), "x": x}, y.size)
+            problem = _Problem(ModelSpec("nb", "y", ["x"]), ds, FitOptions())
+            assert problem.counts.y.size == y.size and problem.counts.big.size == big
+            theta = problem.start()
+            problem.objective(theta)
+            tracemalloc.start()
+            try:
+                problem.objective(theta)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 12 * 8 * big
+        assert max(peaks) < 1.05 * min(peaks)  # the peak does not grow with n
+
+    def test_a_column_is_weighted_only_where_a_pair_reads_it(self, monkeypatch):
+        # a ZINB count-zero block with an intercept-only zero part: x meets
+        # the intercept alone, which reads its sum, not its weighted row
+        ds = _factor_sim(n=300, seed=28)
+        X, Z = design_terms(ds, ["x"]), design_terms(ds, [])
+        counts = _kernels.Counts(ds.response_vector("y"))
+        requested, buffer = [], counts.buffer
+        monkeypatch.setattr(
+            counts, "buffer", lambda name, *args: requested.append(name) or buffer(name, *args)
+        )
+        h = np.random.default_rng(29).uniform(0.5, 1.5, ds.n_rows)
+        out = np.full((2, 1), np.nan)
+        fitting._hessian_block(X, Z, h, out, counts, False)
+        assert requested == []
+        np.testing.assert_allclose(out[:, 0], [h.sum(), h @ ds.column("x").values])
+
     @pytest.mark.parametrize("family", ["poisson", "nb", "zinb"])
     def test_zero_probabilities_allocate_no_row(self, family):
         # the pass after the ascent writes P(y = 0) into the buffers the
