@@ -24,9 +24,12 @@ the csv field size limit) goes to `_split_source`, which splits the text of
 `BLOCK_ROWS` lines at a time in one call and makes no list per row; every
 other file goes to `_csv_source`, one `csv.reader` read `BLOCK_ROWS` rows at
 a time.  Each block is converted before the next is read, so the loader
-holds the file's bytes, one block and the converted columns.  `_cell_ok`
-alone says which count or numeric cell is bad; it reads no cell of a column
-that converts and passes its range check in a block whose text is `_plain`.
+holds the file's bytes, one block and the converted columns.  Each column
+converts a distinct cell text once per load, through its own table: a
+level's code, or a count's or number's value (`_Table`) until the column
+shows that its cells do not repeat.  `_cell_ok` alone says which count or
+numeric cell is bad; it reads no cell of a column that converts and passes
+its range check in a block whose text is `_plain`.
 """
 
 import codecs
@@ -248,14 +251,31 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _convert(cells: list[str], kind: str):
+class _Table(dict):
+    """One count or numeric column's cell texts, each with the value that
+    `int` or `float` gives it, for one load: a text is converted on its
+    first lookup, and one whose conversion raises is not stored."""
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.parse = _PARSERS[kind]
+
+    def __missing__(self, text: str):
+        self[text] = value = self.parse(text)
+        return value
+
+
+def _convert(cells: list[str], kind: str, table: _Table | None):
     """A count or numeric column's values (0 in a missing cell), its missing
     mask, and whether its present cells all converted and passed the range
-    check (a count not negative, a number finite).  `int` and `float` give a
-    raw cell the value of the stripped cell and accept no missing cell, so
-    one C-level conversion of the raw cells serves a column with no missing
-    cell; only a column whose conversion raises is stripped and masked."""
-    parse, dtype = _PARSERS[kind], _DTYPES[kind]
+    check (a count not negative, a number finite).  Each cell's value comes
+    from ``table``, or straight from `int` or `float` where it is None.
+    `int` and `float` give a raw cell the value of the stripped cell and
+    accept no missing cell, so one C-level conversion of the raw cells
+    serves a column with no missing cell; only a column whose conversion
+    raises is stripped and masked."""
+    parse = _PARSERS[kind] if table is None else table.__getitem__
+    dtype = _DTYPES[kind]
     gaps = np.zeros(len(cells), bool)
     try:
         values = np.fromiter(map(parse, cells), dtype, count=len(cells))
@@ -355,26 +375,41 @@ def _positions(path, header: list[str] | None, schema: dict[str, str]) -> list[i
     return [header.index(name) for name in schema]
 
 
-def _convert_block(cells, width, plain, rows_before, schema, positions, levels):
+def _convert_block(cells, width, plain, rows_before, schema, positions, tables):
     """One block's kept-row mask and each declared column's values over all
-    its rows.  A categorical column's values are codes from ``levels`` (its
-    dict of level to code), which numbers each level in the block where it
-    first appears.  The block's first bad cell, in row order and then
-    declaration order, raises a RowParseError: a count or numeric column
-    that `_convert` does not pass, or whose text is not `_plain` where
-    ``plain`` does not clear the block, is scanned once through `_cell_ok`."""
+    its rows, read through the column's entry in ``tables``.
+
+    A categorical column's entry is its dict of level to code, which
+    numbers each level in the block where it first appears; the raw cells
+    are looked up first, and only a block with a new level or a padded cell
+    is stripped.  A count or numeric column's entry is its `_Table`, which
+    `_convert` reads, until it holds `BLOCK_ROWS` texts: then the column's
+    cells do not repeat, and the rest of the load converts them directly.
+
+    The block's first bad cell, in row order and then declaration order,
+    raises a RowParseError: a count or numeric column that `_convert` does
+    not pass, or whose text is not `_plain` where ``plain`` does not clear
+    the block, is scanned once through `_cell_ok`."""
     m = len(cells) // width
     gaps, values, bad = [np.zeros(m, bool)], {}, []
     for position, ((name, kind), pos) in enumerate(zip(schema.items(), positions)):
         col = cells[pos::width] if pos < width else [""] * m
+        table = tables[name]
         if kind == "categorical":
-            col = list(map(str.strip, col))
-            seen = levels[name]
-            seen.update(zip(set(col) - seen.keys(), count(len(seen))))
-            values[name] = np.fromiter(map(seen.__getitem__, col), np.int64, count=m)
-            gaps.append(np.isin(values[name], [seen.get(token, -1) for token in MISSING_TOKENS]))
+            try:
+                codes = np.fromiter(map(table.__getitem__, col), np.int64, count=m)
+            except KeyError:  # a new level or a padded cell
+                col = list(map(str.strip, col))
+                table.update(zip(set(col) - table.keys(), count(len(table))))
+                codes = np.fromiter(map(table.__getitem__, col), np.int64, count=m)
+            values[name] = codes
+            missing = [table[token] for token in MISSING_TOKENS if token in table]
+            if missing:
+                gaps.append(np.isin(codes, missing))
             continue
-        values[name], gap, ok = _convert(col, kind)
+        values[name], gap, ok = _convert(col, kind, table)
+        if table is not None and len(table) >= BLOCK_ROWS:
+            tables[name] = None
         gaps.append(gap)
         if not ok or not (plain or _plain("".join(col))):  # name the first bad cell
             for row, cell in enumerate(map(str.strip, col), rows_before + 1):
@@ -392,10 +427,11 @@ def _load(path, schema: dict[str, str], source) -> Dataset:
     yields."""
     positions = _positions(path, next(source), schema)
     parts = {name: [np.empty(0, _DTYPES[kind])] for name, kind in schema.items()}
-    levels = {name: {} for name, kind in schema.items() if kind == "categorical"}
+    # each column's table, kept for this load alone
+    tables = {name: {} if kind == "categorical" else _Table(kind) for name, kind in schema.items()}
     n = n_rows = 0
     for cells, width, plain in source:
-        keep, values = _convert_block(cells, width, plain, n, schema, positions, levels)
+        keep, values = _convert_block(cells, width, plain, n, schema, positions, tables)
         for name, col in values.items():
             parts[name].append(col[keep])
         n += keep.size
@@ -404,9 +440,9 @@ def _load(path, schema: dict[str, str], source) -> Dataset:
     for name, kind in schema.items():
         values, vocabulary = np.concatenate(parts.pop(name)), None
         if kind == "categorical":
-            vocabulary = tuple(sorted(levels[name].keys() - MISSING_TOKENS))
+            vocabulary = tuple(sorted(tables[name].keys() - MISSING_TOKENS))
             rank = {level: code for code, level in enumerate(vocabulary)}
-            values = np.array([rank.get(level, -1) for level in levels[name]], np.int64)[values]
+            values = np.array([rank.get(level, -1) for level in tables[name]], np.int64)[values]
         columns[name] = Column(name, kind, values, vocabulary)
     return Dataset(columns, n_rows, dropped_rows=n - n_rows)
 
@@ -428,7 +464,9 @@ def load_csv(path, schema: dict[str, str]) -> Dataset:
     The file is read once, as bytes.  One that `csv.reader` would split on
     "," and "\n" alone (`_line_stops`) is split by `_split_source`, any
     other is read by `_csv_source`; both serve `BLOCK_ROWS` rows at a time,
-    and each block is converted before the next is read.
+    and each block is converted before the next is read, through tables of
+    each column's distinct cell texts that live for this call alone
+    (`_convert_block`).
     """
     for name, kind in schema.items():
         if kind not in COLUMN_KINDS:

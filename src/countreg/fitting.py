@@ -47,6 +47,7 @@ import numpy as np
 
 from . import _kernels
 from .data import (
+    INTERCEPT_LABEL,
     Column,
     Dataset,
     DesignMatrix,
@@ -147,11 +148,15 @@ def _tau_of(params: ParamVector) -> float:
 
 
 def _as_terms(D):
-    """A design as terms: a DesignMatrix's columns as columns; terms (or
-    None) as given."""
-    if isinstance(D, DesignMatrix):
-        return [_Term([label], column) for label, column in zip(D.labels, D.values.T)]
-    return D
+    """A design as terms: a DesignMatrix's columns as columns, but a first
+    column labelled "(intercept)" whose values are all 1 as the intercept,
+    as `design_terms` gives it; terms (or None) as given."""
+    if not isinstance(D, DesignMatrix):
+        return D
+    terms = [_Term([label], column) for label, column in zip(D.labels, D.values.T)]
+    if D.labels[:1] == [INTERCEPT_LABEL] and (D.values[:, 0] == 1).all():
+        terms[0].kind = "intercept"
+    return terms
 
 
 def _labels(terms) -> list[str]:

@@ -193,25 +193,33 @@ def simulate(config: SimConfig, out_path=None) -> Dataset:
 def write_csv(ds: Dataset, config: SimConfig, stream):
     """Write a simulated dataset to the text ``stream`` as CSV
     (`data.csv_text`): covariates in declaration order, then the response;
-    numbers in full precision, each level quoted once by `csv_field`.  The
-    header goes first, then `data.BLOCK_ROWS` rows per write, so only one
-    block's text is held at a time."""
+    numbers in full precision, each level quoted once by `csv_field`, and
+    each distinct count (`data.distinct_codes`) formatted once.  The header
+    goes first, then `data.BLOCK_ROWS` rows per write, so only one block's
+    text is held at a time; a level or count column gathers its texts by
+    its codes."""
     names = [c.name for c in config.covariates] + [config.response_name]
     columns = [ds.column(name) for name in names]
-    levels = {
-        col.name: np.asarray([csv_field(v) for v in col.levels], dtype=object)
-        for col in columns
-        if col.kind == "categorical"
-    }
+    texts = {}  # a level or count column's distinct texts and its codes into them
+    for col in columns:
+        if col.kind == "categorical":
+            text, codes = map(csv_field, col.levels), col.values
+        elif col.kind == "count":
+            distinct, codes, _ = data.distinct_codes(col.values)
+            text = map(str, distinct.tolist())
+        else:
+            continue
+        texts[col.name] = np.asarray(list(text), dtype=object), codes
     stream.write(data.csv_text(names, []))
     for start in range(0, ds.n_rows, data.BLOCK_ROWS):
+        block = slice(start, start + data.BLOCK_ROWS)
         cells = []
         for col in columns:
-            values = col.values[start : start + data.BLOCK_ROWS]
-            if col.kind == "categorical":
-                cells.append(levels[col.name][values].tolist())
+            if col.name in texts:
+                text, codes = texts[col.name]
+                cells.append(text[codes[block]].tolist())
             else:
-                cells.append(map(repr if col.kind == "numeric" else str, values.tolist()))
+                cells.append(map(repr, col.values[block].tolist()))
         stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

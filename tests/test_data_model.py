@@ -702,6 +702,104 @@ class TestLoaderOracle:
         assert served["_csv_source"] >= 100 and (quoted or served["_split_source"] >= 100), served
 
 
+class TestConversionTables:
+    """Each load converts a column's distinct cell texts once, through a
+    table that lives for that load alone; the Dataset and every error are
+    those of the row loop's per-cell `int` and `float`."""
+
+    @staticmethod
+    def _agrees(path, schema=SCHEMA):
+        want = _outcome(_row_loop_load_csv, path, schema)
+        got = _outcome(load_csv, path, schema)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_dataset(got, want)
+        return got
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The texts that `int` and `float` convert in `load_csv`."""
+        converted = []
+        monkeypatch.setattr(data, "_PARSERS", {
+            kind: lambda text, parse=parse: converted.append(text) or parse(text)
+            for kind, parse in data._PARSERS.items()
+        })
+        return converted
+
+    def test_repeated_counts_convert_once_per_text(self, tmp_path, monkeypatch):
+        # five texts, fewer than BLOCK_ROWS, repeat across five blocks
+        monkeypatch.setattr(data, "BLOCK_ROWS", 6)
+        converted = self._counted(monkeypatch)
+        counts = ["7", " 7", "07", "7 ", "3"] * 6
+        lines = [f"{y},a,1.5" for y in counts[1:] + counts[:1]]
+        ds = self._agrees(_write(tmp_path, "y,grp,age\n" + "\n".join(lines) + "\n"))
+        assert ds.column("y").values.tolist() == [int(y) for y in counts[1:] + counts[:1]]
+        assert sorted(converted) == sorted(["7", " 7", "07", "7 ", "3", "1.5"])
+
+    @pytest.mark.parametrize("bad", ["oops", "inf", "1_0"])
+    def test_a_bad_cell_after_the_table_is_dropped(self, tmp_path, monkeypatch, bad):
+        # the first block's four distinct numbers fill the table to
+        # BLOCK_ROWS texts, so later blocks convert directly, and the bad
+        # cell of a later block still names its row, column and text
+        monkeypatch.setattr(data, "BLOCK_ROWS", 4)
+        converted = self._counted(monkeypatch)
+        ages = ["0.25", "1.25", "2.25", "3.25", "0.25", "1.25", "4.25", "5.25", "6.25", bad]
+        lines = [f"{i % 2},a,{age}" for i, age in enumerate(ages)]
+        path = _write(tmp_path, "y,grp,age\n" + "\n".join(lines) + "\n")
+        assert self._agrees(path) == (10, "age", bad)
+        # age's table is gone after the first block; y's two texts stay in
+        # theirs
+        assert converted.count("0.25") == converted.count("1.25") == 2
+        assert converted.count("0") == converted.count("1") == 1
+
+    @pytest.mark.parametrize("bad", ["x", "-1", "99999999999999999999", "1_0", "2.5"])
+    @pytest.mark.parametrize("row", [2, 6, 9])
+    def test_a_bad_count_in_a_block_where_the_table_is_live(self, tmp_path, monkeypatch,
+                                                            bad, row):
+        # the bad text repeats, and its row's block reads counts that the
+        # table holds already; the first row that holds it is named
+        monkeypatch.setattr(data, "BLOCK_ROWS", 4)
+        counts = ["1", "2", "1", "2"] * 3
+        counts[row - 1] = counts[row + 1] = bad
+        lines = [f"{y},a,1.5" for y in counts]
+        path = _write(tmp_path, "y,grp,age\n" + "\n".join(lines) + "\n")
+        assert self._agrees(path) == (row, "y", bad)
+
+    def test_a_bad_count_in_a_dropped_row_repeats_later(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        text = "y,grp,age\n1,a,1\n2,a,1\n1,a,1\nx,NA,1\n1,a,1\nx,a,1\n"
+        assert self._agrees(_write(tmp_path, text)) == (4, "y", "x")
+
+    def test_a_level_seen_padded_then_plain(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        grp = [" a", "b", " a", "a", "a ", "b", "a", " b", "a"]
+        lines = [f"1,{g},1.5" for g in grp]
+        ds = self._agrees(_write(tmp_path, "y,grp,age\n" + "\n".join(lines) + "\n"))
+        assert ds.column("grp").levels == ("a", "b")
+        assert ds.column("grp").labels().tolist() == [g.strip() for g in grp]
+
+    @pytest.mark.parametrize("column", ["y", "grp", "age"])
+    def test_na_first_seen_in_a_later_block_drops_its_rows(self, tmp_path, monkeypatch,
+                                                           column):
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        rows = [{"y": str(i % 2), "grp": "ab"[i % 2], "age": "1.5"} for i in range(9)]
+        rows[4][column] = rows[7][column] = "NA"
+        rows[8][column] = " NA"
+        lines = [",".join(row[name] for name in SCHEMA) for row in rows]
+        ds = self._agrees(_write(tmp_path, "y,grp,age\n" + "\n".join(lines) + "\n"))
+        assert (ds.n_rows, ds.dropped_rows) == (6, 3)
+        assert ds.column("grp").levels == ("a", "b")
+
+    def test_no_table_outlives_its_load(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+        first = _write(tmp_path, "y,grp,age\n3,b,1.5\n3,a,2\n4,b,1.5\n", "first.csv")
+        other = _write(tmp_path, "y,grp,age\n4,c,2\n3,c,1.5\n", "other.csv")
+        before = self._agrees(first)
+        assert self._agrees(other).column("grp").levels == ("c",)
+        _assert_same_dataset(self._agrees(first), before)
+
+
 # characters that a CSV writer must quote (comma, quote, CR, LF) or must not
 # (space, tab, "=", letters, digits, a non-ASCII letter)
 ALPHABET = 'ab ,"\r\n\t=x1é'

@@ -396,11 +396,17 @@ class TestFusedObjective:
         assert max(peaks) < 12 * 8 * big
         assert max(peaks) < 1.05 * min(peaks)  # the peak does not grow with n
 
-    def test_a_column_is_weighted_only_where_a_pair_reads_it(self, monkeypatch):
+    @pytest.mark.parametrize("dense", [False, True], ids=["terms", "design-matrix"])
+    def test_a_column_is_weighted_only_where_a_pair_reads_it(self, monkeypatch, dense):
         # a ZINB count-zero block with an intercept-only zero part: x meets
-        # the intercept alone, which reads its sum, not its weighted row
+        # the intercept alone, which reads its sum, not its weighted row; a
+        # DesignMatrix's "(intercept)" column is that intercept too
         ds = _factor_sim(n=300, seed=28)
-        X, Z = design_terms(ds, ["x"]), design_terms(ds, [])
+        if dense:
+            X = fitting._as_terms(build_design(ds, ["x"]))
+            Z = fitting._as_terms(build_design(ds, []))
+        else:
+            X, Z = design_terms(ds, ["x"]), design_terms(ds, [])
         counts = _kernels.Counts(ds.response_vector("y"))
         requested, buffer = [], counts.buffer
         monkeypatch.setattr(
@@ -593,11 +599,23 @@ class TestTermContraction:
         for g, v in zip(got, want):
             assert g.shape == v.shape
             assert np.max(np.abs(g - v)) <= 1e-12 * np.max(np.abs(v))
-        # the DesignMatrix's columns, contracted as columns, agree too
+        # the DesignMatrix's terms agree too: its "(intercept)" column is the
+        # intercept term, and its other columns contract as columns
         dense_X, dense_Z = fitting._as_terms(dense_X), fitting._as_terms(dense_Z)
         got = fitting._loglik_score(spec, dense_X, dense_Z, _kernels.Counts(counts.y), params, w)
         for g, v in zip(got[1:], want):
             assert np.max(np.abs(g - v)) <= 1e-12 * np.max(np.abs(v))
+
+    def test_only_a_first_all_ones_intercept_column_is_the_intercept(self):
+        design = build_design(_factor_sim(n=50, seed=34), ["x"])
+        kinds = [term.kind for term in fitting._as_terms(design)]
+        assert kinds == ["intercept", "column"]
+        for other in (
+            DesignMatrix(design.values * [2.0, 1.0], design.labels),  # not all ones
+            DesignMatrix(design.values, ["one", "x"]),  # not labelled "(intercept)"
+            DesignMatrix(design.values[:, ::-1], design.labels[::-1]),  # not first
+        ):
+            assert [term.kind for term in fitting._as_terms(other)] == ["column", "column"]
 
     def test_a_fit_peaks_below_one_dense_design(self):
         # 1e5 distinct rows and a 64-level factor: the dense design alone

@@ -480,6 +480,27 @@ class TestStreamedCsv:
         _write_csv(ds, config, path)
         assert path.read_bytes() == want.encode("utf-8")
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [9, 40, 9, 7, 123, 40, 7],  # counts at or above n: the np.unique path
+            [2**63 - 1, 0, 2**63 - 2, 2**63 - 1, 1],  # counts near int64's maximum
+            [],  # no row
+        ],
+        ids=["at-or-above-n", "near-int64-max", "empty"],
+    )
+    def test_count_texts_are_formatted_once_per_value(self, y, monkeypatch):
+        # each distinct count's text, gathered by its code, in blocks that
+        # split the repeats
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        n = len(y)
+        ds, config = self._edge_dataset(n)
+        ds.columns["y"] = Column("y", "count", np.array(y, np.int64))
+        stream = io.StringIO()
+        write_csv(ds, config, stream)
+        assert stream.getvalue() == _csv_reference(ds, config)
+        assert stream.getvalue().count("\n") == n + 1
+
     def test_stdout_writes_the_whole_text(self, monkeypatch, capsys):
         monkeypatch.setattr(data, "BLOCK_ROWS", 3)
         config = demo_preset()

@@ -7,7 +7,10 @@ two such records.
 ``record`` imports countreg from ``--src`` (default: this checkout's
 ``src/``), runs every case and writes one JSON line per case.  A simulate
 case, ``simulate/<recipe>``, records a hash of each drawn column's bytes for
-every recipe the grid draws (and the ``cli-csv`` benchmark config).  A fit case
+every recipe the grid draws (and the ``cli-csv`` benchmark config).  The
+``cli-csv`` case also writes its CSV and records the hash of its bytes and
+the hashes of the columns and levels that ``load_csv`` reads back from it,
+so that the CSV writer and loader are checked on the benchmark's data.  A fit case
 records converged, iterations, message, logL, gradient norm,
 ``expected_zero_fraction``, the estimates and standard errors, and hashes of
 the estimate and covariance bytes.  A CLI case runs ``countreg.cli.main``
@@ -26,7 +29,8 @@ each JSON report.
   scale, the scale of the estimates they come from; the gradient norm, which
   is rounding noise at convergence, is not compared).  The ridge fits in raw
   units may move their iteration count;
-* changed: anything else, such as a simulate case with a differing hash.
+* changed: anything else, such as a simulate case with a differing hash
+  (of a drawn column, its CSV or a column read back).
 
 The last bits of a fit depend on the machine's numpy SIMD and libm, so the
 two records must come from one machine, and none is committed.  The grid's
@@ -239,10 +243,26 @@ def cli_cases():
 # record
 
 
-def record_simulated(recipe, ds) -> dict:
-    columns = {name: _sha(np.ascontiguousarray(col.values).tobytes())
-               for name, col in ds.columns.items()}
-    return {"case": f"simulate/{recipe}", "kind": "simulate", "columns": columns}
+def _column_shas(ds, levels=False) -> dict:
+    """A hash of each column's values, and with ``levels`` of each
+    categorical column's levels too."""
+    shas = {name: _sha(np.ascontiguousarray(col.values).tobytes())
+            for name, col in ds.columns.items()}
+    if levels:
+        shas |= {f"{name} levels": _sha(json.dumps(col.levels))
+                 for name, col in ds.columns.items() if col.levels is not None}
+    return shas
+
+
+def record_simulated(recipe, ds, path=None, loaded=None) -> dict:
+    """A simulate case: the drawn columns' hashes and, where ``path`` is the
+    dataset's CSV, the hash of its bytes and those of the columns and levels
+    of ``loaded``, the Dataset that `load_csv` reads back from it."""
+    rec = {"case": f"simulate/{recipe}", "kind": "simulate", "columns": _column_shas(ds)}
+    if path is not None:
+        rec["csv_sha"] = _sha(Path(path).read_bytes())
+        rec["loaded"] = _column_shas(loaded, levels=True)
+    return rec
 
 
 def record_fit(cr, name, spec, ds) -> dict:
@@ -334,18 +354,20 @@ def record(args):
         def put(rec):
             sink.write(json.dumps(rec, sort_keys=True) + "\n")
 
-        def draw(recipe, config, path=None):
+        def draw(recipe, config, path=None, schema=None):
             ds = cr.simulate(config, path)
-            put(record_simulated(recipe, ds))
+            read = (path, cr.load_csv(path, cr.parse_schema(schema))) if schema else ()
+            put(record_simulated(recipe, ds, *read))
             return ds
 
         for name, spec, ds in fit_cases(cr, draw):
             put(record_fit(cr, name, spec, ds))
-        draw("cli-csv", _workloads()._csv_config(cr, 200_000, 300))
+        w = _workloads()
         here = os.getcwd()
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
+                draw("cli-csv", w._csv_config(cr, 200_000, 300), "cli-csv.csv", w.SCHEMA)
                 draw("cli-input", _cli_input(cr), "input.csv")
                 for name, argv, out in cli_cases():
                     put(record_cli(cr, name, argv, out))
@@ -381,14 +403,22 @@ def _report_numbers_close(a, b) -> str | None:
     return None
 
 
+def _moved(a: dict, b: dict) -> list[str]:
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
 def classify(a: dict, b: dict) -> tuple[str, str]:
     """The class of one case recorded as ``a`` and then as ``b``, and why."""
     if a == b:
         return "bit-identical", ""
     if a["kind"] == "simulate":
-        columns = a["columns"].keys() | b["columns"].keys()
-        moved = sorted(k for k in columns if a["columns"].get(k) != b["columns"].get(k))
-        return "changed", f"drawn columns {moved}"
+        loaded_a, loaded_b = a.get("loaded", {}), b.get("loaded", {})
+        whys = {
+            f"drawn columns {_moved(a['columns'], b['columns'])}": a["columns"] != b["columns"],
+            "CSV bytes": a.get("csv_sha") != b.get("csv_sha"),
+            f"loaded columns {_moved(loaded_a, loaded_b)}": loaded_a != loaded_b,
+        }
+        return "changed", "; ".join(why for why, differs in whys.items() if differs)
     if a["kind"] == "cli":
         if a["exit"] != b["exit"] or a["stderr_sha"] != b["stderr_sha"]:
             return "changed", "exit code or stderr"
