@@ -25,11 +25,11 @@ the csv field size limit) goes to `_split_source`, which splits the text of
 other file goes to `_csv_source`, one `csv.reader` read `BLOCK_ROWS` rows at
 a time.  Each block is converted before the next is read, so the loader
 holds the file's bytes, one block and the converted columns.  Each column
-converts a distinct cell text once per load, through its own table: a
-level's code, or a count's or number's value (`_Table`) until the column
-shows that its cells do not repeat.  `_cell_ok` alone says which count or
-numeric cell is bad; it reads no cell of a column that converts and passes
-its range check in a block whose text is `_plain`.
+converts a distinct cell text once per load, through its own `_Table`: a
+level's code, or a count's or number's value until the column shows that
+its cells do not repeat.  `_cell_ok` alone says which count or numeric cell
+is bad; it reads no cell of a column that converts and passes its range
+check in a block whose text is `_plain`.
 """
 
 import codecs
@@ -38,7 +38,7 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -252,13 +252,15 @@ def _plain(text: str) -> bool:
 
 
 class _Table(dict):
-    """One count or numeric column's cell texts, each with the value that
-    `int` or `float` gives it, for one load: a text is converted on its
-    first lookup, and one whose conversion raises is not stored."""
+    """One column's raw cell texts, each with its value, for one load: what
+    `int` or `float` gives a count or numeric cell, or a categorical cell's
+    code, the number of its stripped text in ``levels`` as levels first
+    appear.  A text converts on its first lookup; one that raises is not kept."""
 
     def __init__(self, kind: str):
         super().__init__()
-        self.parse = _PARSERS[kind]
+        levels = self.levels = {}
+        self.parse = _PARSERS.get(kind, lambda text: levels.setdefault(text.strip(), len(levels)))
 
     def __missing__(self, text: str):
         self[text] = value = self.parse(text)
@@ -377,14 +379,13 @@ def _positions(path, header: list[str] | None, schema: dict[str, str]) -> list[i
 
 def _convert_block(cells, width, plain, rows_before, schema, positions, tables):
     """One block's kept-row mask and each declared column's values over all
-    its rows, read through the column's entry in ``tables``.
+    its rows, read through the column's `_Table` in ``tables``.
 
-    A categorical column's entry is its dict of level to code, which
-    numbers each level in the block where it first appears; the raw cells
-    are looked up first, and only a block with a new level or a padded cell
-    is stripped.  A count or numeric column's entry is its `_Table`, which
-    `_convert` reads, until it holds `BLOCK_ROWS` texts: then the column's
-    cells do not repeat, and the rest of the load converts them directly.
+    A categorical column's codes are its raw cells looked up in its table,
+    and its rows are missing where a code is that of "" or "NA".  A count
+    or numeric column's table is read by `_convert` until it holds
+    `BLOCK_ROWS` texts: then the column's cells do not repeat, and the rest
+    of the load converts them directly.
 
     The block's first bad cell, in row order and then declaration order,
     raises a RowParseError: a count or numeric column that `_convert` does
@@ -396,14 +397,8 @@ def _convert_block(cells, width, plain, rows_before, schema, positions, tables):
         col = cells[pos::width] if pos < width else [""] * m
         table = tables[name]
         if kind == "categorical":
-            try:
-                codes = np.fromiter(map(table.__getitem__, col), np.int64, count=m)
-            except KeyError:  # a new level or a padded cell
-                col = list(map(str.strip, col))
-                table.update(zip(set(col) - table.keys(), count(len(table))))
-                codes = np.fromiter(map(table.__getitem__, col), np.int64, count=m)
-            values[name] = codes
-            missing = [table[token] for token in MISSING_TOKENS if token in table]
+            values[name] = codes = np.fromiter(map(table.__getitem__, col), np.int64, count=m)
+            missing = [table.levels[token] for token in MISSING_TOKENS if token in table.levels]
             if missing:
                 gaps.append(np.isin(codes, missing))
             continue
@@ -424,11 +419,11 @@ def _convert_block(cells, width, plain, rows_before, schema, positions, tables):
 
 def _load(path, schema: dict[str, str], source) -> Dataset:
     """`load_csv`'s Dataset from the header and blocks that ``source``
-    yields."""
+    yields, each column read through one `_Table` for this load."""
     positions = _positions(path, next(source), schema)
     parts = {name: [np.empty(0, _DTYPES[kind])] for name, kind in schema.items()}
     # each column's table, kept for this load alone
-    tables = {name: {} if kind == "categorical" else _Table(kind) for name, kind in schema.items()}
+    tables = {name: _Table(kind) for name, kind in schema.items()}
     n = n_rows = 0
     for cells, width, plain in source:
         keep, values = _convert_block(cells, width, plain, n, schema, positions, tables)
@@ -440,9 +435,10 @@ def _load(path, schema: dict[str, str], source) -> Dataset:
     for name, kind in schema.items():
         values, vocabulary = np.concatenate(parts.pop(name)), None
         if kind == "categorical":
-            vocabulary = tuple(sorted(tables[name].keys() - MISSING_TOKENS))
+            levels = tables[name].levels
+            vocabulary = tuple(sorted(levels.keys() - MISSING_TOKENS))
             rank = {level: code for code, level in enumerate(vocabulary)}
-            values = np.array([rank.get(level, -1) for level in tables[name]], np.int64)[values]
+            values = np.array([rank.get(level, -1) for level in levels], np.int64)[values]
         columns[name] = Column(name, kind, values, vocabulary)
     return Dataset(columns, n_rows, dropped_rows=n - n_rows)
 

@@ -10,8 +10,8 @@ The CSV is written in the dialect `load_csv` reads (`data.csv_text`), in
 UTF-8 and `data.BLOCK_ROWS` rows at a time (`write_csv`), and `_validate`
 rejects a config whose CSV would not load back as drawn (names
 must pass `data.name_reads_back` and levels `data.level_reads_back`, no
-level twice, no covariate named like the response) or that numpy could not
-draw from.
+level twice, no covariate named like the response), that numpy could not
+draw from, or that gives a bool where a number goes.
 """
 
 import json
@@ -78,6 +78,13 @@ _NAME_RULE = "not empty and not surrounded by whitespace"
 _LEVEL_RULE = f"{_NAME_RULE}, and not a missing token {sorted(MISSING_TOKENS)}"
 
 
+def _check_not_bool(what: str, value):
+    """Reject a bool where a number is asked for: Python and numpy take it
+    as 0 or 1, and the truth sidecar would record it as true or false."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+
+
 def _validate(config: SimConfig):
     """Reject, as a ConfigurationError, a config that numpy's draws would
     fail on or whose CSV `load_csv` would not read back as simulated."""
@@ -85,8 +92,9 @@ def _validate(config: SimConfig):
         raise ConfigurationError(f"n_rows must be a positive integer, got {config.n_rows!r}")
     if config.n_rows < 1:
         raise ConfigurationError("n_rows must be positive")
-    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {config.seed!r}")
+    seed = config.seed
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     if config.family not in FAMILIES:
         raise ConfigurationError(f"unknown family '{config.family}'")
     names = [c.name for c in config.covariates]
@@ -110,13 +118,21 @@ def _validate(config: SimConfig):
                 raise ConfigurationError(f"'{c.name}' probabilities do not match levels")
             # both tests fail on a NaN probability
             probs = c.probabilities
+            for p in probs:
+                _check_not_bool(f"'{c.name}' level probability", p)
             if not (all(p >= 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-9):
                 raise ConfigurationError(f"'{c.name}' level probabilities must sum to 1")
         elif c.kind == "numeric":
+            _check_not_bool(f"'{c.name}' low", c.low)
+            _check_not_bool(f"'{c.name}' high", c.high)
             if not (c.low < c.high and math.isfinite(c.high - c.low)):
                 raise ConfigurationError(f"'{c.name}' needs finite low < high")
         else:
             raise ConfigurationError(f"'{c.name}' has unknown kind '{c.kind}'")
+    for part in ("true_beta", "true_gamma"):
+        for label, value in getattr(config, part).items():
+            _check_not_bool(f"{part}[{label!r}]", value)
+    _check_not_bool("true_tau", config.true_tau)
     if config.family == "zinb":
         unknown = [n for n in config.zero_covariates if n not in names]
         if unknown:

@@ -791,6 +791,59 @@ class TestConversionTables:
         assert (ds.n_rows, ds.dropped_rows) == (6, 3)
         assert ds.column("grp").levels == ("a", "b")
 
+    @staticmethod
+    def _missed(monkeypatch):
+        """The texts that any column's table converts in `load_csv`."""
+        missed, missing = [], data._Table.__missing__
+
+        def counted(table, text):
+            missed.append(text)
+            return missing(table, text)
+
+        monkeypatch.setattr(data._Table, "__missing__", counted)
+        return missed
+
+    def test_a_level_text_converts_once_across_blocks(self, tmp_path, monkeypatch):
+        # " b", "b" and "b " are three texts of one level; each is looked
+        # up in later blocks too, and none is converted twice
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        missed = self._missed(monkeypatch)
+        grp = [" b", "a", "b", "b ", " b", "a", "b", "b ", "a", " b", "b"]
+        lines = [f"1,{g},1.5" for g in grp]
+        ds = self._agrees(_write(tmp_path, "y,grp,age\n" + "\n".join(lines) + "\n"))
+        assert ds.column("grp").levels == ("a", "b")
+        assert ds.column("grp").labels().tolist() == [g.strip() for g in grp]
+        assert sorted(missed) == sorted(["1", "1.5", " b", "a", "b", "b "])
+
+    def test_more_levels_than_block_rows(self, tmp_path, monkeypatch):
+        # the table of a categorical column is never dropped, however many
+        # texts it holds
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        grp = [f" g{i}" if i % 3 == 0 else f"g{i}" for i in range(10)] * 2
+        lines = [f"{i % 4},{g},1.5" for i, g in enumerate(grp)]
+        ds = self._agrees(_write(tmp_path, "y,grp,age\n" + "\n".join(lines) + "\n"))
+        assert ds.column("grp").levels == tuple(sorted(f"g{i}" for i in range(10)))
+        assert ds.column("grp").labels().tolist() == [g.strip() for g in grp]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+    def test_missing_level_texts_first_seen_in_a_later_block(self, tmp_path, monkeypatch,
+                                                              quoted):
+        # the first block holds levels only; "", "NA", " NA " and a blank
+        # cell come later.  A quoted level sends the file to `csv.reader`,
+        # whose short rows read "" in the last column, grp
+        monkeypatch.setattr(data, "BLOCK_ROWS", 3)
+        a = '"a,1"' if quoted else "a"
+        grp = [a, "b", a, "b", "", a, "NA", " NA ", "b", "  ", a, "b", a]
+        lines = [f"{i % 3},1.5,{g}" for i, g in enumerate(grp)]
+        if quoted:
+            lines[11] = "2,1.5"  # padded with "" to its block's width
+            lines[12] = "1"  # a block of one short row: grp is past its width
+        path = _write(tmp_path, "y,age,grp\n" + "\n".join(lines) + "\n")
+        assert (data._line_stops(path.read_bytes()) is None) == quoted
+        ds = self._agrees(path)
+        assert ds.column("grp").levels == ("a,1" if quoted else "a", "b")
+        assert (ds.n_rows, ds.dropped_rows) == ((7, 6) if quoted else (9, 4))
+
     def test_no_table_outlives_its_load(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "BLOCK_ROWS", 2)
         first = _write(tmp_path, "y,grp,age\n3,b,1.5\n3,a,2\n4,b,1.5\n", "first.csv")

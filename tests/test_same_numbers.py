@@ -53,3 +53,31 @@ def test_a_csv_case_classifies_by_its_bytes_and_what_reads_back(tmp_path):
     path.write_text("g,y\na,3\nc,0\n", encoding="utf-8")
     b = tool.record_simulated("cli-csv", ds, path, load_csv(path, schema))
     assert tool.classify(a, b) == ("changed", "CSV bytes; loaded columns ['g levels']")
+
+
+def test_the_hand_made_csvs_serve_both_sources_and_classify_by_what_reads_back(tmp_path):
+    from countreg import data
+
+    tool = _tool()
+    schema = {"g": "categorical", "y": "count", "x": "numeric", "h": "categorical"}
+    for source, quoted in (("csv-reader", True), ("split", False)):
+        path = tmp_path / f"{source}.csv"
+        path.write_text(tool._hand_made_csv(quoted), encoding="utf-8")
+        # only the quoted file, with its short rows, goes to `csv.reader`
+        assert (data._line_stops(path.read_bytes()) is None) == quoted
+        ds = load_csv(path, schema)
+        assert ds.column("g").levels == ("a", "b", "c", "d", *(["x,y"] if quoted else []))
+        assert len(ds.column("h").levels) > data.BLOCK_ROWS and ds.dropped_rows > 0
+        a = tool.record_loaded(source, path, ds)
+        assert a["case"] == f"load/{source}"
+        assert set(a["loaded"]) == {"g", "g levels", "y", "x", "h", "h levels"}
+        assert tool.classify(a, tool.record_loaded(source, path, ds)) == ("bit-identical", "")
+        # the same bytes with one more row dropped, then other levels
+        fewer = Dataset(ds.columns, ds.n_rows, ds.dropped_rows + 1)
+        assert tool.classify(a, tool.record_loaded(source, path, fewer)) == (
+            "changed", "dropped rows"
+        )
+        g = ds.column("g")
+        other = dict(ds.columns, g=Column("g", g.kind, g.values, (*g.levels[:-1], "z")))
+        b = tool.record_loaded(source, path, Dataset(other, ds.n_rows, ds.dropped_rows))
+        assert tool.classify(a, b) == ("changed", "loaded columns ['g levels']")

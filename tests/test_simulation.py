@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -303,6 +304,64 @@ class TestValidation:
         with pytest.raises(ConfigurationError) as err:
             simulate(config)
         assert str(err.value) == change.get("message", str(err.value))
+
+    @staticmethod
+    def _zinb_config(**change):
+        """A zinb config with a level, a number and both parts; ``change``
+        replaces a field of the config or of ``x``'s spec (``low``, ``high``)
+        or ``grp``'s (``probabilities``)."""
+        config = SimConfig(
+            n_rows=50,
+            family="zinb",
+            covariates=[
+                _categorical(probabilities=change.pop("probabilities", (0.6, 0.4))),
+                CovariateSpec(
+                    "x", "numeric", low=change.pop("low", 0.0), high=change.pop("high", 1.0)
+                ),
+            ],
+            true_beta={"(intercept)": 0.5, "grp=b": -0.25, "x": 1},
+            true_gamma={"(intercept)": -1, "x": 0.5},
+            true_tau=2,
+            seed=7,
+            zero_covariates=["x"],
+        )
+        for name, value in change.items():
+            setattr(config, name, value)
+        return config
+
+    def test_ints_are_numbers(self, tmp_path):
+        # an int coefficient, shape or bound is a number; only a bool is not
+        config = self._zinb_config(low=0, high=1)
+        simulate(config, tmp_path / "sim.csv")
+        truth = json.loads((tmp_path / "sim.truth.json").read_text(encoding="utf-8"))
+        assert (truth["seed"], truth["true_tau"], truth["true_beta"]["x"]) == (7, 2, 1)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("seed", lambda flag: {"seed": flag}),
+            ("true_tau", lambda flag: {"true_tau": flag}),
+            ("true_beta['(intercept)']",
+             lambda flag: {"true_beta": {"(intercept)": flag, "grp=b": -0.25, "x": 1}}),
+            ("true_beta['grp=b']",
+             lambda flag: {"true_beta": {"(intercept)": 0.5, "grp=b": flag, "x": 1}}),
+            ("true_gamma['x']", lambda flag: {"true_gamma": {"(intercept)": -1, "x": flag}}),
+            ("'x' low", lambda flag: {"low": flag, "high": 2.0}),
+            ("'x' high", lambda flag: {"low": -1.0, "high": flag}),
+            ("'grp' level probability", lambda flag: {"probabilities": (flag, 1 - flag)}),
+        ],
+    )
+    def test_a_bool_is_not_a_number(self, tmp_path, field, change, flag):
+        # each of these simulated before, and the sidecar recorded the bool
+        config = self._zinb_config(**change(flag))
+        with pytest.raises(ConfigurationError, match="^" + re.escape(field)) as err:
+            simulate(config, tmp_path / "sim.csv")
+        if field == "seed":
+            assert str(err.value) == f"seed must be a non-negative integer, got {flag!r}"
+        else:
+            assert str(err.value) == f"{field} must be a number, got {flag!r}"
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_zero_covariates_must_be_declared(self):
         with pytest.raises(ConfigurationError):

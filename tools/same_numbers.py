@@ -10,7 +10,11 @@ case, ``simulate/<recipe>``, records a hash of each drawn column's bytes for
 every recipe the grid draws (and the ``cli-csv`` benchmark config).  The
 ``cli-csv`` case also writes its CSV and records the hash of its bytes and
 the hashes of the columns and levels that ``load_csv`` reads back from it,
-so that the CSV writer and loader are checked on the benchmark's data.  A fit case
+so that the CSV writer and loader are checked on the benchmark's data.  A
+load case, ``load/<source>``, writes a fixed hand-made CSV (`_hand_made_csv`)
+and records the same of it, with its dropped-row count: ``load/csv-reader``
+is read by ``csv.reader``, ``load/split`` by the loader's own split, so that
+the level tables of both loader sources are checked.  A fit case
 records converged, iterations, message, logL, gradient norm,
 ``expected_zero_fraction``, the estimates and standard errors, and hashes of
 the estimate and covariance bytes.  A CLI case runs ``countreg.cli.main``
@@ -29,8 +33,9 @@ each JSON report.
   scale, the scale of the estimates they come from; the gradient norm, which
   is rounding noise at convergence, is not compared).  The ridge fits in raw
   units may move their iteration count;
-* changed: anything else, such as a simulate case with a differing hash
-  (of a drawn column, its CSV or a column read back).
+* changed: anything else, such as a simulate or load case with a differing
+  hash (of a drawn column, its CSV or a column read back) or dropped-row
+  count.
 
 The last bits of a fit depend on the machine's numpy SIMD and libm, so the
 two records must come from one machine, and none is committed.  The grid's
@@ -162,6 +167,24 @@ def _cli_input(cr):
     )
 
 
+def _hand_made_csv(quoted: bool) -> str:
+    """A fixed CSV of 9,000 rows, three of the loader's 4096-row blocks.
+    Column g holds padded levels, and from row 5000 on "", "NA", " NA " and
+    blank cells too; y and x hold padded counts and numbers, "NA" and "";
+    h holds 5,000 levels, some padded.  With ``quoted``, g also holds a
+    quoted level with a comma and every 997th row is cut short, so that
+    `csv.reader` reads the file; without, the loader splits it."""
+    levels = ["a", " a", "b ", "  c  ", "d", *(['"x,y"'] if quoted else [])]
+    cells = levels + ["", "NA", " NA ", "  "]
+    lines = ["g,y,x,h"]
+    for i in range(9000):
+        g = cells[i % len(cells)] if i >= 5000 else levels[i % len(levels)]
+        h = f"L{i * 7 % 5000}" + " " * (i % 11 == 0)
+        row = [g, ["0", "3", " 7", "12", "NA"][i % 5], ["1.5", " -0.25", "2", ""][i % 4], h]
+        lines.append(",".join(row[:2] if quoted and i % 997 == 0 else row))
+    return "\n".join(lines) + "\n"
+
+
 def fit_cases(cr, draw):
     """(name, spec, dataset) of every fit case, the datasets made lazily by
     ``draw(recipe, config)``."""
@@ -263,6 +286,14 @@ def record_simulated(recipe, ds, path=None, loaded=None) -> dict:
         rec["csv_sha"] = _sha(Path(path).read_bytes())
         rec["loaded"] = _column_shas(loaded, levels=True)
     return rec
+
+
+def record_loaded(source, path, loaded) -> dict:
+    """A load case: the hash of a CSV's bytes, and those of the columns and
+    levels of ``loaded``, the Dataset that `load_csv` reads back from it,
+    with its dropped-row count."""
+    return {"case": f"load/{source}", "kind": "load", "csv_sha": _sha(Path(path).read_bytes()),
+            "loaded": _column_shas(loaded, levels=True), "dropped_rows": loaded.dropped_rows}
 
 
 def record_fit(cr, name, spec, ds) -> dict:
@@ -369,6 +400,11 @@ def record(args):
             try:
                 draw("cli-csv", w._csv_config(cr, 200_000, 300), "cli-csv.csv", w.SCHEMA)
                 draw("cli-input", _cli_input(cr), "input.csv")
+                schema = cr.parse_schema("g=categorical,y=count,x=numeric,h=categorical")
+                for source, quoted in (("csv-reader", True), ("split", False)):
+                    path = Path(f"{source}.csv")
+                    path.write_text(_hand_made_csv(quoted), encoding="utf-8")
+                    put(record_loaded(source, path, cr.load_csv(path, schema)))
                 for name, argv, out in cli_cases():
                     put(record_cli(cr, name, argv, out))
             finally:
@@ -411,12 +447,14 @@ def classify(a: dict, b: dict) -> tuple[str, str]:
     """The class of one case recorded as ``a`` and then as ``b``, and why."""
     if a == b:
         return "bit-identical", ""
-    if a["kind"] == "simulate":
+    if a["kind"] in ("simulate", "load"):
+        drawn_a, drawn_b = a.get("columns", {}), b.get("columns", {})
         loaded_a, loaded_b = a.get("loaded", {}), b.get("loaded", {})
         whys = {
-            f"drawn columns {_moved(a['columns'], b['columns'])}": a["columns"] != b["columns"],
+            f"drawn columns {_moved(drawn_a, drawn_b)}": drawn_a != drawn_b,
             "CSV bytes": a.get("csv_sha") != b.get("csv_sha"),
             f"loaded columns {_moved(loaded_a, loaded_b)}": loaded_a != loaded_b,
+            "dropped rows": a.get("dropped_rows") != b.get("dropped_rows"),
         }
         return "changed", "; ".join(why for why, differs in whys.items() if differs)
     if a["kind"] == "cli":
