@@ -16,7 +16,8 @@ callers.
 
 ``Counts(y)`` is the response prepared once, since none of it depends on the
 parameters: the counts as float64, each row's index into the count table
-below, the rows past that table, the rows where y = 0, and log(y!) per row,
+below, the rows past that table, the rows where y = 0 (a slice where they
+come first, as in a ZINB fit), and log(y!) per row,
 which the Poisson, NB and ZINB log pmfs all subtract.  log(y!) is that
 table's L at tau = 1, sum_{j<y} log1p(j) = log(y!), with the series past K,
 which is Stirling's there; it is the one log(y!) of the package, and
@@ -46,19 +47,20 @@ It stops at K = 256 (``_TABLE_MAX``): a larger count adds to the entry at K
 one asymptotic series from K + tau to y + tau, the same form at every tau.
 A kernel call costs O(n + min(max y, 256)) time.
 
-A ZINB row is Lambert's (1992) two-component mixture, l = logaddexp(a, b)
-with a = log p where y = 0 and -inf where y > 0, and b = l_NB + log1p(-p).
-Where a > -inf, pi0 = exp(a - l) is the posterior probability of a
-structural zero and w0 = exp(b - l) that of the NB component; elsewhere
-pi0 = 0 and w0 = 1 exactly, so a positive row is the NB row plus log1p(-p)
-with the NB scores.  The NB scores u and dt are scaled by w0, v is
+A ZINB row is Lambert's (1992) two-component mixture, the log-sum-exp
+l = max(a, b) + log1p(exp(-|a - b|)) of a = log p where y = 0 and -inf
+where y > 0, and b = l_NB + log1p(-p).  Where a > -inf, pi0 = exp(a - l) is
+the posterior probability of a structural zero and w0 = exp(b - l) that of
+the NB component; elsewhere l = b, pi0 = 0 and w0 = 1 exactly, so a
+positive row, or a zero row at p = 0, is the NB row plus log1p(-p) with the
+NB scores.  The NB scores u and dt are scaled by w0, v is
 pi0 (1 - p) (1 - P_NB(0)) on mixed rows and -p elsewhere, and the second
 derivatives add m = w0 pi0 times products of the NB scores to w0 times the
-NB ones.  The numpy kernel evaluates the mixture (log p, logaddexp, the two
-exps and v) only on the y = 0 rows, gathered in their order through the
-indices ``Counts`` fixes once, and scatters the results back; the y > 0 rows
-take the exact values above.  The combination with the NB scores runs over
-all rows.
+NB ones.  The numpy kernel evaluates the mixture and its combination with
+the NB scores only on the y = 0 rows, read through ``Counts.zeros``: in a
+fit, whose zero rows come first, a slice, so every step reads and writes
+views of the rows; elsewhere their indices, which gather and scatter them.
+The y > 0 rows take the exact values above, with es = st = 0.
 
 Each kernel exists twice: a vectorized numpy version and a scalar loop
 written as plain Python, compiled with ``numba.njit`` when numba is
@@ -104,8 +106,9 @@ class Counts:
     ``y`` is the counts as float64, ``k`` each row's index into the tables
     over the counts ``k_all`` = 0..min(max y, K), ``big`` the indices of the
     rows past the table, whose k is K, the anchor of their series, ``zeros``
-    the indices of the rows where y = 0, and ``log_fact`` log(y!) per row,
-    the count terms' L[y] at tau = 1.
+    the rows where y = 0, the slice of them where they come first and their
+    indices elsewhere, and ``log_fact`` log(y!) per row, the count terms'
+    L[y] at tau = 1.
     """
 
     def __init__(self, y):
@@ -115,7 +118,9 @@ class Counts:
         self.k = np.full(self.y.size, _TABLE_MAX, dtype=np.intp)  # one n-array, no float temporary
         np.copyto(self.k, self.y, casting="unsafe", where=~past)
         self.k_all = np.arange(self.k.max(initial=0) + 1.0)
-        self.zeros = np.flatnonzero(self.y == 0.0)
+        zeros = np.flatnonzero(self.y == 0.0)
+        first = zeros.size == 0 or zeros[-1] == zeros.size - 1
+        self.zeros = slice(0, zeros.size) if first else zeros
         self._buffers = {}
         self.log_fact = _count_terms(self, 1.0, [np.empty(self.y.size)])[0]
 
@@ -217,49 +222,46 @@ def zinb_loglik_score_numpy(counts, lam, p, tau, out):
     in place; rows, dt and tt hold L[y] - log(y!), D[y] and T[y] on entry."""
     nb_loglik_score_numpy(counts, lam, tau, [out[i] for i in (0, 1, 3, 4, 6, 9)])
     rows, u, v, dt, ee, es, et, ss, st, tt = out
-    zeros = counts.zeros
+    z = counts.zeros  # a slice in a fit, so each [z] below is a view
+    pz = p[z]
     work = counts.buffer("work", (_WORK_ROWS, rows.size))
-    # the y = 0 rows: p, l_NB, b, a = log p and l, in that order
-    pz, nbz, bz, az, lz = (row[: zeros.size] for row in work)
-    unmixed = counts.buffer("unmixed", zeros.shape, np.bool_)
+    # the y = 0 rows: 1 - P_NB(0), a = log p, then |a - b|, l and a scratch row
+    qz, az, dz, lz, tz = (row[: pz.size] for row in work)
+    unmixed = counts.buffer("unmixed", pz.shape, np.bool_)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.take(p, zeros, out=pz, mode="clip")
-        np.take(rows, zeros, out=nbz, mode="clip")
-        rows += np.log1p(np.negative(p, out=v), out=v)  # b = log((1-p) P_NB(y)), l where y > 0
-        np.take(rows, zeros, out=bz, mode="clip")
-        np.log(pz, out=az)
-        rows[zeros] = np.logaddexp(az, bz, out=lz)
-        np.logical_not(np.greater(az, -np.inf, out=unmixed), out=unmixed)
+        np.negative(np.expm1(rows[z], out=qz), out=qz)
+        rows += np.log1p(np.negative(p, out=v), out=ss)  # b = log((1-p) P_NB(y)), l where y > 0
+        np.equal(np.log(pz, out=az), -np.inf, out=unmixed)  # p = 0: l = b exactly
+        np.abs(np.subtract(az, rows[z], out=dz), out=dz)
+        np.log1p(np.exp(np.negative(dz, out=dz), out=dz), out=dz)
+        np.add(np.maximum(az, rows[z], out=lz), dz, out=lz)  # l = max(a, b) + log1p(exp(-|a - b|))
+        np.copyto(lz, rows[z], where=unmixed)
         pi0z = np.exp(np.subtract(az, lz, out=az), out=az)
         np.copyto(pi0z, 0.0, where=unmixed)
-        w0z = np.exp(np.subtract(bz, lz, out=bz), out=bz)
+        w0z = np.exp(np.subtract(rows[z], lz, out=dz), out=dz)
         np.copyto(w0z, 1.0, where=unmixed)
-        vz = np.multiply(np.multiply(np.subtract(1.0, pz, out=lz), pi0z, out=lz),
-                         np.negative(np.expm1(nbz, out=nbz), out=nbz), out=lz)
-        np.copyto(vz, np.negative(pz, out=pz), where=unmixed)
-        np.negative(p, out=v)[zeros] = vz
-        w0 = work[0]  # past the y = 0 rows' p
-        w0.fill(1.0)
-        w0[zeros] = w0z
-        m = work[1]  # past l_NB: w0 pi0 = w0 (1 - w0), free of its cancellation
-        m.fill(0.0)
-        m[zeros] = pi0z
-        m *= w0
-        mu, mdt = np.multiply(m, u, out=es), np.multiply(m, dt, out=st)
-        t = work[2]  # past b
-        ee *= w0
-        ee += np.multiply(mu, u, out=t)
-        et *= w0
-        et += np.multiply(mu, dt, out=t)
-        tt *= w0
-        tt += np.multiply(mdt, dt, out=t)
-        np.negative(mu, out=es)
-        np.negative(mdt, out=st)
+        rows[z] = lz
+        vz = np.multiply(np.multiply(pi0z, np.subtract(1.0, pz, out=lz), out=lz), qz, out=lz)
+        np.copyto(vz, v[z], where=unmixed)
+        v[z] = vz
+        # elsewhere w0 = 1 and m = w0 pi0 = 0: the NB second derivatives stand
+        mz = np.multiply(w0z, pi0z, out=pi0z)  # w0 (1 - w0), free of its cancellation
+        muz, mdtz = np.multiply(mz, u[z], out=qz), np.multiply(mz, dt[z], out=lz)
+        ee[z] *= w0z
+        ee[z] += np.multiply(muz, u[z], out=tz)
+        et[z] *= w0z
+        et[z] += np.multiply(muz, dt[z], out=tz)
+        tt[z] *= w0z
+        tt[z] += np.multiply(mdtz, dt[z], out=tz)
+        es.fill(0.0)
+        es[z] = np.negative(muz, out=muz)
+        st.fill(0.0)
+        st[z] = np.negative(mdtz, out=mdtz)
         np.subtract(1.0, np.multiply(2.0, p, out=ss), out=ss)
         ss -= v
         ss *= v
-    u *= w0
-    dt *= w0
+    u[z] *= w0z
+    dt[z] *= w0z
 
 
 # ---------------------------------------------------------------------------

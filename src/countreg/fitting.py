@@ -15,6 +15,9 @@ rows only through those patterns, so the weighted sums are the full-data
 likelihood and score, exact to rounding.  Where every row is distinct, the
 patterns are the given rows.  The counts and factor codes key the pattern
 scan by themselves (`data.distinct_codes`); only numeric columns are sorted.
+A ZINB fit orders its rows, or its patterns, stably with y = 0 first, so
+that the kernel mixes on one slice of them (`_kernels.Counts.zeros`); the
+other families keep the order, since only ZINB mixes on the y = 0 rows.
 
 The fitter holds each part's design as the terms of `data.design_terms`,
 which `build_design` expands into dummy columns: the intercept, each factor
@@ -425,14 +428,17 @@ def _row_patterns(columns: list[Column]) -> tuple[np.ndarray, np.ndarray] | None
 class _Problem:
     """The fit of ``spec`` to ``ds`` on its row patterns: the designs ``X``
     and ``Z`` as terms (`data.design_terms`, sharing each covariate's term)
-    and the prepared ``counts``, built on every column of ``ds`` at the
+    and the prepared ``counts``, built on the columns of ``ds`` that they
+    read (the model's and those named in ``reference_levels``) at the
     patterns' first rows ``first``, each pattern weighted by its count
     ``w`` (None and the scalar 1.0 where every row is distinct), and
     the map from the optimizer's free vector onto a full ParamVector and
     back.  The patterns are those of the model's own Columns
     (`_row_patterns`), each covariate once and then the response, so a
     count response and factor codes key the scan by their values, with no
-    sort.
+    sort.  A ZINB fit puts the patterns, or where every row is distinct the
+    rows themselves, stably in y = 0 first order, so ``first`` is then a
+    permutation of the rows even where ``w`` is 1.0.
 
     ``theta`` is the full vector [beta, gamma, log_tau] in the gradient's
     layout, holding the pinned entries of ``FitOptions``; ``mask`` marks
@@ -442,19 +448,26 @@ class _Problem:
     def __init__(self, spec: ModelSpec, ds: Dataset, options: FitOptions):
         self.spec = spec
         self.n_obs = ds.n_rows
-        ds.response_vector(spec.response)  # its errors come before the designs'
+        y = ds.response_vector(spec.response)  # its errors come before the designs'
         model = [*dict.fromkeys([*spec.count_covariates, *spec.zero_covariates]), spec.response]
         # a name not in ds is left to design_terms, which raises as it would on ds
         table = _row_patterns([ds.columns[name] for name in model if name in ds.columns])
+        refs, zinb = spec.reference_levels, spec.family == "zinb"
         if table is None:
             self.w, self.first = 1.0, None
         else:
             self.first, counts = table
-            columns = {k: replace(c, values=c.values[self.first]) for k, c in ds.columns.items()}
-            ds = Dataset(columns, self.first.size)
             self.w = counts.astype(np.float64)
+        if zinb:  # the y = 0 rows first, so that the kernel mixes on one slice
+            order = np.argsort((y if table is None else y[self.first]) != 0, kind="stable")
+            self.first = order if table is None else self.first[order]
+            self.w = 1.0 if table is None else self.w[order]
+        if self.first is not None:  # only the columns a design or its errors read
+            read = {*model, *(refs or {})}
+            columns = {k: replace(c, values=c.values[self.first])
+                       for k, c in ds.columns.items() if k in read}
+            ds = Dataset(columns, self.first.size)
         made = {}
-        refs, zinb = spec.reference_levels, spec.family == "zinb"
         self.X = design_terms(ds, spec.count_covariates, refs, made)
         self.Z = design_terms(ds, spec.zero_covariates, refs, made) if zinb else None
         # parameter-free, so prepared once rather than on every evaluation

@@ -33,6 +33,7 @@ from countreg import (
     poisson_log_pmf,
     simulate,
 )
+import countreg
 from countreg import _kernels
 from countreg import fitting, optimize
 from countreg.data import design_terms
@@ -40,6 +41,7 @@ from countreg.fitting import _Problem
 from countreg.optimize import MAX_HALVINGS
 
 import _oracles
+from _tools import same_numbers
 
 
 def _ll6_dataset():
@@ -340,7 +342,12 @@ class TestFusedObjective:
         # every row distinct: nothing collapses; the zero probabilities take
         # a closed form and prepare no response of their own
         assert len(made) == 1 and made[0].size == ds.n_rows
-        # the prepared counts give the logL the public function computes afresh
+        # the prepared counts give the logL the public function computes
+        # afresh on the rows in the fit's order, which for ZINB puts y = 0 first
+        order = _Problem(spec, ds, FitOptions()).first
+        if order is not None:
+            columns = {k: replace(c, values=c.values[order]) for k, c in ds.columns.items()}
+            ds = Dataset(columns, ds.n_rows)
         X, y = build_design(ds, ["x"]), ds.response_vector("y")
         Z = build_design(ds, []) if family == "zinb" else None
         assert log_likelihood(spec, X, Z, y, res.estimates) == res.log_likelihood
@@ -1209,6 +1216,91 @@ class TestRowPatterns:
         counts = _kernels.Counts(ds.response_vector(spec.response))
         full = np.mean(fitting._zero_probabilities(family, X, Z, counts, res.estimates))
         assert res.expected_zero_fraction == pytest.approx(full, rel=1e-12)
+
+
+class TestZeroRowsFirst:
+    """A ZINB fit orders its rows, or its patterns, stably with y = 0 first,
+    so that its kernel mixes on one slice of them; the other families keep
+    the rows as given.  A fit gathers only the columns its designs read."""
+
+    @pytest.mark.parametrize("collapses", [False, True])
+    def test_a_zinb_fit_reads_its_zero_rows_as_a_slice(self, collapses):
+        # were the order lost, the fit would stay right but index its zeros
+        ds = _grouped_sim(n=5000, seed=93) if collapses else _zinb_sim(n=2000, seed=92)
+        spec = GROUPED_SPECS["zinb"] if collapses else ModelSpec("zinb", "y", ["x"])
+        problem = _Problem(spec, ds, FitOptions())
+        y, zeros = problem.counts.y, problem.counts.zeros
+        assert (y.size < ds.n_rows) == collapses
+        assert isinstance(zeros, slice) and 0 < zeros.stop == np.count_nonzero(y == 0) < y.size
+        assert np.array_equal(y, ds.response_vector("y")[problem.first])
+        if collapses:
+            assert problem.w.sum() == ds.n_rows
+        else:  # stably: each block keeps the rows' order
+            assert problem.w == 1.0
+            blocks = np.split(problem.first, [zeros.stop])
+            assert all(np.all(np.diff(block) > 0) for block in blocks)
+
+    @pytest.mark.parametrize("family", ["poisson", "nb"])
+    def test_other_families_keep_the_row_order(self, family):
+        ds = _zinb_sim(n=2000, seed=92)
+        problem = _Problem(ModelSpec(family, "y", ["x"]), ds, FitOptions())
+        assert problem.first is None
+        assert np.array_equal(problem.counts.y, ds.response_vector("y"))
+        assert isinstance(problem.counts.zeros, np.ndarray)
+
+    def test_a_permuted_zinb_rows_fit_is_within_tolerance(self):
+        # the benchmark's ZINB recipe with its rows shuffled: the zero rows
+        # come first in another order, so the sums round differently
+        tool = same_numbers()
+        spec = ModelSpec("zinb", "y", ["x", "g"], ["x"])
+        ds = simulate(tool._workloads()._zinb_config(countreg, 20_000, 300))
+        perm = np.random.default_rng(301).permutation(ds.n_rows)
+        shuffled = Dataset(
+            {name: replace(col, values=col.values[perm]) for name, col in ds.columns.items()},
+            ds.n_rows,
+        )
+        a, b = (tool.record_fit(countreg, "zinb-rows/300", spec, d) for d in (ds, shuffled))
+        assert a["converged"] and a["iterations"] == b["iterations"]
+        assert tool.classify(a, b)[0] in ("bit-identical", "within tolerance")
+
+    @staticmethod
+    def _with_unused_column(ds):
+        wide = np.random.default_rng(302).normal(size=ds.n_rows)
+        return Dataset({**ds.columns, "wide": Column("wide", "numeric", wide)}, ds.n_rows)
+
+    @pytest.mark.parametrize("collapses", [False, True])
+    def test_an_unused_column_changes_nothing(self, collapses):
+        ds = _grouped_sim(n=5000, seed=93) if collapses else _zinb_sim(n=2000, seed=92)
+        spec = GROUPED_SPECS["zinb"] if collapses else ModelSpec("zinb", "y", ["x"])
+        a, b = fit(spec, ds), fit(spec, self._with_unused_column(ds))
+        assert a.converged and b.n_iterations == a.n_iterations
+        for got, want in (
+            (b.estimates.beta, a.estimates.beta),
+            (b.estimates.gamma, a.estimates.gamma),
+            (b.covariance, a.covariance),
+        ):
+            assert got.tobytes() == want.tobytes()
+        assert b.estimates.log_tau == a.estimates.log_tau
+        assert b.log_likelihood == a.log_likelihood
+        assert b.expected_zero_fraction == a.expected_zero_fraction
+
+    def test_an_unused_column_is_not_gathered(self):
+        # a ZINB fit on distinct rows gathers every column it keeps at all
+        # n rows; the unused one would add its n floats to the set-up's peak
+        n = 20_000
+        ds = _zinb_sim(n=n, seed=92)
+        spec = ModelSpec("zinb", "y", ["x"])
+        peaks = []
+        for data in (ds, self._with_unused_column(ds)):
+            _Problem(spec, data, FitOptions())
+            tracemalloc.start()
+            try:
+                problem = _Problem(spec, data, FitOptions())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert problem.counts.y.size == n
+        assert peaks[1] < peaks[0] + 4 * n
 
 
 class TestReferenceLevelInvariance:

@@ -1,12 +1,10 @@
 """Backend kernels: numpy/numba agreement, scores vs finite differences."""
 
-import importlib.util
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +16,7 @@ from countreg import _kernels, simulate
 from countreg.distributions import NbParams, nb_log_pmf
 
 import _oracles
+from _tools import same_numbers
 
 
 def _random_grid(seed, n=64):
@@ -31,15 +30,6 @@ def _random_grid(seed, n=64):
 
 LARGE_TAUS = (1e8, 1e12, 1e15)  # near the Poisson limit, where lgamma differences cancel
 K = _kernels._TABLE_MAX  # the count table's last entry, the anchor of the series past it
-
-
-def _same_numbers():
-    """`tools/same_numbers.py`, for its recipes."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "same_numbers.py"
-    spec = importlib.util.spec_from_file_location("same_numbers", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _numpy_kernels():
@@ -174,7 +164,7 @@ class TestNumpyKernels:
     def test_one_row_is_the_first_of_three(self, recipe):
         # L alone, as `Counts` asks for it, is bit for bit the L of the full call
         if recipe == "heavy-tail":
-            y = simulate(_same_numbers()._heavy_tail(countreg, 1)).response_vector("y")
+            y = simulate(same_numbers()._heavy_tail(countreg, 1)).response_vector("y")
             assert (y > K).any()
         else:
             y = _random_grid(22, n=500)[0]
@@ -280,6 +270,58 @@ class TestZinbMixture:
                 np.testing.assert_allclose(v, want, rtol=1e-12, atol=0)
 
 
+class TestZeroRows:
+    """A ZINB fit puts its y = 0 rows first, and `Counts.zeros` is then the
+    slice of them; elsewhere it indexes them.  The kernels mix on those rows
+    alone, and a row gets the same bits in any order."""
+
+    def test_zero_rows_are_a_slice_where_they_come_first(self):
+        assert _kernels.Counts([0.0, 0.0, 3.0, 1.0]).zeros == slice(0, 2)
+        assert _kernels.Counts([2.0, 3.0]).zeros == slice(0, 0)
+        assert _kernels.Counts(np.zeros(3)).zeros == slice(0, 3)
+        assert np.array_equal(_kernels.Counts([1.0, 0.0, 2.0, 0.0]).zeros, [1, 3])
+
+    def test_a_shuffled_response_gives_the_rows_of_the_zeros_first_order(self):
+        y, lam, p, tau = _zero_heavy_grid(31)
+        # and the edge rows: p at 0 and 1, lam at 0 and past the float range
+        y = np.concatenate([y, [0.0, 0.0, 4.0, 0.0, 3.0, 0.0, 0.0]])
+        lam = np.concatenate([lam, [2.0, 2.0, 2.0, 0.0, 0.0, 1e305, 1e305]])
+        p = np.concatenate([p, [0.0, 1.0, 1.0, 0.4, 0.4, 0.0, 0.3]])
+        first = np.argsort(y != 0, kind="stable")
+        y, lam, p = y[first], lam[first], p[first]
+        perm = np.random.default_rng(32).permutation(y.size)
+        assert isinstance(_kernels.Counts(y).zeros, slice)
+        assert isinstance(_kernels.Counts(y[perm]).zeros, np.ndarray)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _, zinb in (_numpy_kernels(), *_loop_kernels()):
+                want = zinb(y, lam, p, tau)
+                got = np.empty_like(want)
+                got[:, perm] = zinb(y[perm], lam[perm], p[perm], tau)
+                assert got.tobytes() == want.tobytes()
+
+    def test_zero_rows_match_the_oracle(self):
+        # l = max(a, b) + log1p(exp(-|a - b|)) with a = log p and
+        # b = log((1 - p) P_NB(0)), on a grid with p = 0 from expit's
+        # underflow and p -> 1, then a = b (P_NB(0) = 1 at p = 1/2) and
+        # lam / tau past the float range, where the NB part is -inf but
+        # P_NB(0) is far below p
+        p = expit(np.array([-800.0, -40.0, -8.0, -1.0, 0.0, 2.0, 20.0, 36.0, 40.0]))
+        assert p[0] == 0.0 and 0.0 < 1.0 - p[-2] < 1e-15 and p[-1] == 1.0
+        lam, p = (a.ravel() for a in np.meshgrid(np.logspace(-10, 2.5, 11), p))
+        cases = [(lam, p, tau) for tau in (0.3, 1.5, 40.0, 1e6)]
+        edges = np.array([1e-300, 0.0, 1e308, 1e308]), np.array([0.5, 0.5, 0.3, 1e-100])
+        cases.append((*edges, 0.5))
+        with np.errstate(over="ignore", divide="ignore"):
+            nb = _nb_numpy(np.zeros(4), cases[-1][0], 0.5)[0]
+        assert nb[2] == -np.inf and np.log(0.5) == nb[0] + np.log1p(-0.5)  # a = b
+        for lam, p, tau in cases:
+            want = [_oracles.zinb_log_pmf(0, m, q, tau) for m, q in zip(lam, p)]
+            for _, zinb in (_numpy_kernels(), *_loop_kernels()):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    got = zinb(np.zeros(lam.size), lam, p, tau)[0]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def _reference_nb(y, lam, tau, Ly, Dy, Ty):
     """The NB rows as array expressions over all rows, each a fresh array:
     the formulas the numpy kernel writes into its buffers step by step."""
@@ -296,13 +338,15 @@ def _reference_nb(y, lam, tau, Ly, Dy, Ty):
 
 def _reference_zinb(y, lam, p, tau, Ly, Dy, Ty):
     """The ZINB rows with the mixture evaluated on every row, a = -inf
-    where y > 0, and the y > 0 values picked by np.where."""
+    where y > 0, and the y > 0 values picked by np.where: the log-sum-exp
+    l = max(a, b) + log1p(exp(-|a - b|)) of the kernels, and l = b where
+    a = -inf."""
     nb, u, dt, ee, et, tt = _reference_nb(y, lam, tau, Ly, Dy, Ty)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.log(np.where(y == 0.0, p, 0.0))  # log p; -inf where y > 0
         b = nb + np.log1p(-p)  # log((1-p) P_NB(y))
-        rows = np.logaddexp(a, b)
         mixed = a > -np.inf
+        rows = np.where(mixed, np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b))), b)
         pi0 = np.where(mixed, np.exp(a - rows), 0.0)
         w0 = np.where(mixed, np.exp(b - rows), 1.0)
         v = np.where(mixed, pi0 * (1.0 - p) * -np.expm1(nb), -p)

@@ -1,23 +1,14 @@
 """The record classes of `tools/same_numbers.py`, on hand-made records."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
 from countreg import Column, Dataset, load_csv
 
-
-def _tool():
-    path = Path(__file__).resolve().parent.parent / "tools" / "same_numbers.py"
-    spec = importlib.util.spec_from_file_location("same_numbers", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from _tools import same_numbers
 
 
 def test_simulate_records_classify_by_their_column_hashes():
-    tool = _tool()
+    tool = same_numbers()
     ds = Dataset(
         {
             "g": Column("g", "categorical", np.array([0, 1, 1]), ("a", "b")),
@@ -35,7 +26,7 @@ def test_simulate_records_classify_by_their_column_hashes():
 
 
 def test_a_csv_case_classifies_by_its_bytes_and_what_reads_back(tmp_path):
-    tool = _tool()
+    tool = same_numbers()
     schema = {"g": "categorical", "y": "count"}
     path = tmp_path / "data.csv"
     path.write_text("g,y\na,3\nb,0\n", encoding="utf-8")
@@ -58,7 +49,7 @@ def test_a_csv_case_classifies_by_its_bytes_and_what_reads_back(tmp_path):
 def test_the_hand_made_csvs_serve_both_sources_and_classify_by_what_reads_back(tmp_path):
     from countreg import data
 
-    tool = _tool()
+    tool = same_numbers()
     schema = {"g": "categorical", "y": "count", "x": "numeric", "h": "categorical"}
     for source, quoted in (("csv-reader", True), ("split", False)):
         path = tmp_path / f"{source}.csv"
